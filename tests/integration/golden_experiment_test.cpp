@@ -1,5 +1,5 @@
-// Golden end-to-end regression: a fixed-seed tiny experiment for OurScheme
-// and Epidemic, serialized key=value and compared against a checked-in
+// Golden end-to-end regression: a fixed-seed tiny experiment for every
+// factory scheme, serialized key=value and compared against a checked-in
 // golden file. Any change to the selection engine, the simulator loop, or
 // the schemes that alters observable behavior shows up as a diff here —
 // floating-point keys compare with 1e-9 relative tolerance so pure
@@ -69,12 +69,21 @@ FaultConfig golden_fault_plan() {
   return f;
 }
 
+/// Every factory scheme. OurScheme and Epidemic come first: they were the
+/// first two locked, and this order keeps their golden lines in place.
+const std::vector<std::string>& golden_schemes() {
+  static const std::vector<std::string> names = {
+      "OurScheme",     "Epidemic", "NoMetadata",   "Spray&Wait",
+      "ModifiedSpray", "PhotoNet", "BestPossible", "PROPHET"};
+  return names;
+}
+
 /// Ordered key=value serialization of the golden runs: each scheme once
 /// clean and once under golden_fault_plan() (key prefix "<scheme>@faults").
 std::vector<std::pair<std::string, std::string>> compute_lines() {
   std::vector<std::pair<std::string, std::string>> lines;
   for (const bool faulted : {false, true}) {
-  for (const std::string scheme : {"OurScheme", "Epidemic"}) {
+  for (const std::string& scheme : golden_schemes()) {
     ExperimentSpec spec = golden_spec(scheme);
     if (faulted) spec.scenario.sim.faults = golden_fault_plan();
     const SimResult r = run_single(spec, 42);
