@@ -22,6 +22,7 @@
 #include "schemes/factory.h"
 #include "sim/experiment.h"
 #include "sim/result_io.h"
+#include "test_util.h"
 #include "trace/synthetic_trace.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -218,58 +219,10 @@ TEST(ProvenanceIntegration, ResumeEqualsContinuous) {
 
 // ------------------------------------------------------- fault matrix
 
-/// The production schemes the factory can build (see factory.cpp; mirrors
-/// tests/dtn/simulator_fuzz_test.cpp, whose helpers live in its own
-/// anonymous namespace).
-const std::vector<std::string>& all_factory_schemes() {
-  static const std::vector<std::string> names = {
-      "OurScheme", "NoMetadata",   "Spray&Wait", "ModifiedSpray",
-      "PhotoNet",  "BestPossible", "Epidemic",   "PROPHET"};
-  return names;
-}
-
-FaultConfig random_fault_plan(Rng& rng, std::uint64_t salt) {
-  FaultConfig f;
-  f.contact_interrupt_prob = rng.bernoulli(0.15) ? 1.0 : rng.uniform(0.0, 0.6);
-  f.interrupt_fraction_min = rng.uniform(0.0, 0.5);
-  f.interrupt_fraction_max = f.interrupt_fraction_min + rng.uniform(0.0, 0.5);
-  f.crash_rate_per_hour = rng.bernoulli(0.2) ? 0.0 : rng.uniform(0.0, 1.5);
-  f.mean_downtime_s = rng.uniform(600.0, 3.0 * 3600.0);
-  f.crash_wipes_storage = rng.bernoulli(0.5);
-  f.bandwidth_jitter = rng.uniform(0.0, 0.8);
-  f.gossip_loss_prob = rng.bernoulli(0.1) ? 1.0 : rng.uniform(0.0, 0.5);
-  f.salt = salt;
-  return f;
-}
-
-struct ChaosScenario {
-  PoiList pois;
-  ContactTrace trace;
-  std::vector<PhotoEvent> events;
-};
-
-ChaosScenario build_chaos_scenario(std::uint64_t seed) {
-  ChaosScenario s;
-  Rng rng(seed);
-  Rng poi_rng = rng.split("pois");
-  s.pois = generate_uniform_pois(8, 1500.0, poi_rng);
-
-  SyntheticTraceConfig tc;
-  tc.num_participants = 5;
-  tc.duration_s = 12.0 * 3600.0;
-  tc.base_pair_rate_per_hour = 0.6;
-  tc.seed = seed;
-  s.trace = generate_synthetic_trace(tc);
-
-  ScenarioConfig sc = ScenarioConfig::mit(seed);
-  sc.region_m = 1500.0;
-  sc.num_pois = s.pois.size();
-  sc.photo_rate_per_hour = 12.0;
-  PhotoGenerator gen(sc, s.pois);
-  Rng photo_rng = rng.split("photos");
-  s.events = gen.generate(s.trace.horizon(), 5, photo_rng);
-  return s;
-}
+using test::all_factory_schemes;
+using test::build_chaos_scenario;
+using test::ChaosScenario;
+using test::random_fault_plan;
 
 /// The causal contract the JSONL validator enforces on exports, checked at
 /// the source: capture precedes any use of a photo, timestamps are merged

@@ -1,14 +1,20 @@
 // Shared builders for tests: compact ways to make photos, PoIs, traces and
-// small simulations with known geometry.
+// small simulations with known geometry, plus the sampled fault plans and
+// small scenarios the chaos, provenance and oracle matrices share.
 #pragma once
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "coverage/coverage_model.h"
 #include "coverage/photo.h"
 #include "coverage/poi.h"
+#include "dtn/fault.h"
+#include "dtn/simulator.h"
 #include "geometry/angle.h"
 #include "trace/contact_trace.h"
+#include "util/rng.h"
 
 namespace photodtn::test {
 
@@ -32,5 +38,24 @@ PhotoMeta photo_viewing(const PointOfInterest& poi, double from_direction_deg,
 
 /// Model over a single PoI at the origin with theta (degrees).
 CoverageModel single_poi_model(double theta_deg = 30.0, double weight = 1.0);
+
+/// All production schemes the factory can build (see schemes/factory.cpp).
+const std::vector<std::string>& all_factory_schemes();
+
+/// A random but valid fault plan: every knob drawn from its legal range,
+/// occasionally pinned to an extreme so a sampled matrix hits the edges too.
+/// Covers interrupts, churn with and without wipes, bandwidth jitter and
+/// gossip loss.
+FaultConfig random_fault_plan(Rng& rng, std::uint64_t salt);
+
+/// A small but nontrivial scenario: 8 PoIs over 1.5 km, 5 participants over
+/// 12 h of synthetic contacts, 12 photos per hour.
+struct ChaosScenario {
+  PoiList pois;
+  ContactTrace trace;
+  std::vector<PhotoEvent> events;
+};
+
+ChaosScenario build_chaos_scenario(std::uint64_t seed);
 
 }  // namespace photodtn::test
