@@ -6,7 +6,10 @@
 // deterministically from the photo id (documented in DESIGN.md); location
 // and time come from real metadata. Diversity is the classic max-min
 // (remote-first) criterion: transmit the photo farthest from the receiver's
-// current set; evict the photo closest to its nearest neighbor.
+// current set; evict the photo closest to its nearest neighbor. Each call
+// computes every photo's features once and keeps those distances as exact
+// running minimums, so the choices equal a full rescan's (docs/ALGORITHMS.md).
+// The scheme has no state between calls, hence no checkpoint state.
 #pragma once
 
 #include <array>
@@ -37,12 +40,10 @@ class PhotoNetScheme : public Scheme {
   std::array<double, 6> features(const PhotoMeta& photo) const;
 
  private:
-  double distance(const PhotoMeta& a, const PhotoMeta& b) const;
-  /// Min distance from `photo` to any photo in `store` (infinity if empty).
-  double min_distance_to(SimContext& ctx, const PhotoMeta& photo, NodeId node) const;
+  /// Sends photos from `src` to `dst`, farthest from `dst`'s set first,
+  /// evicting `dst`'s least-diverse photos for room, until the contact's
+  /// budget or the candidates run out.
   void send_diverse(SimContext& ctx, ContactSession& session, NodeId src, NodeId dst);
-  /// Drops the least-diverse photo (smallest nearest-neighbor distance).
-  bool evict_least_diverse(SimContext& ctx, NodeId node, std::uint64_t bytes);
 
   PhotoNetConfig cfg_;
 };
