@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -11,6 +12,20 @@ namespace photodtn::obs {
 
 namespace {
 std::atomic<std::uint64_t> g_next_recorder_serial{1};
+
+/// Backing store of TraceRecorder::intern(). std::set node addresses are
+/// stable, so a handed-out pointer stays valid as the set grows.
+class InternPool {
+ public:
+  const char* intern(const std::string& s) {
+    MutexLock lk(mu_);
+    return strings_.insert(s).first->c_str();
+  }
+
+ private:
+  Mutex mu_;
+  std::set<std::string> strings_ PHOTODTN_GUARDED_BY(mu_);
+};
 }  // namespace
 
 TraceRecorder::TraceRecorder()
@@ -81,8 +96,8 @@ void TraceRecorder::counter(const char* name, double ts_s, double value) {
 }
 
 const char* TraceRecorder::intern(const std::string& s) {
-  MutexLock lk(mu_);
-  return interned_.insert(s).first->c_str();
+  static InternPool pool;
+  return pool.intern(s);
 }
 
 void TraceRecorder::restore_events(std::vector<TraceEvent> events,

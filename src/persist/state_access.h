@@ -454,8 +454,8 @@ struct StateAccess {
         r.fail("unknown trace event phase");
       }
       ev.phase = static_cast<obs::TraceEvent::Phase>(phase);
-      ev.name = rec.intern(r.str());
-      ev.cat = rec.intern(r.str());
+      ev.name = obs::TraceRecorder::intern(r.str());
+      ev.cat = obs::TraceRecorder::intern(r.str());
       ev.ts_s = r.f64();
       ev.dur_s = r.f64();
       ev.tid = r.i32();
@@ -464,7 +464,7 @@ struct StateAccess {
       ev.nargs = r.u32();
       if (ev.nargs > obs::TraceEvent::kMaxArgs) r.fail("trace arg count out of range");
       for (std::uint32_t k = 0; k < ev.nargs; ++k) {
-        ev.args[k].first = rec.intern(r.str());
+        ev.args[k].first = obs::TraceRecorder::intern(r.str());
         ev.args[k].second = r.f64();
       }
       events.push_back(ev);

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "dtn/simulator.h"
+#include "obs/chrome_trace.h"
 #include "persist/codec.h"
 #include "schemes/factory.h"
 #include "workload/photo_gen.h"
@@ -192,6 +193,28 @@ TEST(Snapshot, ResumeEqualsContinuousWithObs) {
     EXPECT_EQ(continuous.obs.trace_events[i].ts_s, resumed.obs.trace_events[i].ts_s);
     EXPECT_EQ(continuous.obs.trace_events[i].seq, resumed.obs.trace_events[i].seq);
   }
+}
+
+TEST(Snapshot, RestoredTraceOutlivesTheSimulator) {
+  // A resumed run's trace events carry names restored from the snapshot.
+  // They are read after the Simulator is gone, as the CLI does for
+  // `simulate --restore-from --trace-out`; under ASan a name freed with the
+  // simulator's recorder shows up here as a use after free.
+  const Rig rig(/*seed=*/13, /*obs_on=*/true);
+  std::string snap;
+  const SimResult continuous = run_capturing(rig, "OurScheme", 250, &snap);
+  ASSERT_FALSE(snap.empty());
+
+  SimResult resumed;
+  {
+    auto sim = rig.make_sim();
+    auto scheme = rig.make_scheme("OurScheme");
+    persist::restore(*sim, *scheme, snap);
+    resumed = sim->run(*scheme);
+  }
+  ASSERT_FALSE(resumed.obs.trace_events.empty());
+  EXPECT_EQ(obs::chrome_trace_json(continuous.obs.trace_events, &continuous.obs.metrics),
+            obs::chrome_trace_json(resumed.obs.trace_events, &resumed.obs.metrics));
 }
 
 TEST(Snapshot, PeekMetaDescribesTheCheckpoint) {
