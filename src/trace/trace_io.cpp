@@ -1,8 +1,13 @@
 #include "trace/trace_io.h"
 
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 
 #include "persist/file_io.h"
 
@@ -29,22 +34,40 @@ namespace {
   throw std::runtime_error("malformed trace file: " + what);
 }
 
+/// Parses all of `text` as a T: false on an empty token, trailing junk or a
+/// value out of T's range.
+template <typename T>
+bool parse_whole(const std::string& text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
 }  // namespace
 
 ContactTrace read_trace(std::istream& is) {
   std::string line;
   if (!std::getline(is, line)) malformed("empty input");
-  NodeId nodes = 0;
+  std::int64_t nodes = 0;
   double horizon = 0.0;
   {
     std::istringstream header(line);
     std::string tok;
     while (header >> tok) {
-      if (tok.rfind("nodes=", 0) == 0) nodes = static_cast<NodeId>(std::stol(tok.substr(6)));
-      if (tok.rfind("horizon=", 0) == 0) horizon = std::stod(tok.substr(8));
+      if (tok.rfind("nodes=", 0) == 0) {
+        const std::string v = tok.substr(6);
+        if (!parse_whole(v, nodes) || nodes < 2 ||
+            nodes > std::numeric_limits<NodeId>::max())
+          malformed("nodes=" + v + " is not an integer in [2, 2147483647]");
+      }
+      if (tok.rfind("horizon=", 0) == 0) {
+        const std::string v = tok.substr(8);
+        if (!parse_whole(v, horizon) || !std::isfinite(horizon) || horizon < 0.0)
+          malformed("horizon=" + v + " is not a finite number >= 0");
+      }
     }
   }
-  if (nodes < 2) malformed("missing or invalid nodes= in header");
+  if (nodes == 0) malformed("missing nodes= in header");
   if (!std::getline(is, line)) malformed("missing column header");
 
   std::vector<Contact> contacts;
@@ -59,7 +82,7 @@ ContactTrace read_trace(std::istream& is) {
       malformed("bad row at line " + std::to_string(line_no));
     contacts.push_back(c);
   }
-  return ContactTrace{std::move(contacts), nodes, horizon};
+  return ContactTrace{std::move(contacts), static_cast<NodeId>(nodes), horizon};
 }
 
 ContactTrace read_trace_file(const std::string& path) {

@@ -34,6 +34,42 @@ TEST(TraceIo, RejectsMissingHeaderFields) {
   EXPECT_THROW(read_trace(ss), std::runtime_error);
 }
 
+/// The message read_trace fails with, or "" if it accepts `text`.
+std::string read_error(const std::string& text) {
+  std::stringstream ss(text);
+  try {
+    read_trace(ss);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+std::string with_header(const std::string& fields) {
+  return "# photodtn-trace v1 " + fields + "\nstart,duration,a,b\n";
+}
+
+TEST(TraceIo, RejectsHorizonThatIsNotFiniteAndNonNegative) {
+  // inf would make the sampling loop run forever; the rest are junk.
+  for (const char* h : {"inf", "-inf", "nan", "-1", "1e400", "10abc", ""}) {
+    const std::string err = read_error(with_header(std::string("nodes=3 horizon=") + h));
+    EXPECT_NE(err.find("malformed trace file: horizon="), std::string::npos)
+        << "horizon=" << h << ": " << err;
+  }
+}
+
+TEST(TraceIo, RejectsNodeCountOutsideTwoToInt32Max) {
+  // 4294967298 used to wrap to 2; abc used to die with a bare stol error.
+  for (const char* n : {"4294967298", "2147483648", "99999999999999999999", "1", "0",
+                        "-3", "abc", "12x", "2.5", ""}) {
+    const std::string err = read_error(with_header(std::string("nodes=") + n));
+    EXPECT_NE(err.find("malformed trace file: nodes="), std::string::npos)
+        << "nodes=" << n << ": " << err;
+  }
+  std::stringstream ss(with_header("nodes=2147483647 horizon=10"));
+  EXPECT_EQ(read_trace(ss).num_nodes(), 2147483647);
+}
+
 TEST(TraceIo, RejectsMalformedRow) {
   std::stringstream ss(
       "# photodtn-trace v1 nodes=3 horizon=10\nstart,duration,a,b\nnot-a-number\n");
