@@ -297,30 +297,22 @@ void BM_GreedyGainScan(benchmark::State& state) {
 BENCHMARK(BM_GreedyGainScan)->Args({64, 256})->Args({250, 256});
 
 /// The batched SoA sweep (GreedyPhase::gains_batch): all candidates in one
-/// PoI-major pass. range = {pois, candidates, pool threads; 0 = serial}.
-/// Bit-identical to the per-candidate loop of BM_GreedyGain for any thread
-/// count — the thread axis only moves wall-clock time.
+/// PoI-major pass. range = {pois, candidates}. Bit-identical to the
+/// per-candidate loop of BM_GreedyGain.
 void BM_GainsBatch(benchmark::State& state) {
   DenseBench db(static_cast<std::size_t>(state.range(0)),
                 static_cast<std::size_t>(state.range(1)));
-  const auto threads = static_cast<std::size_t>(state.range(2));
-  std::optional<ThreadPool> pool;
-  if (threads > 0) pool.emplace(threads);
   SelectionEnvironment env(db.model, db.collections);
   GreedyPhase phase(env, 0.7);
   for (std::size_t i = 0; i < 8 && i < db.cands.size(); ++i)
     phase.commit(*db.cands[i]);
   std::vector<CoverageValue> gains(db.cands.size());
   for (auto _ : state) {
-    phase.gains_batch(db.cands, gains, pool ? &*pool : nullptr);
+    phase.gains_batch(db.cands, gains);
     benchmark::DoNotOptimize(gains.data());
   }
 }
-BENCHMARK(BM_GainsBatch)
-    ->Args({64, 256, 0})
-    ->Args({250, 256, 0})
-    ->Args({250, 256, 2})
-    ->Args({250, 256, 4});
+BENCHMARK(BM_GainsBatch)->Args({64, 256})->Args({250, 256});
 
 /// Full CELF selection against the dense environment, reporting the lazy
 /// re-evaluation rate (reevals / gain_evals) — the fraction of heap pops

@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace photodtn {
 
@@ -28,26 +27,12 @@ bool PhotoCrowdTask::is_relevant(const PhotoMeta& photo) const {
   return model_.footprint_cached(photo).relevant();
 }
 
-namespace {
-
-/// Device agents run the same batched gain sweeps as OurScheme; the shared
-/// pool bounds total threads no matter how many agents a simulation holds,
-/// and the sweep output is bit-identical for any pool size.
-GreedyParams pooled_greedy_params() {
-  GreedyParams params;
-  params.pool = &ThreadPool::shared();
-  return params;
-}
-
-}  // namespace
-
 DeviceAgent::DeviceAgent(const PhotoCrowdTask& task, NodeId self,
                          std::uint64_t storage_bytes, double p_thld)
     : task_(&task),
       self_(self),
       storage_bytes_(storage_bytes),
-      cache_(p_thld),
-      selector_(pooled_greedy_params()) {}
+      cache_(p_thld) {}
 
 void DeviceAgent::learn_metadata(MetadataEntry entry) {
   PHOTODTN_CHECK_MSG(entry.owner != self_, "a device is the authority on itself");

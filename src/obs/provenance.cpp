@@ -3,63 +3,24 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <unordered_set>
 
 namespace photodtn::obs {
 
-namespace {
-std::atomic<std::uint64_t> g_next_prov_serial{1};
-}  // namespace
-
-ProvenanceRecorder::ProvenanceRecorder()
-    : serial_(g_next_prov_serial.fetch_add(1, std::memory_order_relaxed)) {}
-
-ProvenanceRecorder::Buffer& ProvenanceRecorder::local() {
-  // One cached (recorder, buffer) pair per thread, keyed by the recorder's
-  // serial so a recorder constructed at a reused address registers a fresh
-  // buffer instead of appending into a dead one.
-  struct Cache {
-    const ProvenanceRecorder* rec = nullptr;
-    std::uint64_t serial = 0;
-    Buffer* buf = nullptr;
-  };
-  thread_local Cache cache;
-  if (cache.rec == this && cache.serial == serial_) return *cache.buf;
-  MutexLock lk(mu_);
-  buffers_.push_back(std::make_unique<Buffer>());
-  Buffer* buf = buffers_.back().get();
-  cache = Cache{this, serial_, buf};
-  return *buf;
-}
-
 void ProvenanceRecorder::record(ProvEvent ev) {
-  ev.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  local().events.push_back(ev);
+  ev.seq = next_seq_++;
+  events_.push_back(ev);
 }
 
 void ProvenanceRecorder::restore_events(std::vector<ProvEvent> events,
                                         std::uint64_t next_seq) {
-  MutexLock lk(mu_);
-  // Empty the registered buffers rather than destroying them: a thread-local
-  // cache in local() may still point into this list, and an emptied buffer
-  // stays a valid append target while a freed one would dangle.
-  for (auto& b : buffers_) b->events.clear();
-  buffers_.push_back(std::make_unique<Buffer>());
-  buffers_.back()->events = std::move(events);
-  next_seq_.store(next_seq, std::memory_order_relaxed);
+  events_ = std::move(events);
+  next_seq_ = next_seq;
 }
 
 std::vector<ProvEvent> ProvenanceRecorder::merged() const {
-  std::vector<ProvEvent> out;
-  {
-    MutexLock lk(mu_);
-    std::size_t total = 0;
-    for (const auto& b : buffers_) total += b->events.size();
-    out.reserve(total);
-    for (const auto& b : buffers_) {
-      out.insert(out.end(), b->events.begin(), b->events.end());
-    }
-  }
+  std::vector<ProvEvent> out = events_;
   std::sort(out.begin(), out.end(), [](const ProvEvent& x, const ProvEvent& y) {
     if (x.ts_s != y.ts_s) return x.ts_s < y.ts_s;
     return x.seq < y.seq;
@@ -67,32 +28,21 @@ std::vector<ProvEvent> ProvenanceRecorder::merged() const {
   return out;
 }
 
-std::size_t ProvenanceRecorder::event_count() const {
-  MutexLock lk(mu_);
-  std::size_t total = 0;
-  for (const auto& b : buffers_) total += b->events.size();
-  return total;
-}
-
 void ProvenanceRecorder::audit() const {
   auto check = [](bool ok, const char* what) {
     if (!ok)
       throw std::logic_error(std::string("ProvenanceRecorder::audit: ") + what);
   };
-  MutexLock lk(mu_);
   std::unordered_set<std::uint64_t> seqs;
-  for (const auto& b : buffers_) {
-    check(b != nullptr, "null buffer");
-    for (const ProvEvent& ev : b->events) {
-      check(static_cast<std::uint8_t>(ev.kind) <= ProvEvent::kMaxKind,
-            "kind out of range");
-      check(static_cast<std::uint8_t>(ev.outcome) <= ProvEvent::kMaxOutcome,
-            "outcome out of range");
-      check(std::isfinite(ev.ts_s), "non-finite timestamp");
-      check(std::isfinite(ev.value) && std::isfinite(ev.aux),
-            "non-finite payload");
-      check(seqs.insert(ev.seq).second, "duplicate sequence stamp");
-    }
+  for (const ProvEvent& ev : events_) {
+    check(static_cast<std::uint8_t>(ev.kind) <= ProvEvent::kMaxKind,
+          "kind out of range");
+    check(static_cast<std::uint8_t>(ev.outcome) <= ProvEvent::kMaxOutcome,
+          "outcome out of range");
+    check(std::isfinite(ev.ts_s), "non-finite timestamp");
+    check(std::isfinite(ev.value) && std::isfinite(ev.aux),
+          "non-finite payload");
+    check(seqs.insert(ev.seq).second, "duplicate sequence stamp");
   }
 }
 

@@ -12,28 +12,24 @@
 // free, makes the persist round trip trivial (no interning), and pins the
 // JSONL rendering to one place (sim/result_io.cpp).
 //
-// Determinism contract (same as TraceRecorder, see trace_recorder.h): each
-// recording thread appends to its own registered buffer; merged() interleaves
-// by (simulation timestamp, global relaxed-atomic sequence stamp). All
-// simulator and scheme hooks fire from the single event-loop thread, so the
-// merged stream is byte-identical across PHOTODTN_THREADS and across
-// checkpoint/restore (the PROV snapshot section re-injects events and the
-// sequence clock verbatim).
+// Determinism contract (same as TraceRecorder, see trace_recorder.h): a
+// recorder belongs to one simulation run and its one writer, the event-loop
+// thread, from which every simulator and scheme hook fires. Events go into
+// one vector stamped from a plain sequence counter; merged() sorts by
+// (simulation timestamp, sequence stamp). The merged stream is therefore
+// byte-identical across PHOTODTN_THREADS and across checkpoint/restore (the
+// PROV snapshot section re-injects events and the sequence clock verbatim).
 //
 // Every call site outside src/obs/ must go through the PHOTODTN_OBS_PROV
 // macro (obs/obs.h) so the compile tier PHOTODTN_OBS_PROVENANCE=0 strips
 // the hooks entirely — enforced by the raw-prov-hook lint rule.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "persist/fwd.h"
-#include "util/sync.h"
-#include "util/thread_annotations.h"
 
 namespace photodtn::obs {
 
@@ -79,31 +75,28 @@ struct ProvEvent {
   std::uint64_t bytes = 0;    // wire bytes attributed to this event
   double value = 0.0;         // kind-specific payload (see Kind)
   double aux = 0.0;           // kind-specific payload (see Kind)
-  std::uint64_t seq = 0;      // global emission stamp; merge tie-break
+  std::uint64_t seq = 0;      // emission stamp; merge tie-break
 };
 
-/// Deterministic per-thread-buffered recorder for ProvEvents. Mirrors
-/// TraceRecorder's architecture: a unique serial keys the thread-local
-/// buffer cache (so recorders at reused addresses never inherit stale
-/// buffers), appends happen lock-free on the owning thread, and merged()
-/// interleaves every buffer by (ts_s, seq).
+/// Deterministic single-writer recorder for ProvEvents. Mirrors
+/// TraceRecorder: one event vector, a plain sequence counter, and merged()
+/// ordering by (ts_s, seq).
 class ProvenanceRecorder {
  public:
-  ProvenanceRecorder();
+  ProvenanceRecorder() = default;
   ProvenanceRecorder(const ProvenanceRecorder&) = delete;
   ProvenanceRecorder& operator=(const ProvenanceRecorder&) = delete;
 
   /// Records `ev` (seq is assigned here; any caller-set value is ignored).
   void record(ProvEvent ev);
 
-  /// All events from every thread's buffer, sorted by (ts_s, seq).
+  /// All events, sorted by (ts_s, seq).
   std::vector<ProvEvent> merged() const;
 
-  std::size_t event_count() const;
+  std::size_t event_count() const noexcept { return events_.size(); }
 
   /// Deep invariant check: finite timestamps, kinds/outcomes in range,
-  /// sequence stamps unique across buffers. Throws std::logic_error on
-  /// violation.
+  /// unique sequence stamps. Throws std::logic_error on violation.
   void audit() const;
 
  private:
@@ -112,22 +105,11 @@ class ProvenanceRecorder {
   // with fresh unique stamps.
   friend struct persist::StateAccess;
 
-  struct Buffer {
-    std::vector<ProvEvent> events;
-  };
-
-  Buffer& local();
-  /// Replaces every buffer with one holding `events` and sets the sequence
-  /// clock. Existing buffers are emptied, not destroyed — a thread-local
-  /// cache may still point at them.
+  /// Replaces the events with `events` and sets the sequence clock.
   void restore_events(std::vector<ProvEvent> events, std::uint64_t next_seq);
 
-  const std::uint64_t serial_;  // distinguishes recorders at reused addresses
-  std::atomic<std::uint64_t> next_seq_{0};
-  /// Guards the buffer registry; buffer contents are single-writer (each
-  /// Buffer is appended to only by the thread that registered it).
-  mutable Mutex mu_;
-  std::vector<std::unique_ptr<Buffer>> buffers_ PHOTODTN_GUARDED_BY(mu_);
+  std::vector<ProvEvent> events_;  // unsorted; merged() orders them
+  std::uint64_t next_seq_ = 0;
 };
 
 }  // namespace photodtn::obs

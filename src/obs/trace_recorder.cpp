@@ -7,12 +7,12 @@
 #include <unordered_set>
 
 #include "util/check.h"
+#include "util/sync.h"
+#include "util/thread_annotations.h"
 
 namespace photodtn::obs {
 
 namespace {
-std::atomic<std::uint64_t> g_next_recorder_serial{1};
-
 /// Backing store of TraceRecorder::intern(). std::set node addresses are
 /// stable, so a handed-out pointer stays valid as the set grows.
 class InternPool {
@@ -28,28 +28,6 @@ class InternPool {
 };
 }  // namespace
 
-TraceRecorder::TraceRecorder()
-    : serial_(g_next_recorder_serial.fetch_add(1, std::memory_order_relaxed)) {}
-
-TraceRecorder::Buffer& TraceRecorder::local() {
-  // One cached (recorder, buffer) pair per thread: the common case — a
-  // simulation run recording from one or a few pool threads — hits the
-  // cache; alternating between recorders just registers an extra buffer,
-  // which merged() folds in like any other.
-  struct Cache {
-    const TraceRecorder* rec = nullptr;
-    std::uint64_t serial = 0;
-    Buffer* buf = nullptr;
-  };
-  thread_local Cache cache;
-  if (cache.rec == this && cache.serial == serial_) return *cache.buf;
-  MutexLock lk(mu_);
-  buffers_.push_back(std::make_unique<Buffer>());
-  Buffer* buf = buffers_.back().get();
-  cache = Cache{this, serial_, buf};
-  return *buf;
-}
-
 void TraceRecorder::push(TraceEvent ev, std::initializer_list<TraceArg> args) {
   PHOTODTN_DCHECK_MSG(args.size() <= TraceEvent::kMaxArgs,
                       "too many trace event args");
@@ -58,8 +36,8 @@ void TraceRecorder::push(TraceEvent ev, std::initializer_list<TraceArg> args) {
     if (ev.nargs >= TraceEvent::kMaxArgs) break;
     ev.args[ev.nargs++] = a;
   }
-  ev.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  local().events.push_back(ev);
+  ev.seq = next_seq_++;
+  events_.push_back(ev);
 }
 
 void TraceRecorder::complete(const char* name, const char* cat, double ts_s,
@@ -102,27 +80,12 @@ const char* TraceRecorder::intern(const std::string& s) {
 
 void TraceRecorder::restore_events(std::vector<TraceEvent> events,
                                    std::uint64_t next_seq) {
-  MutexLock lk(mu_);
-  // Empty the registered buffers rather than destroying them: a thread-local
-  // cache in local() may still point into this list, and an emptied buffer
-  // stays a valid append target while a freed one would dangle.
-  for (auto& b : buffers_) b->events.clear();
-  buffers_.push_back(std::make_unique<Buffer>());
-  buffers_.back()->events = std::move(events);
-  next_seq_.store(next_seq, std::memory_order_relaxed);
+  events_ = std::move(events);
+  next_seq_ = next_seq;
 }
 
 std::vector<TraceEvent> TraceRecorder::merged() const {
-  std::vector<TraceEvent> out;
-  {
-    MutexLock lk(mu_);
-    std::size_t total = 0;
-    for (const auto& b : buffers_) total += b->events.size();
-    out.reserve(total);
-    for (const auto& b : buffers_) {
-      out.insert(out.end(), b->events.begin(), b->events.end());
-    }
-  }
+  std::vector<TraceEvent> out = events_;
   std::sort(out.begin(), out.end(), [](const TraceEvent& x, const TraceEvent& y) {
     if (x.ts_s != y.ts_s) return x.ts_s < y.ts_s;
     return x.seq < y.seq;
@@ -130,35 +93,24 @@ std::vector<TraceEvent> TraceRecorder::merged() const {
   return out;
 }
 
-std::size_t TraceRecorder::event_count() const {
-  MutexLock lk(mu_);
-  std::size_t total = 0;
-  for (const auto& b : buffers_) total += b->events.size();
-  return total;
-}
-
 void TraceRecorder::audit() const {
   auto check = [](bool ok, const char* what) {
     if (!ok) throw std::logic_error(std::string("TraceRecorder::audit: ") + what);
   };
-  MutexLock lk(mu_);
   std::unordered_set<std::uint64_t> seqs;
-  for (const auto& b : buffers_) {
-    check(b != nullptr, "null buffer");
-    for (const TraceEvent& ev : b->events) {
-      check(ev.name != nullptr && ev.name[0] != '\0', "unnamed event");
-      check(ev.cat != nullptr, "null category");
-      check(std::isfinite(ev.ts_s), "non-finite timestamp");
-      check(std::isfinite(ev.dur_s) && ev.dur_s >= 0.0, "bad duration");
-      check(ev.phase == TraceEvent::Phase::kComplete || ev.dur_s == 0.0,
-            "duration on a non-span event");
-      check(ev.nargs <= TraceEvent::kMaxArgs, "arg count out of range");
-      for (std::uint32_t i = 0; i < ev.nargs; ++i) {
-        check(ev.args[i].first != nullptr && ev.args[i].first[0] != '\0',
-              "unnamed event arg");
-      }
-      check(seqs.insert(ev.seq).second, "duplicate sequence stamp");
+  for (const TraceEvent& ev : events_) {
+    check(ev.name != nullptr && ev.name[0] != '\0', "unnamed event");
+    check(ev.cat != nullptr, "null category");
+    check(std::isfinite(ev.ts_s), "non-finite timestamp");
+    check(std::isfinite(ev.dur_s) && ev.dur_s >= 0.0, "bad duration");
+    check(ev.phase == TraceEvent::Phase::kComplete || ev.dur_s == 0.0,
+          "duration on a non-span event");
+    check(ev.nargs <= TraceEvent::kMaxArgs, "arg count out of range");
+    for (std::uint32_t i = 0; i < ev.nargs; ++i) {
+      check(ev.args[i].first != nullptr && ev.args[i].first[0] != '\0',
+            "unnamed event arg");
     }
+    check(seqs.insert(ev.seq).second, "duplicate sequence stamp");
   }
 }
 

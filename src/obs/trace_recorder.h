@@ -3,17 +3,11 @@
 // Events are stamped with *simulation time* (seconds), never wall-clock —
 // the rule that keeps traces byte-identical across reruns and thread counts
 // (wall-clock perf data lives in the separate, non-golden wallPerf section;
-// see obs/chrome_trace.h and the banned-wallclock lint rule). Each recording
-// thread appends to its own buffer (registered once through a thread-local
-// cache keyed by the recorder's unique serial, so a recorder living at a
-// reused address never inherits a stale buffer); merged() interleaves the
-// buffers by (timestamp, global sequence stamp). The sequence stamp is a
-// relaxed atomic fetch-add: within one thread it preserves program order,
-// and in the deterministic pool regime (each chunk records only its own
-// work, chunk -> data mapping fixed by the caller) any cross-thread
-// interleaving difference is confined to identical-timestamp events from
-// independent chunks — which the simulator never emits, as all its events
-// come from the single event loop thread.
+// see obs/chrome_trace.h and the banned-wallclock lint rule). A recorder
+// belongs to one simulation run, and a run is single-threaded: its
+// event-loop thread is the only writer. Events go into one vector, each
+// stamped from a plain sequence counter, and merged() sorts them by
+// (timestamp, sequence stamp). A second writer thread would be a data race.
 //
 // Event names and categories are `const char*` and must point to storage
 // outliving the recorder (string literals, or intern()'s process-lifetime
@@ -21,18 +15,14 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "persist/fwd.h"
-#include "util/sync.h"
-#include "util/thread_annotations.h"
 
 namespace photodtn::obs {
 
@@ -53,14 +43,14 @@ struct TraceEvent {
   double ts_s = 0.0;   // simulation seconds
   double dur_s = 0.0;  // kComplete only
   std::int32_t tid = 0;
-  std::uint64_t seq = 0;  // global emission stamp; merge tie-break
+  std::uint64_t seq = 0;  // emission stamp; merge tie-break
   std::uint32_t nargs = 0;
   std::array<TraceArg, kMaxArgs> args{};
 };
 
 class TraceRecorder {
  public:
-  TraceRecorder();
+  TraceRecorder() = default;
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
@@ -75,15 +65,14 @@ class TraceRecorder {
   /// A counter track sample ("C" phase) at ts_s.
   void counter(const char* name, double ts_s, double value);
 
-  /// All events from every thread's buffer, sorted by (ts_s, seq).
+  /// All events, sorted by (ts_s, seq).
   std::vector<TraceEvent> merged() const;
 
-  std::size_t event_count() const;
+  std::size_t event_count() const noexcept { return events_.size(); }
 
-  /// Deep invariant check (audit builds / tests): buffers non-null, every
-  /// event has a name, finite non-negative duration, args within kMaxArgs,
-  /// and sequence stamps unique across buffers. Throws std::logic_error on
-  /// violation.
+  /// Deep invariant check (audit builds / tests): every event has a name,
+  /// finite non-negative duration, args within kMaxArgs, and a unique
+  /// sequence stamp. Throws std::logic_error on violation.
   void audit() const;
 
  private:
@@ -92,11 +81,6 @@ class TraceRecorder {
   // (the recorder borrows string literals and owns no strings).
   friend struct persist::StateAccess;
 
-  struct Buffer {
-    std::vector<TraceEvent> events;
-  };
-
-  Buffer& local();
   void push(TraceEvent ev, std::initializer_list<TraceArg> args);
 
   /// Returns a pointer to a deduplicated copy of `s` that lives until the
@@ -106,19 +90,13 @@ class TraceRecorder {
   /// the Simulator that owned it is gone. Snapshots this program writes
   /// carry only the fixed set of event literals, so the pool stays small.
   static const char* intern(const std::string& s);
-  /// Replaces every buffer with one holding `events` (whose string fields
-  /// must already be interned or literal) and sets the sequence clock, so
-  /// post-restore recording continues with fresh unique stamps.
+  /// Replaces the events with `events` (whose string fields must already be
+  /// interned or literal) and sets the sequence clock, so post-restore
+  /// recording continues with fresh unique stamps.
   void restore_events(std::vector<TraceEvent> events, std::uint64_t next_seq);
 
-  const std::uint64_t serial_;  // distinguishes recorders at reused addresses
-  std::atomic<std::uint64_t> next_seq_{0};
-  /// Guards the buffer registry (registration in local(), enumeration in
-  /// merged()/event_count()/audit()). Buffer *contents* are single-writer:
-  /// each Buffer is appended to only by the thread that registered it, so
-  /// appends happen outside the lock by design (see local()).
-  mutable Mutex mu_;
-  std::vector<std::unique_ptr<Buffer>> buffers_ PHOTODTN_GUARDED_BY(mu_);
+  std::vector<TraceEvent> events_;  // unsorted; merged() orders them
+  std::uint64_t next_seq_ = 0;
 };
 
 }  // namespace photodtn::obs

@@ -424,7 +424,7 @@ struct StateAccess {
   }
 
   static void save(StateWriter& w, const obs::TraceRecorder& rec) {
-    w.u64(rec.next_seq_.load(std::memory_order_relaxed));
+    w.u64(rec.next_seq_);
     const std::vector<obs::TraceEvent> events = rec.merged();
     w.u64(events.size());
     for (const obs::TraceEvent& ev : events) {
@@ -474,7 +474,7 @@ struct StateAccess {
   }
 
   static void save(StateWriter& w, const obs::ProvenanceRecorder& rec) {
-    w.u64(rec.next_seq_.load(std::memory_order_relaxed));
+    w.u64(rec.next_seq_);
     const std::vector<obs::ProvEvent> events = rec.merged();
     w.u64(events.size());
     for (const obs::ProvEvent& ev : events) {

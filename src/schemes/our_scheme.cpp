@@ -7,25 +7,10 @@
 #include "persist/state_access.h"
 #include "schemes/common.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace photodtn {
 
-namespace {
-
-/// Defaults the batched-sweep pool to the process-shared one. Config-level
-/// nullptr means "unspecified", not "serial": tests that need a fixed pool
-/// size pass an explicit pool (or PHOTODTN_THREADS=1); either way the
-/// selection output is bit-identical.
-GreedyParams with_default_pool(GreedyParams greedy) {
-  if (greedy.pool == nullptr) greedy.pool = &ThreadPool::shared();
-  return greedy;
-}
-
-}  // namespace
-
-OurScheme::OurScheme(OurSchemeConfig cfg)
-    : cfg_(cfg), selector_(with_default_pool(cfg.greedy)) {}
+OurScheme::OurScheme(OurSchemeConfig cfg) : cfg_(cfg), selector_(cfg.greedy) {}
 
 std::unique_ptr<OurScheme> OurScheme::no_metadata() {
   OurSchemeConfig cfg;

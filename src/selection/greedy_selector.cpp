@@ -75,7 +75,7 @@ std::vector<PhotoId> GreedySelector::select_plain(
     }
     if (active.empty()) break;
     gains.resize(active.size());
-    phase.gains_batch(afps, gains, params_.pool);
+    phase.gains_batch(afps, gains);
     stats_.gain_evals += active.size();
     std::size_t best = 0;
     for (std::size_t k = 1; k < active.size(); ++k) {
@@ -115,7 +115,7 @@ std::vector<PhotoId> GreedySelector::select_lazy(
   // Seed the CELF heap with one batched sweep — same values in the same
   // push order as per-candidate seeding, so the heap state is identical.
   std::vector<CoverageValue> gains(pool.size());
-  phase.gains_batch(fps, gains, params_.pool);
+  phase.gains_batch(fps, gains);
   stats_.gain_evals += pool.size();
   std::priority_queue<Cand, std::vector<Cand>, Less> heap;
   for (std::size_t i = 0; i < pool.size(); ++i) {

@@ -17,11 +17,10 @@
 // bit-identical to the candidate-at-a-time scan.
 //
 // Determinism: candidates whose gains tie exactly are taken in PhotoId
-// order (lowest id first). Pool order, the plain/lazy switch, the
-// incremental-engine path, and any thread count therefore all produce the
-// same selection — ties are common in practice (identical burst photos,
-// symmetric scenes), and index-based tie-breaking would let two evaluation
-// paths diverge on them.
+// order (lowest id first). Pool order, the plain/lazy switch and the
+// incremental-engine path therefore all produce the same selection — ties
+// are common in practice (identical burst photos, symmetric scenes), and
+// index-based tie-breaking would let two evaluation paths diverge on them.
 #pragma once
 
 #include <cstdint>
@@ -50,11 +49,6 @@ struct GreedyParams {
   /// Use lazy greedy re-evaluation (exact same output as the plain greedy;
   /// exposed so tests can compare both paths).
   bool lazy = true;
-  /// Pool for the batched gain sweeps on large candidate sets; nullptr runs
-  /// them serially. Results are bit-identical either way (see
-  /// util/thread_pool.h), so this is purely a throughput knob — OurScheme
-  /// and PhotoCrowd wire ThreadPool::shared() here.
-  ThreadPool* pool = nullptr;
 };
 
 /// Evaluation counters of the most recent select() call, for benches and

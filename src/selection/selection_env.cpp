@@ -505,8 +505,7 @@ CoverageValue GreedyPhase::gain(const PhotoFootprint& fp) const {
 }
 
 void GreedyPhase::gains_batch(std::span<const PhotoFootprint* const> fps,
-                              std::span<CoverageValue> out,
-                              ThreadPool* pool) const {
+                              std::span<CoverageValue> out) const {
   PHOTODTN_CHECK_MSG(out.size() == fps.size(),
                      "gains_batch output span must match the candidate span");
   if (fps.empty()) return;
@@ -520,74 +519,56 @@ void GreedyPhase::gains_batch(std::span<const PhotoFootprint* const> fps,
     for (std::size_t i = 0; i < fps.size(); ++i) out[i] = gain(*fps[i]);
     return;
   }
-  // Serial prepass: zero the outputs and rebuild every dirty PoI the sweep
-  // touches (aspect_miss refreshes the point miss too). After this, the
-  // chunked sweep only reads cached state — safe to fan out.
+
+  // PoI-major sweep. Footprint arcs are sorted by PoI index, so
+  // accumulating bucket-by-bucket adds each candidate's terms in exactly the
+  // order gain() does — the sums are bit-identical. Each PoI is visited
+  // once, so a dirty one is rebuilt once, on first touch.
+  const auto& pois = env_->model().pois();
+  const std::size_t npois = own_arcs_.size();
+  // Counting sort of the candidates' arcs into per-PoI buckets.
+  std::vector<std::uint32_t> offset(npois + 1, 0);
+  for (const PhotoFootprint* fp : fps)
+    for (const PoiArc& pa : fp->arcs) ++offset[pa.poi_index + 1];
+  for (std::size_t p = 0; p < npois; ++p) offset[p + 1] += offset[p];
+  struct Entry {
+    std::uint32_t cand;  // candidate index (owns out[cand])
+    double lo, hi;       // normalized span; hi > 2*pi means it wraps
+  };
+  std::vector<Entry> entries(offset[npois]);
+  std::vector<std::uint32_t> fill(offset.begin(), offset.end() - 1);
   for (std::size_t i = 0; i < fps.size(); ++i) {
     out[i] = CoverageValue{};
-    for (const PoiArc& pa : fps[i]->arcs) env_->aspect_miss(pa.poi_index);
+    for (const PoiArc& pa : fps[i]->arcs) {
+      const double lo = normalize_angle(pa.arc.start);
+      entries[fill[pa.poi_index]++] = {static_cast<std::uint32_t>(i), lo,
+                                       lo + std::min(pa.arc.length, kTwoPi)};
+    }
   }
-
-  // PoI-major sweep over one candidate chunk. Footprint arcs are sorted by
-  // PoI index, so accumulating bucket-by-bucket adds each candidate's terms
-  // in exactly the order gain() does — the sums are bit-identical.
-  const auto& pois = env_->model().pois();
-  auto sweep = [&](std::size_t begin, std::size_t end) {
-    const std::size_t npois = own_arcs_.size();
-    // Counting sort of the chunk's arcs into per-PoI buckets.
-    std::vector<std::uint32_t> offset(npois + 1, 0);
-    for (std::size_t i = begin; i < end; ++i)
-      for (const PoiArc& pa : fps[i]->arcs) ++offset[pa.poi_index + 1];
-    for (std::size_t p = 0; p < npois; ++p) offset[p + 1] += offset[p];
-    struct Entry {
-      std::uint32_t cand;  // global candidate index (owns out[cand])
-      double lo, hi;       // normalized span; hi > 2*pi means it wraps
-    };
-    std::vector<Entry> entries(offset[npois]);
-    std::vector<std::uint32_t> fill(offset.begin(), offset.end() - 1);
-    for (std::size_t i = begin; i < end; ++i) {
-      for (const PoiArc& pa : fps[i]->arcs) {
-        const double lo = normalize_angle(pa.arc.start);
-        entries[fill[pa.poi_index]++] = {
-            static_cast<std::uint32_t>(i), lo,
-            lo + std::min(pa.arc.length, kTwoPi)};
+  for (std::size_t p = 0; p < npois; ++p) {
+    const std::uint32_t lo_e = offset[p], hi_e = offset[p + 1];
+    if (lo_e == hi_e) continue;
+    // Everything the per-arc loop of gain() would recompute, hoisted once
+    // per PoI: weight, point term, miss function, committed arcs.
+    const PointOfInterest& poi = pois[p];
+    const PiecewiseMiss& env_fn = env_->aspect_miss(p);
+    const ArcSet& own = own_arcs_[p];
+    const bool covered = own_covered_[p] != 0;
+    const double pt_add = covered ? 0.0 : poi.weight * env_->point_miss(p) * p_;
+    const double wp = poi.weight * p_;
+    for (std::uint32_t k = lo_e; k < hi_e; ++k) {
+      const Entry& en = entries[k];
+      CoverageValue& g = out[en.cand];
+      if (!covered) g.point += pt_add;
+      double integral = 0.0;
+      if (en.hi <= kTwoPi) {
+        integral = env_fn.integrate_excluding(en.lo, en.hi, own);
+      } else {
+        integral = env_fn.integrate_excluding(en.lo, kTwoPi, own) +
+                   env_fn.integrate_excluding(0.0, en.hi - kTwoPi, own);
       }
+      g.aspect += wp * integral;
     }
-    for (std::size_t p = 0; p < npois; ++p) {
-      const std::uint32_t lo_e = offset[p], hi_e = offset[p + 1];
-      if (lo_e == hi_e) continue;
-      // Everything the per-arc loop of gain() would recompute, hoisted once
-      // per PoI: weight, point term, miss function, committed arcs.
-      const PointOfInterest& poi = pois[p];
-      const PiecewiseMiss& env_fn = env_->aspect_miss(p);
-      const ArcSet& own = own_arcs_[p];
-      const bool covered = own_covered_[p] != 0;
-      const double pt_add = covered ? 0.0 : poi.weight * env_->point_miss(p) * p_;
-      const double wp = poi.weight * p_;
-      for (std::uint32_t k = lo_e; k < hi_e; ++k) {
-        const Entry& en = entries[k];
-        CoverageValue& g = out[en.cand];
-        if (!covered) g.point += pt_add;
-        double integral = 0.0;
-        if (en.hi <= kTwoPi) {
-          integral = env_fn.integrate_excluding(en.lo, en.hi, own);
-        } else {
-          integral = env_fn.integrate_excluding(en.lo, kTwoPi, own) +
-                     env_fn.integrate_excluding(0.0, en.hi - kTwoPi, own);
-        }
-        g.aspect += wp * integral;
-      }
-    }
-  };
-
-  // Chunk grain is fixed (never derived from the worker count): each chunk
-  // writes only its candidates' slots, so any pool size — including none —
-  // produces the same bytes.
-  constexpr std::size_t kGrain = 64;
-  if (pool != nullptr && pool->concurrency() > 1 && fps.size() > kGrain) {
-    pool->parallel_for(fps.size(), kGrain, sweep);
-  } else {
-    sweep(0, fps.size());
   }
 }
 

@@ -29,9 +29,9 @@
 // segment arrays through cache once *per candidate*. gains_batch flips the
 // loop PoI-major — all candidate arcs touching a PoI are processed while
 // that PoI's structure-of-arrays state (cuts / fused rates / prefix sums /
-// segment lookup table) is hot — and writes each candidate's gain to its own
-// output slot, so the sweep parallelizes over candidate chunks with
-// bit-identical results (see util/thread_pool.h for the determinism rules).
+// segment lookup table) is hot. A simulation run is single-threaded, so the
+// sweep runs on the caller's thread and rebuilds dirty PoIs as it reaches
+// them.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +44,6 @@
 #include "persist/fwd.h"
 #include "selection/expected_coverage.h"
 #include "selection/poi_cover.h"
-#include "util/thread_pool.h"
 
 namespace photodtn {
 
@@ -156,8 +155,7 @@ class SelectionEnvironment {
 
   /// Lifetime count of lazy per-PoI rebuilds (refresh() calls): how much
   /// cached state the dirty-marking actually recomputed. Deterministic —
-  /// rebuilds happen on first query of a dirty PoI, never on a pool worker
-  /// (gains_batch rebuilds serially before fanning out). Feeds the
+  /// rebuilds happen on first query of a dirty PoI. Feeds the
   /// scheme.poi_rebuilds metric.
   std::uint64_t rebuild_count() const noexcept { return rebuilds_; }
 
@@ -223,12 +221,9 @@ class GreedyPhase {
   /// Batched gain sweep: out[i] = gain(*fps[i]) for every candidate,
   /// bit-identical to the one-at-a-time calls (footprint arcs are sorted by
   /// PoI, so the PoI-major accumulation adds each candidate's terms in the
-  /// same order). With a pool, candidate chunks run on the workers after a
-  /// serial pass rebuilds every dirty PoI the sweep touches; each chunk
-  /// writes only its own output slots, so results do not depend on the
-  /// worker count (util/thread_pool.h).
+  /// same order).
   void gains_batch(std::span<const PhotoFootprint* const> fps,
-                   std::span<CoverageValue> out, ThreadPool* pool = nullptr) const;
+                   std::span<CoverageValue> out) const;
 
   /// Adds the footprint to the tentative selection.
   void commit(const PhotoFootprint& fp);

@@ -1,5 +1,6 @@
 #include "trace/trace_io.h"
 
+#include <array>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -7,6 +8,7 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <system_error>
 
 #include "persist/file_io.h"
@@ -37,10 +39,27 @@ namespace {
 /// Parses all of `text` as a T: false on an empty token, trailing junk or a
 /// value out of T's range.
 template <typename T>
-bool parse_whole(const std::string& text, T& out) {
+bool parse_whole(std::string_view text, T& out) {
   const char* end = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(text.data(), end, out);
   return ec == std::errc() && ptr == end;
+}
+
+/// Parses a data row as exactly four comma-separated whole tokens,
+/// start,duration,a,b, with finite times (from_chars, unlike a stream,
+/// accepts inf and nan).
+bool parse_row(std::string_view row, Contact& c) {
+  std::array<std::string_view, 4> field;
+  for (std::size_t k = 0; k + 1 < field.size(); ++k) {
+    const std::size_t comma = row.find(',');
+    if (comma == std::string_view::npos) return false;
+    field[k] = row.substr(0, comma);
+    row.remove_prefix(comma + 1);
+  }
+  field.back() = row;  // a fifth field leaves a comma here, failing b
+  return parse_whole(field[0], c.start) && std::isfinite(c.start) &&
+         parse_whole(field[1], c.duration) && std::isfinite(c.duration) &&
+         parse_whole(field[2], c.a) && parse_whole(field[3], c.b);
 }
 
 }  // namespace
@@ -74,12 +93,10 @@ ContactTrace read_trace(std::istream& is) {
   std::size_t line_no = 2;
   while (std::getline(is, line)) {
     ++line_no;
+    if (!line.empty() && line.back() == '\r') line.pop_back();  // CRLF files
     if (line.empty() || line[0] == '#') continue;
-    std::istringstream row(line);
     Contact c;
-    char comma = 0;
-    if (!(row >> c.start >> comma >> c.duration >> comma >> c.a >> comma >> c.b))
-      malformed("bad row at line " + std::to_string(line_no));
+    if (!parse_row(line, c)) malformed("bad row at line " + std::to_string(line_no));
     contacts.push_back(c);
   }
   return ContactTrace{std::move(contacts), static_cast<NodeId>(nodes), horizon};

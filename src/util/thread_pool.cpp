@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/wall_clock.h"
-#include "util/check.h"
 #include "util/env.h"
 
 namespace photodtn {
@@ -133,18 +132,6 @@ void ThreadPool::parallel_chunks(std::size_t chunks,
   MutexLock lk(job->mu);
   while (job->done != job->total) job->all_done.wait(job->mu);
   if (job->error) std::rethrow_exception(job->error);
-}
-
-void ThreadPool::parallel_for(
-    std::size_t n, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& body) {
-  if (n == 0) return;
-  PHOTODTN_CHECK_MSG(grain > 0, "parallel_for grain must be positive");
-  const std::size_t chunks = (n + grain - 1) / grain;
-  parallel_chunks(chunks, [&](std::size_t c) {
-    const std::size_t begin = c * grain;
-    body(begin, std::min(n, begin + grain));
-  });
 }
 
 }  // namespace photodtn

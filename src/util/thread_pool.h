@@ -1,16 +1,16 @@
 // Deterministic shared thread pool: a fixed set of workers executing
 // *chunked* jobs whose chunk -> data mapping is decided entirely by the
-// caller. The pool never reorders, splits, or merges chunks; which worker
-// runs a chunk is scheduling noise that must not be observable. Determinism
-// therefore rests on two caller-side rules, used throughout the repo:
+// caller. Its job is fanning whole simulation runs out (run_experiment's
+// seeds, one chunk per run); a run itself is single-threaded, so everything
+// it records has one writer. The pool never reorders, splits, or merges
+// chunks; which worker runs a chunk is scheduling noise that must not be
+// observable. Determinism therefore rests on two caller-side rules:
 //
-//   1. Each chunk writes only its own output slots (out[i] per candidate,
-//      results[k] per run). Writes to disjoint slots commute, so the result
-//      is bit-identical for any worker count, including zero workers.
+//   1. Each chunk writes only its own output slots (results[k] per run).
+//      Writes to disjoint slots commute, so the result is bit-identical for
+//      any worker count, including zero workers.
 //   2. Reductions fold the per-chunk partials *in chunk order* after the
-//      barrier (parallel_reduce), or combine with an order-free exact
-//      comparator (the greedy argmax honors the lowest-PhotoId tie-break,
-//      making the winner independent of chunk boundaries).
+//      barrier (parallel_reduce, run_experiment's seed-order merge).
 //
 // The shared() pool is sized by PHOTODTN_THREADS (default: hardware
 // concurrency) and replaces the old per-seed std::async fan-out — bounded
@@ -77,12 +77,6 @@ class ThreadPool {
   /// first exception a chunk throws is rethrown here after the barrier.
   void parallel_chunks(std::size_t chunks,
                        const std::function<void(std::size_t)>& fn);
-
-  /// Chunked parallel-for over [0, n): body(begin, end) per chunk, with
-  /// chunk boundaries fixed by `grain` alone — never by the worker count —
-  /// so any per-chunk accumulation order is reproducible across pools.
-  void parallel_for(std::size_t n, std::size_t grain,
-                    const std::function<void(std::size_t, std::size_t)>& body);
 
   /// Ordered reduction: partial = map(chunk) for each chunk in parallel,
   /// then acc = combine(acc, partial) serially *in ascending chunk order*.

@@ -1,9 +1,8 @@
 // CELF / batched-kernel equivalence suite. The optimization contract of the
 // selection layer is *bitwise*: lazy (CELF) and plain greedy pick identical
-// photos in identical order; gains_batch returns exactly the values the
-// per-candidate gain() would; and a thread pool of any size changes nothing
-// but wall-clock time. These tests pin that contract across 1000 random
-// scenarios plus adversarial tie and eps-boundary constructions.
+// photos in identical order, and gains_batch returns exactly the values the
+// per-candidate gain() would. These tests pin that contract across 1000
+// random scenarios plus adversarial tie and eps-boundary constructions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +13,6 @@
 #include "selection/selection_env.h"
 #include "test_util.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace photodtn {
 namespace {
@@ -75,10 +73,9 @@ struct Scenario {
 };
 
 std::vector<PhotoId> run_select(const Scenario& sc, bool lazy, std::uint64_t cap,
-                                ThreadPool* pool = nullptr, double eps = 1e-9) {
+                                double eps = 1e-9) {
   GreedyParams params;
   params.lazy = lazy;
-  params.pool = pool;
   params.eps = eps;
   SelectionEnvironment env(sc.model, sc.collections);
   GreedyPhase phase(env, 0.7);
@@ -104,7 +101,7 @@ TEST(CelfEquivalence, ThousandSeedsLazyEqualsPlainIdenticalSetsAndOrder) {
 TEST(CelfEquivalence, GainsBatchMatchesPerCandidateGainBitwise) {
   Rng rng(77);
   test::reset_photo_ids();
-  const Scenario sc(rng, 6, 96, 3);  // > one pool grain of candidates
+  const Scenario sc(rng, 6, 96, 3);  // above the per-candidate cutover
   SelectionEnvironment env(sc.model, sc.collections);
   GreedyPhase phase(env, 0.7);
   std::vector<const PhotoFootprint*> fps;
@@ -113,29 +110,10 @@ TEST(CelfEquivalence, GainsBatchMatchesPerCandidateGainBitwise) {
   phase.commit(*fps[0]);
   phase.commit(*fps[1]);
 
-  std::vector<CoverageValue> serial(fps.size());
-  phase.gains_batch(fps, serial, nullptr);
+  std::vector<CoverageValue> batched(fps.size());
+  phase.gains_batch(fps, batched);
   for (std::size_t i = 0; i < fps.size(); ++i)
-    ASSERT_EQ(serial[i], phase.gain(*fps[i])) << "candidate " << i;
-
-  ThreadPool pool(4);
-  std::vector<CoverageValue> pooled(fps.size());
-  phase.gains_batch(fps, pooled, &pool);
-  for (std::size_t i = 0; i < fps.size(); ++i)
-    ASSERT_EQ(pooled[i], serial[i]) << "candidate " << i;
-}
-
-TEST(CelfEquivalence, PooledSelectionIsBitIdenticalToSerial) {
-  Rng rng(123);
-  test::reset_photo_ids();
-  const Scenario sc(rng, 6, 96, 2);
-  const std::uint64_t cap = 20 * kPhotoBytes;
-  ThreadPool pool(4);
-  for (const bool lazy : {false, true}) {
-    const auto serial = run_select(sc, lazy, cap, nullptr);
-    const auto pooled = run_select(sc, lazy, cap, &pool);
-    EXPECT_EQ(serial, pooled) << "lazy " << lazy;
-  }
+    ASSERT_EQ(batched[i], phase.gain(*fps[i])) << "candidate " << i;
 }
 
 TEST(CelfEquivalence, AdversarialClonePoolTiesBreakByLowestIdOnBothPaths) {

@@ -71,9 +71,26 @@ TEST(TraceIo, RejectsNodeCountOutsideTwoToInt32Max) {
 }
 
 TEST(TraceIo, RejectsMalformedRow) {
+  // A row is exactly start,duration,a,b: four comma-separated whole tokens,
+  // with finite times.
+  for (const char* row :
+       {"not-a-number", "50;2;0;1junk", "50,2,0,1junk", "50,2,0,1,7", "50,2,0.5,1",
+        "inf,2,0,1", "-inf,2,0,1", "nan,2,0,1", "50,inf,0,1", "50,nan,0,1", "50,2,0",
+        "50,,0,1"}) {
+    const std::string err =
+        read_error(with_header("nodes=10 horizon=100") + row + "\n");
+    EXPECT_NE(err.find("malformed trace file: bad row at line 3"), std::string::npos)
+        << row << ": " << err;
+  }
+}
+
+TEST(TraceIo, AcceptsCrlfLineEndings) {
   std::stringstream ss(
-      "# photodtn-trace v1 nodes=3 horizon=10\nstart,duration,a,b\nnot-a-number\n");
-  EXPECT_THROW(read_trace(ss), std::runtime_error);
+      "# photodtn-trace v1 nodes=3 horizon=10\r\nstart,duration,a,b\r\n"
+      "1.5,2,0,1\r\n\r\n");
+  const ContactTrace t = read_trace(ss);
+  ASSERT_EQ(t.size(), 1u);
+  EXPECT_EQ(t.contacts()[0], (Contact{1.5, 2.0, 0, 1}));
 }
 
 TEST(TraceIo, SkipsCommentsAndBlankLines) {

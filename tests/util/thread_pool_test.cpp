@@ -1,7 +1,7 @@
 // Tests for the deterministic shared thread pool: chunk coverage (each
 // chunk exactly once), inline edge cases, nesting, exception propagation,
-// grain-fixed chunk boundaries, and the ordered reduction contract that the
-// selection and experiment layers build their bit-identity on.
+// per-slot writes, and the ordered reduction contract that the experiment
+// layer builds its bit-identity on.
 #include "util/thread_pool.h"
 
 #include <gtest/gtest.h>
@@ -46,31 +46,6 @@ TEST(ThreadPool, SingleChunkRunsInline) {
   EXPECT_EQ(ran_on, caller);
 }
 
-TEST(ThreadPool, ParallelForBoundariesDependOnGrainNotPoolSize) {
-  // The per-chunk [begin, end) pairs must be a pure function of (n, grain);
-  // every accumulation the repo runs on the pool relies on this.
-  const std::size_t n = 103, grain = 16;
-  auto boundaries = [&](ThreadPool& pool) {
-    std::vector<std::pair<std::size_t, std::size_t>> out(
-        (n + grain - 1) / grain);
-    pool.parallel_for(n, grain, [&](std::size_t b, std::size_t e) {
-      out[b / grain] = {b, e};
-    });
-    return out;
-  };
-  ThreadPool serial(1), wide(4);
-  const auto a = boundaries(serial), b = boundaries(wide);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
-  std::size_t covered = 0;
-  for (const auto& [lo, hi] : a) {
-    EXPECT_EQ(lo, covered);
-    EXPECT_GT(hi, lo);
-    covered = hi;
-  }
-  EXPECT_EQ(covered, n);
-}
-
 TEST(ThreadPool, OrderedReduceFoldsInChunkOrder) {
   // String concatenation is non-commutative: any fold-order deviation under
   // concurrency changes the result.
@@ -86,9 +61,9 @@ TEST(ThreadPool, OrderedReduceFoldsInChunkOrder) {
 }
 
 TEST(ThreadPool, NestedParallelChunksMakesProgress) {
-  // A chunk body may re-enter the same pool (selection inside an experiment
-  // run); the caller drains its own job, so this must not deadlock even
-  // when every worker is busy with outer chunks.
+  // A chunk body may re-enter the same pool; the caller drains its own job,
+  // so this must not deadlock even when every worker is busy with outer
+  // chunks.
   ThreadPool pool(2);
   std::atomic<int> inner_hits{0};
   pool.parallel_chunks(4, [&](std::size_t) {
@@ -110,13 +85,13 @@ TEST(ThreadPool, FirstChunkExceptionPropagatesAndPoolSurvives) {
 }
 
 TEST(ThreadPool, PerSlotWritesAreIdenticalAcrossPoolSizes) {
-  // The canonical usage pattern: each chunk writes its own slot. The filled
-  // vector must be bit-identical for any pool size.
+  // The canonical usage pattern, run_experiment's one chunk per seed: each
+  // chunk writes its own slot. The filled vector must be bit-identical for
+  // any pool size.
   auto fill = [](ThreadPool& pool) {
     std::vector<double> out(257);
-    pool.parallel_for(out.size(), 32, [&](std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i)
-        out[i] = 1.0 / (1.0 + static_cast<double>(i) * 0.37);
+    pool.parallel_chunks(out.size(), [&](std::size_t i) {
+      out[i] = 1.0 / (1.0 + static_cast<double>(i) * 0.37);
     });
     return out;
   };
@@ -133,12 +108,6 @@ TEST(ThreadPool, SharedPoolIsASingletonWithPositiveConcurrency) {
   ThreadPool& b = ThreadPool::shared();
   EXPECT_EQ(&a, &b);
   EXPECT_GE(a.concurrency(), 1u);
-}
-
-TEST(ThreadPool, ParallelForRejectsZeroGrain) {
-  ThreadPool pool(1);
-  EXPECT_THROW(pool.parallel_for(8, 0, [](std::size_t, std::size_t) {}),
-               std::logic_error);
 }
 
 }  // namespace
