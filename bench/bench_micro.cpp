@@ -442,7 +442,7 @@ BENCHMARK(BM_OurSchemeE2E_Obs);
 /// BENCH_obs.json: the enabled cost is advisory (every capture, transfer
 /// attempt, drop, and delivery appends one POD event); the *disabled* cost
 /// rides the same clean-run gate as the obs pair — provenance off is one
-/// null/branch test per hook site (PHOTODTN_OBS_PROV).
+/// null test of the recorder pointer per hook site.
 void BM_OurSchemeE2E_Prov(benchmark::State& state) {
   ExperimentSpec spec = e2e_spec();
   spec.scenario.sim.obs.provenance = true;

@@ -33,10 +33,11 @@ std::uint64_t ContactSession::wire_carry(std::uint64_t bytes, PhotoId photo) {
   sim_.bump(sim_.ids_.interrupted_contacts);
   sim_.bump(sim_.ids_.partial_bytes, remaining);
   sim_.emit(SimEvent::Type::kContactInterrupted, contact_.a, contact_.b, photo);
-  PHOTODTN_OBS_TRACE(&sim_.obs_,
-                     instant("linkcut", "fault", sim_.now_, contact_.a,
-                             {{"peer", static_cast<double>(contact_.b)},
-                              {"photo", static_cast<double>(photo)}}));
+  if (obs::TraceRecorder* tr = sim_.obs_.trace()) {
+    tr->instant("linkcut", "fault", sim_.now_, contact_.a,
+                {{"peer", static_cast<double>(contact_.b)},
+                 {"photo", static_cast<double>(photo)}});
+  }
   return remaining;
 }
 
@@ -47,14 +48,13 @@ bool ContactSession::consume(std::uint64_t bytes) {
   const std::uint64_t sendable = unlimited_ ? bytes : std::min(bytes, budget_);
   const std::uint64_t carried = wire_carry(sendable, 0);
   if (!unlimited_) budget_ -= carried;
-  if (carried > 0) {
-    PHOTODTN_OBS_PROV(
-        &sim_.obs_,
-        record({.kind = obs::ProvEvent::Kind::kMetadataBytes,
-                .ts_s = sim_.now_,
-                .node = static_cast<std::int32_t>(contact_.a),
-                .peer = static_cast<std::int32_t>(contact_.b),
-                .bytes = carried}));
+  obs::ProvenanceRecorder* prov = sim_.obs_.prov();
+  if (prov != nullptr && carried > 0) {
+    prov->record({.kind = obs::ProvEvent::Kind::kMetadataBytes,
+                  .ts_s = sim_.now_,
+                  .node = static_cast<std::int32_t>(contact_.a),
+                  .peer = static_cast<std::int32_t>(contact_.b),
+                  .bytes = carried});
   }
   if (severed_) return false;
   if (sendable < bytes) {  // budget ran dry mid-exchange
@@ -73,16 +73,17 @@ bool ContactSession::transfer(PhotoId photo, NodeId from, NodeId to, bool keep_s
   const PhotoMeta* meta = src.store().find(photo);
   // One kTransfer provenance event per attempt, whatever the outcome: the
   // attribution pipeline buckets wasted bytes by these outcomes.
-  const auto prov_attempt = [&]([[maybe_unused]] obs::ProvEvent::Outcome outcome,
-                                [[maybe_unused]] std::uint64_t wire_bytes) {
-    PHOTODTN_OBS_PROV(&sim_.obs_,
-                      record({.kind = obs::ProvEvent::Kind::kTransfer,
-                              .outcome = outcome,
-                              .ts_s = sim_.now_,
-                              .photo = static_cast<std::uint64_t>(photo),
-                              .node = static_cast<std::int32_t>(from),
-                              .peer = static_cast<std::int32_t>(to),
-                              .bytes = wire_bytes}));
+  const auto prov_attempt = [&](obs::ProvEvent::Outcome outcome,
+                                std::uint64_t wire_bytes) {
+    if (obs::ProvenanceRecorder* prov = sim_.obs_.prov()) {
+      prov->record({.kind = obs::ProvEvent::Kind::kTransfer,
+                    .outcome = outcome,
+                    .ts_s = sim_.now_,
+                    .photo = static_cast<std::uint64_t>(photo),
+                    .node = static_cast<std::int32_t>(from),
+                    .peer = static_cast<std::int32_t>(to),
+                    .bytes = wire_bytes});
+    }
   };
   if (meta == nullptr) {
     sim_.bump(sim_.ids_.failed_transfers);
@@ -119,11 +120,12 @@ bool ContactSession::transfer(PhotoId photo, NodeId from, NodeId to, bool keep_s
   sim_.bump(sim_.ids_.transfers);
   sim_.bump(sim_.ids_.bytes_transferred, bytes);
   sim_.emit(SimEvent::Type::kTransfer, from, to, photo);
-  PHOTODTN_OBS_TRACE(&sim_.obs_,
-                     instant("transfer", "photo", sim_.now_, from,
-                             {{"photo", static_cast<double>(photo)},
-                              {"to", static_cast<double>(to)},
-                              {"bytes", static_cast<double>(bytes)}}));
+  if (obs::TraceRecorder* tr = sim_.obs_.trace()) {
+    tr->instant("transfer", "photo", sim_.now_, from,
+                {{"photo", static_cast<double>(photo)},
+                 {"to", static_cast<double>(to)},
+                 {"bytes", static_cast<double>(bytes)}});
+  }
   prov_attempt(obs::ProvEvent::Outcome::kOk, bytes);
   if (!keep_source) src.store().remove(photo);
   if (to == kCommandCenter) sim_.register_delivery(from, copy);
@@ -140,7 +142,13 @@ Simulator::Simulator(const CoverageModel& model, const ContactTrace& trace,
       faults_(config.faults, trace.num_nodes(), trace.horizon(), config.seed),
       down_(static_cast<std::size_t>(trace.num_nodes()), 0),
       cc_coverage_(model),
-      obs_(config_.obs.merged_with_env()) {
+      obs_(config_.obs) {
+  // run() steps next_sample_ by the interval until it passes each event: a
+  // zero or negative interval would never pass it, and NaN or inf would
+  // silently record a single sample.
+  PHOTODTN_CHECK_MSG(std::isfinite(config_.sample_interval_s) &&
+                         config_.sample_interval_s > 0.0,
+                     "sample_interval_s must be finite and positive");
   // The sim's own counters live on the registry unconditionally: golden
   // outputs read them through SimCounters, and an indexed add costs what
   // the old struct increment did.
@@ -197,13 +205,16 @@ bool Simulator::drop_photo(NodeId id, PhotoId photo) {
   if (removed) {
     bump(ids_.drops);
     emit(SimEvent::Type::kDrop, id, -1, photo);
-    PHOTODTN_OBS_TRACE(&obs_, instant("drop", "photo", now_, id,
-                                      {{"photo", static_cast<double>(photo)}}));
-    PHOTODTN_OBS_PROV(&obs_,
-                      record({.kind = obs::ProvEvent::Kind::kDrop,
-                              .ts_s = now_,
-                              .photo = static_cast<std::uint64_t>(photo),
-                              .node = static_cast<std::int32_t>(id)}));
+    if (obs::TraceRecorder* tr = obs_.trace()) {
+      tr->instant("drop", "photo", now_, id,
+                  {{"photo", static_cast<double>(photo)}});
+    }
+    if (obs::ProvenanceRecorder* prov = obs_.prov()) {
+      prov->record({.kind = obs::ProvEvent::Kind::kDrop,
+                    .ts_s = now_,
+                    .photo = static_cast<std::uint64_t>(photo),
+                    .node = static_cast<std::int32_t>(id)});
+    }
   }
   return removed;
 }
@@ -214,17 +225,19 @@ void Simulator::register_delivery(NodeId from, const PhotoMeta& photo) {
   delivered_ids_.push_back(photo.id);
   cc_coverage_.add(model_->footprint_cached(photo));
   emit(SimEvent::Type::kDelivery, from, kCommandCenter, photo.id);
-  PHOTODTN_OBS_TRACE(&obs_,
-                     instant("delivery", "delivery", now_, kCommandCenter,
-                             {{"photo", static_cast<double>(photo.id)},
-                              {"from", static_cast<double>(from)}}));
-  PHOTODTN_OBS_PROV(&obs_,
-                    record({.kind = obs::ProvEvent::Kind::kDelivery,
-                            .ts_s = now_,
-                            .photo = static_cast<std::uint64_t>(photo.id),
-                            .node = static_cast<std::int32_t>(kCommandCenter),
-                            .peer = static_cast<std::int32_t>(from),
-                            .bytes = photo.size_bytes}));
+  if (obs::TraceRecorder* tr = obs_.trace()) {
+    tr->instant("delivery", "delivery", now_, kCommandCenter,
+                {{"photo", static_cast<double>(photo.id)},
+                 {"from", static_cast<double>(from)}});
+  }
+  if (obs::ProvenanceRecorder* prov = obs_.prov()) {
+    prov->record({.kind = obs::ProvEvent::Kind::kDelivery,
+                  .ts_s = now_,
+                  .photo = static_cast<std::uint64_t>(photo.id),
+                  .node = static_cast<std::int32_t>(kCommandCenter),
+                  .peer = static_cast<std::int32_t>(from),
+                  .bytes = photo.size_bytes});
+  }
 }
 
 void Simulator::apply_churn(const ChurnTransition& tr, Scheme& scheme) {
@@ -233,16 +246,18 @@ void Simulator::apply_churn(const ChurnTransition& tr, Scheme& scheme) {
     PHOTODTN_DCHECK_MSG(d == 0, "down transition for an already-down node");
     d = 1;
     bump(ids_.node_crashes);
-    PHOTODTN_OBS_TRACE(&obs_, instant("crash", "fault", now_, tr.node,
-                                      {{"wipe", tr.wipe ? 1.0 : 0.0}}));
+    if (obs::TraceRecorder* rec = obs_.trace()) {
+      rec->instant("crash", "fault", now_, tr.node, {{"wipe", tr.wipe ? 1.0 : 0.0}});
+    }
     Node& n = node(tr.node);
     if (tr.wipe) {
       bump(ids_.photos_lost_to_crash, n.store().size());
-      PHOTODTN_OBS_PROV(
-          &obs_, record({.kind = obs::ProvEvent::Kind::kCrashWipe,
-                         .ts_s = now_,
-                         .node = static_cast<std::int32_t>(tr.node),
-                         .value = static_cast<double>(n.store().size())}));
+      if (obs::ProvenanceRecorder* prov = obs_.prov()) {
+        prov->record({.kind = obs::ProvEvent::Kind::kCrashWipe,
+                      .ts_s = now_,
+                      .node = static_cast<std::int32_t>(tr.node),
+                      .value = static_cast<double>(n.store().size())});
+      }
       n.store().clear();
       // Routing soft state dies with the flash: the reboot re-learns rates
       // and predictabilities from scratch (peers keep their view of us —
@@ -256,7 +271,9 @@ void Simulator::apply_churn(const ChurnTransition& tr, Scheme& scheme) {
   } else {
     PHOTODTN_DCHECK_MSG(d == 1, "up transition for a node that is not down");
     d = 0;
-    PHOTODTN_OBS_TRACE(&obs_, instant("reboot", "fault", now_, tr.node));
+    if (obs::TraceRecorder* rec = obs_.trace()) {
+      rec->instant("reboot", "fault", now_, tr.node);
+    }
     emit(SimEvent::Type::kNodeUp, tr.node, -1, 0);
     scheme.on_node_up(*this, tr.node);
   }
@@ -273,12 +290,12 @@ void Simulator::take_sample() {
   samples_.push_back(s);
   // Counter tracks for the trace timeline (Chrome renders them as area
   // charts above the event lanes).
-  PHOTODTN_OBS_TRACE(&obs_, counter("delivered_photos", now_,
-                                    static_cast<double>(s.delivered_photos)));
-  PHOTODTN_OBS_TRACE(&obs_, counter("bytes_transferred", now_,
-                                    static_cast<double>(s.bytes_transferred)));
-  PHOTODTN_OBS_TRACE(&obs_, counter("point_coverage", now_, s.point_coverage));
-  PHOTODTN_OBS_TRACE(&obs_, counter("aspect_coverage", now_, s.aspect_coverage));
+  if (obs::TraceRecorder* tr = obs_.trace()) {
+    tr->counter("delivered_photos", now_, static_cast<double>(s.delivered_photos));
+    tr->counter("bytes_transferred", now_, static_cast<double>(s.bytes_transferred));
+    tr->counter("point_coverage", now_, s.point_coverage);
+    tr->counter("aspect_coverage", now_, s.aspect_coverage);
+  }
 }
 
 SimResult Simulator::run(Scheme& scheme) {
@@ -334,15 +351,17 @@ SimResult Simulator::run(Scheme& scheme) {
       }
       bump(ids_.photos_taken);
       emit(SimEvent::Type::kPhotoTaken, ev.node, -1, ev.photo.id);
-      PHOTODTN_OBS_TRACE(&obs_,
-                         instant("capture", "photo", now_, ev.node,
-                                 {{"photo", static_cast<double>(ev.photo.id)}}));
-      PHOTODTN_OBS_PROV(&obs_,
-                        record({.kind = obs::ProvEvent::Kind::kCapture,
-                                .ts_s = now_,
-                                .photo = static_cast<std::uint64_t>(ev.photo.id),
-                                .node = static_cast<std::int32_t>(ev.node),
-                                .bytes = ev.photo.size_bytes}));
+      if (obs::TraceRecorder* tr = obs_.trace()) {
+        tr->instant("capture", "photo", now_, ev.node,
+                    {{"photo", static_cast<double>(ev.photo.id)}});
+      }
+      if (obs::ProvenanceRecorder* prov = obs_.prov()) {
+        prov->record({.kind = obs::ProvEvent::Kind::kCapture,
+                      .ts_s = now_,
+                      .photo = static_cast<std::uint64_t>(ev.photo.id),
+                      .node = static_cast<std::int32_t>(ev.node),
+                      .bytes = ev.photo.size_bytes});
+      }
       scheme.on_photo_taken(*this, ev.node, ev.photo);
       continue;
     }
@@ -392,13 +411,13 @@ SimResult Simulator::run(Scheme& scheme) {
     if (obs_.metrics_on()) {
       obs_.registry().record(h_contact_bytes_, session.bytes_used());
     }
-    PHOTODTN_OBS_TRACE(
-        &obs_, complete("contact", "contact", c.start, c.duration, c.a,
-                        {{"peer", static_cast<double>(c.b)},
-                         {"bytes", static_cast<double>(session.bytes_used())},
-                         {"budget", session.unlimited()
-                                        ? -1.0
-                                        : static_cast<double>(budget)}}));
+    if (obs::TraceRecorder* tr = obs_.trace()) {
+      tr->complete("contact", "contact", c.start, c.duration, c.a,
+                   {{"peer", static_cast<double>(c.b)},
+                    {"bytes", static_cast<double>(session.bytes_used())},
+                    {"budget", session.unlimited() ? -1.0
+                                                   : static_cast<double>(budget)}});
+    }
   }
 
   // Trailing samples up to and including the horizon.
@@ -418,8 +437,12 @@ SimResult Simulator::run(Scheme& scheme) {
   result.counters = read_counters();
   PHOTODTN_AUDIT(obs_.audit());
   if (obs_.metrics_on()) result.obs.metrics = obs_.registry().snapshot();
-  if (obs_.trace_on()) result.obs.trace_events = obs_.trace().merged();
-  if (obs_.provenance_on()) result.obs.prov_events = obs_.prov().merged();
+  if (const obs::TraceRecorder* tr = obs_.trace()) {
+    result.obs.trace_events = tr->merged();
+  }
+  if (const obs::ProvenanceRecorder* prov = obs_.prov()) {
+    result.obs.prov_events = prov->merged();
+  }
   return result;
 }
 

@@ -41,7 +41,8 @@ struct SimConfig {
   /// schemes that exchange metadata charge this against the contact budget
   /// via ContactSession::consume.
   std::uint64_t metadata_bytes_per_photo = 0;
-  /// Interval between coverage samples recorded in the result.
+  /// Interval between coverage samples recorded in the result. Must be
+  /// finite and positive (the Simulator constructor throws otherwise).
   double sample_interval_s = 10.0 * 3600.0;
   ProphetConfig prophet;
   /// Deterministic disruption plan (dtn/fault.h). Defaults to no faults, in
@@ -49,9 +50,8 @@ struct SimConfig {
   /// layer (the injector draws from its own streams, never from `seed`'s
   /// scheme-visible Rng).
   FaultConfig faults;
-  /// Observability switches (obs/obs.h). The simulator always merges the
-  /// PHOTODTN_OBS environment switch in, so either side can enable metrics
-  /// and tracing; both default off and cost one branch per site when off.
+  /// Observability switches (obs/obs.h), used as given: nothing else turns
+  /// a tier on. All default off and cost one branch per site when off.
   obs::ObsConfig obs;
   std::uint64_t seed = 1;
 };
@@ -155,8 +155,8 @@ class SimContext {
 
   /// The run's observability bundle, or nullptr when the context has none
   /// (the default keeps scheme unit-test mocks source-compatible). Schemes
-  /// must check metrics_on()/trace_on() before paying any instrumentation
-  /// cost beyond the null test.
+  /// must check metrics_on(), or take the trace()/prov() recorder pointer,
+  /// before paying any instrumentation cost beyond the null test.
   virtual obs::Obs* obs() { return nullptr; }
 };
 
@@ -237,7 +237,9 @@ class ContactSession {
 
 class Simulator : public SimContext {
  public:
-  /// `model` and `trace` must outlive the simulator.
+  /// `model` and `trace` must outlive the simulator. Throws
+  /// std::logic_error when config.sample_interval_s is not finite and
+  /// positive.
   Simulator(const CoverageModel& model, const ContactTrace& trace,
             std::vector<PhotoEvent> photo_events, SimConfig config);
 
@@ -338,7 +340,7 @@ class Simulator : public SimContext {
   std::uint64_t event_index_ = 0;  // loop iterations completed
   bool restored_ = false;        // run() resumes; scheme.init already ran
   std::function<void(std::uint64_t)> checkpoint_hook_;
-  obs::Obs obs_;  // after config_: seeded from config_.obs + environment
+  obs::Obs obs_;  // after config_: seeded from config_.obs
   CounterIds ids_;
   obs::MetricsRegistry::Histogram h_contact_bytes_;  // metrics tier only
   std::uint64_t delivered_ = 0;

@@ -1,22 +1,21 @@
-// Observability bundle: one MetricsRegistry + one TraceRecorder per
-// simulation run, switched by ObsConfig.
+// Observability bundle: one MetricsRegistry + one TraceRecorder + one
+// ProvenanceRecorder per simulation run, switched by ObsConfig and nothing
+// else (no build option or environment variable reaches it).
 //
 // Cost tiers:
 //   * Always-on: the simulator's own counters (SimCounters) live on the
 //     registry unconditionally — a handle-indexed add costs what the old
 //     struct increment cost, and golden outputs depend on them.
-//   * PHOTODTN_OBS=1 (or ObsConfig::metrics): scheme/selection metrics,
-//     histograms, and the metrics JSON sink. Disabled cost: one branch per
-//     instrumentation site.
-//   * ObsConfig::trace (implied by a --trace-out sink): simulation-time
-//     span/instant events. Additionally compiled out entirely when the
-//     build sets PHOTODTN_OBS_SPANS=0 (cmake -DPHOTODTN_OBS_SPANS=OFF).
-//   * ObsConfig::provenance (implied by a --provenance-out sink, or
-//     PHOTODTN_OBS_PROV=1): per-photo causal lifecycle events
-//     (obs/provenance.h). Deliberately NOT implied by PHOTODTN_OBS=1 —
-//     provenance is an attribution artifact, not a timeline, and keeping it
-//     opt-in leaves the PHOTODTN_OBS=1 goldens and overhead advisories
-//     untouched. Compiled out entirely by PHOTODTN_OBS_PROVENANCE=0.
+//   * ObsConfig::metrics (set by a --metrics-out or --trace-out sink):
+//     scheme/selection metrics, histograms, and the metrics JSON sink.
+//   * ObsConfig::trace (set by a --trace-out sink): simulation-time
+//     span/instant events.
+//   * ObsConfig::provenance (set by a --provenance-out sink): per-photo
+//     causal lifecycle events (obs/provenance.h).
+// An off tier costs one branch per instrumentation site: trace() and prov()
+// hand out their recorder only while that tier is on, so a hook site is
+//   if (obs::TraceRecorder* tr = obs.trace()) tr->instant(...);
+// and cannot record into an off tier.
 #pragma once
 
 #include <vector>
@@ -24,6 +23,7 @@
 #include "obs/metrics.h"
 #include "obs/provenance.h"
 #include "obs/trace_recorder.h"
+#include "persist/fwd.h"
 
 namespace photodtn::obs {
 
@@ -31,14 +31,6 @@ struct ObsConfig {
   bool metrics = false;  // scheme/selection metrics + metrics JSON sink
   bool trace = false;    // simulation-time trace events
   bool provenance = false;  // per-photo causal lifecycle events
-
-  /// PHOTODTN_OBS=1 turns metrics AND tracing on; PHOTODTN_OBS_PROV=1 turns
-  /// provenance on; unset/0 leaves each off.
-  static ObsConfig from_env();
-
-  /// This config with the environment switch OR-ed in (env can enable,
-  /// never disable — explicit sinks stay wired regardless of PHOTODTN_OBS).
-  ObsConfig merged_with_env() const;
 };
 
 /// What a run hands back: a metrics snapshot (empty when metrics were off),
@@ -56,15 +48,13 @@ class Obs {
   explicit Obs(ObsConfig cfg) : cfg_(cfg) {}
 
   bool metrics_on() const noexcept { return cfg_.metrics; }
-  bool trace_on() const noexcept { return cfg_.trace; }
-  bool provenance_on() const noexcept { return cfg_.provenance; }
 
   MetricsRegistry& registry() noexcept { return registry_; }
   const MetricsRegistry& registry() const noexcept { return registry_; }
-  TraceRecorder& trace() noexcept { return trace_; }
-  const TraceRecorder& trace() const noexcept { return trace_; }
-  ProvenanceRecorder& prov() noexcept { return prov_; }
-  const ProvenanceRecorder& prov() const noexcept { return prov_; }
+  /// The trace recorder, or nullptr when tracing is off.
+  TraceRecorder* trace() noexcept { return cfg_.trace ? &trace_ : nullptr; }
+  /// The provenance recorder, or nullptr when provenance is off.
+  ProvenanceRecorder* prov() noexcept { return cfg_.provenance ? &prov_ : nullptr; }
 
   void audit() const {
     registry_.audit();
@@ -73,6 +63,10 @@ class Obs {
   }
 
  private:
+  // The TRCE and PROV snapshot sections read and restore both recorders
+  // whatever the config says, so their bytes never depend on it.
+  friend struct persist::StateAccess;
+
   ObsConfig cfg_;
   MetricsRegistry registry_;
   TraceRecorder trace_;
@@ -80,53 +74,3 @@ class Obs {
 };
 
 }  // namespace photodtn::obs
-
-// Compile-time span tier: PHOTODTN_OBS_SPANS=0 strips every trace-emission
-// site to a no-op (the runtime metrics tier is unaffected).
-#ifndef PHOTODTN_OBS_SPANS
-#define PHOTODTN_OBS_SPANS 1
-#endif
-
-/// Emits a trace event when `obs_ptr` is non-null and tracing is on:
-///   PHOTODTN_OBS_TRACE(ctx.obs(), instant("capture", "photo", t, node, {...}));
-#if PHOTODTN_OBS_SPANS
-#define PHOTODTN_OBS_TRACE(obs_ptr, call)                          \
-  do {                                                             \
-    ::photodtn::obs::Obs* photodtn_obs_trace_o_ = (obs_ptr);       \
-    if (photodtn_obs_trace_o_ != nullptr &&                        \
-        photodtn_obs_trace_o_->trace_on()) {                       \
-      photodtn_obs_trace_o_->trace().call;                         \
-    }                                                              \
-  } while (0)
-#else
-#define PHOTODTN_OBS_TRACE(obs_ptr, call) \
-  do {                                    \
-  } while (0)
-#endif
-
-// Compile-time provenance tier: PHOTODTN_OBS_PROVENANCE=0 strips every
-// provenance hook to a no-op (metrics and span tiers are unaffected).
-#ifndef PHOTODTN_OBS_PROVENANCE
-#define PHOTODTN_OBS_PROVENANCE 1
-#endif
-
-/// Records a provenance event when `obs_ptr` is non-null and provenance is
-/// on:
-///   PHOTODTN_OBS_PROV(ctx.obs(), record({.kind = ..., .ts_s = now, ...}));
-/// Every provenance call site outside src/obs/ must use this macro (enforced
-/// by the raw-prov-hook lint rule) so fully-disabled builds compile the
-/// hooks out.
-#if PHOTODTN_OBS_PROVENANCE
-#define PHOTODTN_OBS_PROV(obs_ptr, call)                           \
-  do {                                                             \
-    ::photodtn::obs::Obs* photodtn_obs_prov_o_ = (obs_ptr);        \
-    if (photodtn_obs_prov_o_ != nullptr &&                         \
-        photodtn_obs_prov_o_->provenance_on()) {                   \
-      photodtn_obs_prov_o_->prov().call;                           \
-    }                                                              \
-  } while (0)
-#else
-#define PHOTODTN_OBS_PROV(obs_ptr, call) \
-  do {                                   \
-  } while (0)
-#endif

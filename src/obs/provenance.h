@@ -20,9 +20,8 @@
 // byte-identical across PHOTODTN_THREADS and across checkpoint/restore (the
 // PROV snapshot section re-injects events and the sequence clock verbatim).
 //
-// Every call site outside src/obs/ must go through the PHOTODTN_OBS_PROV
-// macro (obs/obs.h) so the compile tier PHOTODTN_OBS_PROVENANCE=0 strips
-// the hooks entirely — enforced by the raw-prov-hook lint rule.
+// Hook sites reach the recorder through Obs::prov() (obs/obs.h), which is
+// nullptr while the provenance tier is off.
 #pragma once
 
 #include <cstddef>

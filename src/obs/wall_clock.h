@@ -2,8 +2,9 @@
 // never read a real clock (the banned-wallclock lint rule enforces it:
 // std::chrono::*_clock::now() is allowed only under src/obs/ and bench/);
 // components that want wall-clock *perf* readings — the thread pool's lane
-// utilization and task-latency buckets — call through here, and the data
-// only ever surfaces in the non-golden wallPerf trace section.
+// utilization and task-latency buckets, timed on every chunk — call through
+// here, and the data only ever surfaces in the non-golden wallPerf trace
+// section.
 //
 // Header-only so photodtn_util can time itself without linking photodtn_obs
 // (obs depends on util, not the other way around).
@@ -12,8 +13,6 @@
 #include <chrono>
 #include <cstdint>
 
-#include "util/env.h"
-
 namespace photodtn::obs {
 
 /// Monotonic wall-clock nanoseconds (epoch unspecified; differences only).
@@ -21,13 +20,6 @@ inline std::int64_t wall_now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-/// Whether wall-clock perf collection is on (PHOTODTN_OBS=1), read once:
-/// with it off, instrumented hot loops pay a single predictable branch.
-inline bool wall_metrics_enabled() {
-  static const bool on = env_int("PHOTODTN_OBS", 0) != 0;
-  return on;
 }
 
 }  // namespace photodtn::obs

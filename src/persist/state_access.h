@@ -605,16 +605,16 @@ struct StateAccess {
     load(r, sim.obs_.registry());
   }
   static void save_trace(StateWriter& w, Simulator& sim) {
-    save(w, sim.obs_.trace());
+    save(w, sim.obs_.trace_);
   }
   static void load_trace(StateReader& r, Simulator& sim) {
-    load(r, sim.obs_.trace());
+    load(r, sim.obs_.trace_);
   }
   static void save_prov(StateWriter& w, Simulator& sim) {
-    save(w, sim.obs_.prov());
+    save(w, sim.obs_.prov_);
   }
   static void load_prov(StateReader& r, Simulator& sim) {
-    load(r, sim.obs_.prov());
+    load(r, sim.obs_.prov_);
   }
 
   /// Replays the delivered-id list against the restored command-center store
@@ -658,8 +658,8 @@ struct StateAccess {
     w.f64(sim.config_.sample_interval_s);
     w.u64(sim.model_->pois().size());
     w.boolean(sim.obs_.metrics_on());
-    w.boolean(sim.obs_.trace_on());
-    w.boolean(sim.obs_.provenance_on());
+    w.boolean(sim.obs_.trace() != nullptr);
+    w.boolean(sim.obs_.prov() != nullptr);
   }
 };
 

@@ -71,6 +71,8 @@ void ModifiedSprayScheme::deliver_by_value(SimContext& ctx, ContactSession& sess
 void ModifiedSprayScheme::spray_direction(SimContext& ctx, ContactSession& session,
                                           NodeId src, NodeId dst) {
   SprayCounter& src_counter = counter(src);
+  obs::Obs* o = ctx.obs();
+  obs::ProvenanceRecorder* prov = o != nullptr ? o->prov() : nullptr;
   for (const auto& [value, p] : by_value_desc(ctx.model(), ctx.node(src).store())) {
     if (!src_counter.can_spray(p.id)) continue;
     if (ctx.node(dst).store().contains(p.id)) continue;
@@ -79,15 +81,15 @@ void ModifiedSprayScheme::spray_direction(SimContext& ctx, ContactSession& sessi
     if (!session.transfer(p.id, src, dst, /*keep_source=*/true)) break;
     const std::uint32_t granted = src_counter.spray(p.id);
     counter(dst).on_receive(p.id, granted);
-    PHOTODTN_OBS_PROV(
-        ctx.obs(),
-        record({.kind = obs::ProvEvent::Kind::kSprayDecrement,
-                .ts_s = ctx.now(),
-                .photo = static_cast<std::uint64_t>(p.id),
-                .node = static_cast<std::int32_t>(src),
-                .peer = static_cast<std::int32_t>(dst),
-                .value = static_cast<double>(granted),
-                .aux = static_cast<double>(src_counter.copies(p.id))}));
+    if (prov != nullptr) {
+      prov->record({.kind = obs::ProvEvent::Kind::kSprayDecrement,
+                    .ts_s = ctx.now(),
+                    .photo = static_cast<std::uint64_t>(p.id),
+                    .node = static_cast<std::int32_t>(src),
+                    .peer = static_cast<std::int32_t>(dst),
+                    .value = static_cast<double>(granted),
+                    .aux = static_cast<double>(src_counter.copies(p.id))});
+    }
   }
 }
 

@@ -22,15 +22,12 @@ void OurScheme::init(SimContext& ctx) {
   hooks_ = ObsHooks{};
   last_totals_ = SelectionStats{};
   obs::Obs* o = ctx.obs();
-  // Provenance is independent of the metrics tier: resolve it before the
-  // metrics early-return. The commit log stays off (zero per-commit cost)
-  // unless provenance wants marginal gains; the compile-tier constant keeps
-  // it off entirely when the hooks are compiled out.
-  prov_obs_ = (PHOTODTN_OBS_PROVENANCE != 0 && o != nullptr &&
-               o->provenance_on())
-                  ? o
-                  : nullptr;
-  selector_.enable_commit_log(prov_obs_ != nullptr);
+  // Trace and provenance are independent of the metrics tier: resolve them
+  // before the metrics early-return. The commit log stays off (zero
+  // per-commit cost) unless provenance wants marginal gains.
+  trace_ = o != nullptr ? o->trace() : nullptr;
+  prov_ = o != nullptr ? o->prov() : nullptr;
+  selector_.enable_commit_log(prov_ != nullptr);
   if (o == nullptr || !o->metrics_on()) return;
   hooks_.obs = o;
   obs::MetricsRegistry& reg = o->registry();
@@ -72,16 +69,15 @@ void OurScheme::record_selection_delta() {
 }
 
 void OurScheme::emit_select_commits(double now, NodeId node, NodeId peer) {
-  if (prov_obs_ == nullptr) return;
+  if (prov_ == nullptr) return;
   for (const SelectCommit& c : selector_.take_commit_log()) {
-    PHOTODTN_OBS_PROV(prov_obs_,
-                      record({.kind = obs::ProvEvent::Kind::kSelectCommit,
-                              .ts_s = now,
-                              .photo = static_cast<std::uint64_t>(c.id),
-                              .node = static_cast<std::int32_t>(node),
-                              .peer = static_cast<std::int32_t>(peer),
-                              .value = c.gain.point,
-                              .aux = c.gain.aspect}));
+    prov_->record({.kind = obs::ProvEvent::Kind::kSelectCommit,
+                   .ts_s = now,
+                   .photo = static_cast<std::uint64_t>(c.id),
+                   .node = static_cast<std::int32_t>(node),
+                   .peer = static_cast<std::int32_t>(peer),
+                   .value = c.gain.point,
+                   .aux = c.gain.aspect});
   }
 }
 
@@ -163,22 +159,24 @@ void OurScheme::exchange_metadata(SimContext& ctx, NodeId a, NodeId b, double no
   if (b_to_a) {
     const std::size_t acc = ca.merge_from(cb, a);
     accepted += acc;
-    PHOTODTN_OBS_PROV(prov_obs_,
-                      record({.kind = obs::ProvEvent::Kind::kGossip,
-                              .ts_s = now,
-                              .node = static_cast<std::int32_t>(a),
-                              .peer = static_cast<std::int32_t>(b),
-                              .value = static_cast<double>(acc)}));
+    if (prov_ != nullptr) {
+      prov_->record({.kind = obs::ProvEvent::Kind::kGossip,
+                     .ts_s = now,
+                     .node = static_cast<std::int32_t>(a),
+                     .peer = static_cast<std::int32_t>(b),
+                     .value = static_cast<double>(acc)});
+    }
   }
   if (a_to_b) {
     const std::size_t acc = cb.merge_from(ca, b);
     accepted += acc;
-    PHOTODTN_OBS_PROV(prov_obs_,
-                      record({.kind = obs::ProvEvent::Kind::kGossip,
-                              .ts_s = now,
-                              .node = static_cast<std::int32_t>(b),
-                              .peer = static_cast<std::int32_t>(a),
-                              .value = static_cast<double>(acc)}));
+    if (prov_ != nullptr) {
+      prov_->record({.kind = obs::ProvEvent::Kind::kGossip,
+                     .ts_s = now,
+                     .node = static_cast<std::int32_t>(b),
+                     .peer = static_cast<std::int32_t>(a),
+                     .value = static_cast<double>(acc)});
+    }
   }
   const std::size_t invalidated = ca.prune(now) + cb.prune(now);
   if (hooks_.obs != nullptr) {
@@ -367,11 +365,11 @@ void OurScheme::contact_with_center(SimContext& ctx, ContactSession& session) {
   }
   senv.remove_collection(kCommandCenter);
   record_engine_rebuilds(part);
-  PHOTODTN_OBS_TRACE(
-      ctx.obs(),
-      instant("select", "selection", now, static_cast<std::int32_t>(part),
-              {{"pool", static_cast<double>(pool.size())},
-               {"delivered", static_cast<double>(delivered.size())}}));
+  if (trace_ != nullptr) {
+    trace_->instant("select", "selection", now, static_cast<std::int32_t>(part),
+                    {{"pool", static_cast<double>(pool.size())},
+                     {"delivered", static_cast<double>(delivered.size())}});
+  }
 }
 
 void OurScheme::contact_between_participants(SimContext& ctx, ContactSession& session) {
@@ -394,7 +392,7 @@ void OurScheme::contact_between_participants(SimContext& ctx, ContactSession& se
       model, pool, a, pa, na.store().capacity_bytes(), b, pb,
       nb.store().capacity_bytes(), env);
   record_engine_rebuilds(a);
-  if (prov_obs_ != nullptr) {
+  if (prov_ != nullptr) {
     // The commit log holds both phases back to back: the first
     // first_target.size() entries are the first node's commits.
     const std::vector<SelectCommit> commits = selector_.take_commit_log();
@@ -402,26 +400,25 @@ void OurScheme::contact_between_participants(SimContext& ctx, ContactSession& se
     for (std::size_t i = 0; i < commits.size(); ++i) {
       const SelectCommit& c = commits[i];
       const bool in_first = i < nfirst;
-      PHOTODTN_OBS_PROV(
-          prov_obs_,
-          record({.kind = obs::ProvEvent::Kind::kSelectCommit,
-                  .ts_s = now,
-                  .photo = static_cast<std::uint64_t>(c.id),
-                  .node = static_cast<std::int32_t>(in_first ? plan.first
-                                                             : plan.second),
-                  .peer = static_cast<std::int32_t>(in_first ? plan.second
-                                                             : plan.first),
-                  .value = c.gain.point,
-                  .aux = c.gain.aspect}));
+      prov_->record({.kind = obs::ProvEvent::Kind::kSelectCommit,
+                     .ts_s = now,
+                     .photo = static_cast<std::uint64_t>(c.id),
+                     .node = static_cast<std::int32_t>(in_first ? plan.first
+                                                                : plan.second),
+                     .peer = static_cast<std::int32_t>(in_first ? plan.second
+                                                                : plan.first),
+                     .value = c.gain.point,
+                     .aux = c.gain.aspect});
     }
   }
-  PHOTODTN_OBS_TRACE(
-      ctx.obs(),
-      instant("reallocate", "selection", now, static_cast<std::int32_t>(a),
-              {{"pool", static_cast<double>(pool.size())},
-               {"peer", static_cast<double>(b)},
-               {"first_target", static_cast<double>(plan.first_target.size())},
-               {"second_target", static_cast<double>(plan.second_target.size())}}));
+  if (trace_ != nullptr) {
+    trace_->instant(
+        "reallocate", "selection", now, static_cast<std::int32_t>(a),
+        {{"pool", static_cast<double>(pool.size())},
+         {"peer", static_cast<double>(b)},
+         {"first_target", static_cast<double>(plan.first_target.size())},
+         {"second_target", static_cast<double>(plan.second_target.size())}});
+  }
 
   std::unordered_map<PhotoId, PhotoMeta> by_id;
   by_id.reserve(pool.size());

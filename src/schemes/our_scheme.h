@@ -136,9 +136,10 @@ class OurScheme : public Scheme {
   std::unordered_map<NodeId, MetadataCache> caches_;
   std::unordered_map<NodeId, EngineState> engines_;
   ObsHooks hooks_;
-  /// Non-null iff init() saw provenance enabled: gates the gossip and
-  /// select-commit provenance hooks (and the selector's commit log).
-  obs::Obs* prov_obs_ = nullptr;
+  /// The run's recorders, set by init(); nullptr while that tier is off.
+  /// prov_ also gates the selector's commit log.
+  obs::TraceRecorder* trace_ = nullptr;
+  obs::ProvenanceRecorder* prov_ = nullptr;
   SelectionStats last_totals_;
 };
 

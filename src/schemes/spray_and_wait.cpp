@@ -38,6 +38,8 @@ void SprayAndWaitScheme::spray_direction(SimContext& ctx, ContactSession& sessio
                                          NodeId src, NodeId dst) {
   SprayCounter& src_counter = counter(src);
   SprayCounter& dst_counter = counter(dst);
+  obs::Obs* o = ctx.obs();
+  obs::ProvenanceRecorder* prov = o != nullptr ? o->prov() : nullptr;
   for (const PhotoMeta& p : sorted_photos(ctx.node(src).store())) {
     if (!src_counter.can_spray(p.id)) continue;
     if (ctx.node(dst).store().contains(p.id)) continue;
@@ -46,15 +48,15 @@ void SprayAndWaitScheme::spray_direction(SimContext& ctx, ContactSession& sessio
     if (!session.transfer(p.id, src, dst, /*keep_source=*/true)) break;
     const std::uint32_t granted = src_counter.spray(p.id);
     dst_counter.on_receive(p.id, granted);
-    PHOTODTN_OBS_PROV(
-        ctx.obs(),
-        record({.kind = obs::ProvEvent::Kind::kSprayDecrement,
-                .ts_s = ctx.now(),
-                .photo = static_cast<std::uint64_t>(p.id),
-                .node = static_cast<std::int32_t>(src),
-                .peer = static_cast<std::int32_t>(dst),
-                .value = static_cast<double>(granted),
-                .aux = static_cast<double>(src_counter.copies(p.id))}));
+    if (prov != nullptr) {
+      prov->record({.kind = obs::ProvEvent::Kind::kSprayDecrement,
+                    .ts_s = ctx.now(),
+                    .photo = static_cast<std::uint64_t>(p.id),
+                    .node = static_cast<std::int32_t>(src),
+                    .peer = static_cast<std::int32_t>(dst),
+                    .value = static_cast<double>(granted),
+                    .aux = static_cast<double>(src_counter.copies(p.id))});
+    }
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "geometry/angle.h"
 #include "util/check.h"
@@ -9,29 +10,37 @@
 
 namespace photodtn {
 
+namespace {
+
+/// The arcs `footprints` put on each PoI, unioned: one (poi index, arcs)
+/// pair per PoI they cover, in ascending PoI order. Each PoI's arcs are
+/// added in footprint order. The selection engine's one per-PoI arc union.
+std::vector<std::pair<std::size_t, ArcSet>> union_arcs_by_poi(
+    std::span<const PhotoFootprint* const> footprints) {
+  std::vector<const PoiArc*> arcs;
+  for (const PhotoFootprint* fp : footprints)
+    for (const PoiArc& pa : fp->arcs) arcs.push_back(&pa);
+  // Stable, so each PoI's arcs keep their footprint order.
+  std::stable_sort(arcs.begin(), arcs.end(), [](const PoiArc* x, const PoiArc* y) {
+    return x->poi_index < y->poi_index;
+  });
+  std::vector<std::pair<std::size_t, ArcSet>> out;
+  for (const PoiArc* pa : arcs) {
+    if (out.empty() || out.back().first != pa->poi_index)
+      out.emplace_back(pa->poi_index, ArcSet{});
+    out.back().second.add(pa->arc);
+  }
+  return out;
+}
+
+}  // namespace
+
 std::vector<std::vector<NodePoiCover>> build_poi_cover_index(
     const CoverageModel& model, std::span<const NodeCollection> nodes) {
   std::vector<std::vector<NodePoiCover>> index(model.pois().size());
-  std::vector<ArcSet> per_poi(model.pois().size());
-  std::vector<char> seen(model.pois().size(), 0);
-  std::vector<std::size_t> touched;
   for (const NodeCollection& nc : nodes) {
-    touched.clear();
-    for (const PhotoFootprint* fp : nc.footprints) {
-      for (const PoiArc& pa : fp->arcs) {
-        if (!seen[pa.poi_index]) {
-          seen[pa.poi_index] = 1;
-          touched.push_back(pa.poi_index);
-        }
-        per_poi[pa.poi_index].add(pa.arc);
-      }
-    }
-    for (const std::size_t poi : touched) {
-      index[poi].push_back(NodePoiCover{nc.node, nc.delivery_prob,
-                                        std::move(per_poi[poi])});
-      per_poi[poi] = ArcSet{};
-      seen[poi] = 0;
-    }
+    for (auto& [poi, arcs] : union_arcs_by_poi(nc.footprints))
+      index[poi].push_back(NodePoiCover{nc.node, nc.delivery_prob, std::move(arcs)});
   }
   return index;
 }
@@ -309,22 +318,16 @@ void SelectionEnvironment::add_collection(const NodeCollection& collection) {
                      "collection delivery probability must be in [0, 1]");
   Loaded& entry = loaded_[collection.node];
   entry.delivery_prob = collection.delivery_prob;
-  // Union the collection's arcs per PoI first, then append one cover entry
-  // per touched PoI (mirrors build_poi_cover_index, without the full-index
-  // allocation).
-  std::unordered_map<std::size_t, ArcSet> arcs_by_poi;
-  for (const PhotoFootprint* fp : collection.footprints)
-    for (const PoiArc& pa : fp->arcs) arcs_by_poi[pa.poi_index].add(pa.arc);
-  entry.touched.reserve(arcs_by_poi.size());
-  // photodtn-lint: allow(unordered-iter): one append per distinct PoI; touched is sorted below
-  for (auto& [poi, arcs] : arcs_by_poi) {
+  // One cover entry per covered PoI; touched comes out in ascending order.
+  std::vector<std::pair<std::size_t, ArcSet>> by_poi =
+      union_arcs_by_poi(collection.footprints);
+  entry.touched.reserve(by_poi.size());
+  for (auto& [poi, arcs] : by_poi) {
     covers_[poi].push_back(
         NodePoiCover{collection.node, collection.delivery_prob, std::move(arcs)});
     dirty_[poi] = 1;
     entry.touched.push_back(poi);
   }
-  // Deterministic order keeps audits and rebuild sweeps reproducible.
-  std::sort(entry.touched.begin(), entry.touched.end());
 }
 
 void SelectionEnvironment::extend_collection(
@@ -340,11 +343,7 @@ void SelectionEnvironment::extend_collection(
   }
   PHOTODTN_CHECK_MSG(it->second.delivery_prob == delivery_prob,
                      "extend_collection must keep the delivery probability");
-  std::unordered_map<std::size_t, ArcSet> arcs_by_poi;
-  for (const PhotoFootprint* fp : extra)
-    for (const PoiArc& pa : fp->arcs) arcs_by_poi[pa.poi_index].add(pa.arc);
-  // photodtn-lint: allow(unordered-iter): per-PoI find-or-extend of this node's single cover entry
-  for (auto& [poi, arcs] : arcs_by_poi) {
+  for (auto& [poi, arcs] : union_arcs_by_poi(extra)) {
     std::vector<NodePoiCover>& covers = covers_[poi];
     auto cover = std::find_if(covers.begin(), covers.end(),
                               [&](const NodePoiCover& c) { return c.node == node; });

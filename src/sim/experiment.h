@@ -74,15 +74,14 @@ struct ExperimentResult {
   RunningStats total_missed_contacts;
   RunningStats total_node_crashes;
   RunningStats total_gossip_losses;
-  // Observability payloads (empty unless the scenario enables obs —
-  // spec.scenario.sim.obs or PHOTODTN_OBS=1). Metrics are the per-run
+  // Observability payloads (empty unless spec.scenario.sim.obs enables
+  // that tier). Metrics are the per-run
   // snapshots merged in seed order (integer-valued, so byte-identical for
   // any pool size); trace_events are run 0's, the run a trace file depicts.
   obs::MetricsSnapshot metrics;
   std::vector<obs::TraceEvent> trace_events;
   // Provenance events are run 0's too (the run --provenance-out depicts);
-  // empty unless provenance is enabled (spec.scenario.sim.obs.provenance or
-  // PHOTODTN_OBS_PROV=1).
+  // empty unless spec.scenario.sim.obs.provenance is set.
   std::vector<obs::ProvEvent> prov_events;
 };
 

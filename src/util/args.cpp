@@ -1,5 +1,6 @@
 #include "util/args.h"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace photodtn {
@@ -60,15 +61,22 @@ double Args::get_double(const std::string& key, double fallback) const {
   queried_[key] = true;
   const auto it = options_.find(key);
   if (it == options_.end()) return fallback;
+  double v = 0.0;
   try {
     std::size_t pos = 0;
-    const double v = std::stod(it->second, &pos);
+    v = std::stod(it->second, &pos);
     if (pos != it->second.size()) throw std::invalid_argument("trailing junk");
-    return v;
   } catch (const std::exception&) {
     throw std::runtime_error("option --" + key + " expects a number, got '" +
                              it->second + "'");
   }
+  // stod accepts "nan" and "inf", which slip past every range check (NaN
+  // fails all comparisons, inf passes ">= 0").
+  if (!std::isfinite(v)) {
+    throw std::runtime_error("option --" + key + " expects a finite number, got '" +
+                             it->second + "'");
+  }
+  return v;
 }
 
 std::vector<std::string> Args::unused_keys() const {

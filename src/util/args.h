@@ -25,6 +25,7 @@ class Args {
 
   /// Typed getters with defaults; throw std::runtime_error on malformed
   /// values (so the CLI can report them instead of silently defaulting).
+  /// get_double also rejects NaN and infinities.
   std::string get(const std::string& key, const std::string& fallback) const;
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
   double get_double(const std::string& key, double fallback) const;

@@ -35,10 +35,9 @@ ThreadPool& ThreadPool::shared() {
 }
 
 void ThreadPool::drain(Job& job, LaneCounters& lane) {
-  // Wall-clock accounting is opt-in (PHOTODTN_OBS=1): scheduling remains
-  // identical either way, the readings feed only the non-golden wallPerf
-  // trace section (obs/chrome_trace.h).
-  const bool timed = obs::wall_metrics_enabled();
+  // Every chunk is timed (a chunk is a whole run, so two clock reads are
+  // noise); the readings feed only the non-golden wallPerf trace section
+  // (obs/chrome_trace.h) and never affect scheduling.
   for (;;) {
     std::size_t chunk;
     {
@@ -46,27 +45,25 @@ void ThreadPool::drain(Job& job, LaneCounters& lane) {
       if (job.next >= job.total) return;
       chunk = job.next++;
     }
-    const std::int64_t t0 = timed ? obs::wall_now_ns() : 0;
+    const std::int64_t t0 = obs::wall_now_ns();
     std::exception_ptr err;
     try {
       (*job.fn)(chunk);
     } catch (...) {
       err = std::current_exception();
     }
-    if (timed) {
-      const std::int64_t dt = obs::wall_now_ns() - t0;
-      const std::uint64_t ns = dt > 0 ? static_cast<std::uint64_t>(dt) : 0;
-      lane.chunks.fetch_add(1, std::memory_order_relaxed);
-      lane.busy_ns.fetch_add(ns, std::memory_order_relaxed);
-      std::size_t bucket = kTaskLatencyBoundsNs.size();
-      for (std::size_t i = 0; i < kTaskLatencyBoundsNs.size(); ++i) {
-        if (ns <= kTaskLatencyBoundsNs[i]) {
-          bucket = i;
-          break;
-        }
+    const std::int64_t dt = obs::wall_now_ns() - t0;
+    const std::uint64_t ns = dt > 0 ? static_cast<std::uint64_t>(dt) : 0;
+    lane.chunks.fetch_add(1, std::memory_order_relaxed);
+    lane.busy_ns.fetch_add(ns, std::memory_order_relaxed);
+    std::size_t bucket = kTaskLatencyBoundsNs.size();
+    for (std::size_t i = 0; i < kTaskLatencyBoundsNs.size(); ++i) {
+      if (ns <= kTaskLatencyBoundsNs[i]) {
+        bucket = i;
+        break;
       }
-      latency_counts_[bucket].fetch_add(1, std::memory_order_relaxed);
     }
+    latency_counts_[bucket].fetch_add(1, std::memory_order_relaxed);
     MutexLock lk(job.mu);
     if (err && !job.error) job.error = err;
     if (++job.done == job.total) job.all_done.notify_all();

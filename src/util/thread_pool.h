@@ -37,10 +37,9 @@
 
 namespace photodtn {
 
-/// Wall-clock execution stats, collected only when PHOTODTN_OBS=1 (see
-/// obs/wall_clock.h) — otherwise every field stays zero and the hot loop
-/// pays one predictable branch per chunk. Non-deterministic by nature:
-/// surfaced only through the non-golden wallPerf trace section.
+/// Wall-clock execution stats, collected for every queued chunk (see
+/// obs/wall_clock.h). Non-deterministic by nature: surfaced only through the
+/// non-golden wallPerf trace section.
 struct ThreadPoolStats {
   struct Lane {
     std::uint64_t chunks = 0;   // chunks this lane executed
@@ -94,9 +93,9 @@ class ThreadPool {
     return acc;
   }
 
-  /// Snapshot of the wall-clock execution stats (all-zero unless
-  /// PHOTODTN_OBS=1). Excludes the inline fast path (single-chunk or
-  /// single-thread jobs), which never enters the queue.
+  /// Snapshot of the wall-clock execution stats. Excludes the inline fast
+  /// path (single-chunk or single-thread jobs), which never enters the
+  /// queue.
   ThreadPoolStats stats() const;
 
  private:
@@ -126,7 +125,7 @@ class ThreadPool {
 
   void worker_loop(std::size_t lane);
   /// Claims and runs chunks of `job` until none are left, accounting the
-  /// work to `lane` when wall metrics are enabled.
+  /// work to `lane`.
   void drain(Job& job, LaneCounters& lane);
 
   std::size_t concurrency_;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "test_util.h"
 
 namespace photodtn {
@@ -239,6 +241,20 @@ TEST(Simulator, ProphetUpdatedOnContacts) {
     }
   } scheme;
   sim.run(scheme);
+}
+
+TEST(Simulator, RejectsSampleIntervalNotFiniteAndPositive) {
+  // run() steps the sample clock by the interval until it passes each
+  // event: 0 or a negative interval never would, and NaN or inf would
+  // silently record a single sample. The constructor refuses all four.
+  const CoverageModel model = test_model();
+  const ContactTrace trace{{{10.0, 10.0, 1, 2}}, 3, 50.0};
+  for (const double interval : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity()}) {
+    SimConfig cfg = small_config();
+    cfg.sample_interval_s = interval;
+    EXPECT_THROW((void)Simulator(model, trace, {}, cfg), std::logic_error) << interval;
+  }
 }
 
 TEST(Simulator, RunIsSingleShot) {

@@ -79,13 +79,16 @@ const std::vector<std::string>& golden_schemes() {
 }
 
 /// Ordered key=value serialization of the golden runs: each scheme once
-/// clean and once under golden_fault_plan() (key prefix "<scheme>@faults").
-std::vector<std::pair<std::string, std::string>> compute_lines() {
+/// clean and once under golden_fault_plan() (key prefix "<scheme>@faults"),
+/// with the obs tiers `obs_cfg` switches on.
+std::vector<std::pair<std::string, std::string>> compute_lines(
+    const obs::ObsConfig& obs_cfg = {}) {
   std::vector<std::pair<std::string, std::string>> lines;
   for (const bool faulted : {false, true}) {
   for (const std::string& scheme : golden_schemes()) {
     ExperimentSpec spec = golden_spec(scheme);
     if (faulted) spec.scenario.sim.faults = golden_fault_plan();
+    spec.scenario.sim.obs = obs_cfg;
     const SimResult r = run_single(spec, 42);
     const std::string prefix = faulted ? scheme + "@faults" : scheme;
     auto put = [&](const std::string& key, const std::string& val) {
@@ -177,6 +180,15 @@ TEST(GoldenExperiment, MatchesCheckedInGolden) {
       EXPECT_EQ(val, it->second) << key;
     }
   }
+}
+
+TEST(GoldenExperiment, ObsOnLinesEqualObsOff) {
+  // Metrics, trace and provenance all on: every hook site in all 8 schemes,
+  // clean and faulted, records — and no golden line may move.
+  const auto off = compute_lines();
+  const auto on = compute_lines({.metrics = true, .trace = true, .provenance = true});
+  ASSERT_EQ(on.size(), off.size());
+  for (std::size_t i = 0; i < off.size(); ++i) EXPECT_EQ(on[i], off[i]);
 }
 
 }  // namespace

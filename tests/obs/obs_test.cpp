@@ -173,13 +173,16 @@ TEST(ChromeTrace, DocumentShapeAndDeterminism) {
 TEST(Obs, ConfigGatesRecording) {
   obs::Obs off;
   EXPECT_FALSE(off.metrics_on());
-  EXPECT_FALSE(off.trace_on());
+  EXPECT_EQ(off.trace(), nullptr);
+  EXPECT_EQ(off.prov(), nullptr);
   obs::Obs on(obs::ObsConfig{true, true});
   EXPECT_TRUE(on.metrics_on());
-  EXPECT_TRUE(on.trace_on());
+  ASSERT_NE(on.trace(), nullptr);
+  EXPECT_EQ(on.prov(), nullptr);
   on.registry().add(on.registry().counter("c"));
-  on.trace().instant("e", "t", 1.0, 0);
+  on.trace()->instant("e", "t", 1.0, 0);
   on.audit();
+  EXPECT_NE(obs::Obs(obs::ObsConfig{.provenance = true}).prov(), nullptr);
 }
 
 /// Tiny fixed-seed experiment spec shared by the integration tests below.

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "geometry/angle.h"
 
 namespace photodtn::cli {
@@ -53,6 +57,27 @@ TEST(CliConfig, RejectsBadValues) {
   EXPECT_THROW(scenario_from(parse({"simulate", "--p-thld", "1.5"})),
                std::runtime_error);
   EXPECT_THROW(scenario_from(parse({"simulate", "--hours", "-3"})), std::runtime_error);
+  // Values that used to hang, wrap, reach an internal check, or cast a
+  // NaN or negative double to uint64_t: each must fail naming its flag.
+  const std::vector<std::pair<const char*, const char*>> bad = {
+      {"hours", "inf"},           {"rate", "inf"},
+      {"pois", "-3"},             {"pois", "0"},
+      {"scale", "nan"},           {"hours", "nan"},
+      {"theta-deg", "nan"},       {"theta-deg", "0"},
+      {"theta-deg", "361"},       {"max-contact-s", "nan"},
+      {"fault-interrupt", "nan"}, {"fault-gossip-loss", "nan"},
+      {"fault-crash-rate", "inf"}, {"p-thld", "nan"},
+      {"storage-gb", "nan"},      {"storage-gb", "-1"},
+      {"storage-gb", "1e11"},     {"rate", "-5"}};
+  for (const auto& [flag, value] : bad) {
+    const std::string opt = std::string("--") + flag;
+    try {
+      (void)spec_from(parse({"simulate", opt.c_str(), value}));
+      ADD_FAILURE() << opt << " " << value << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(opt), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(CliConfig, SpecCarriesRunsSeedAndCap) {

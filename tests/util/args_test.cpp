@@ -43,6 +43,20 @@ TEST(Args, TypedGettersValidate) {
   const Args a = parse({"simulate", "--runs", "abc", "--scale", "0.5x"});
   EXPECT_THROW(a.get_int("runs", 1), std::exception);
   EXPECT_THROW(a.get_double("scale", 1.0), std::exception);
+  // NaN fails every range comparison and inf passes ">= 0", so non-finite
+  // values are refused here, naming the option.
+  const Args b = parse({"simulate", "--scale", "nan", "--hours", "inf", "--rate",
+                        "-inf", "--p-thld", "NaN", "--storage-gb", "infinity"});
+  for (const char* key : {"scale", "hours", "rate", "p-thld", "storage-gb"}) {
+    try {
+      (void)b.get_double(key, 1.0);
+      ADD_FAILURE() << "--" << key << " accepted a non-finite value";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + key + " expects a finite"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Args, DoubleParsing) {

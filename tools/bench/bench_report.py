@@ -102,9 +102,9 @@ OBS_OVERHEAD_TARGET = 0.02
 # clean e2e run must not drift more than 2% vs its pre-persist prior.
 PERSIST_OVERHEAD_TARGET = 0.02
 # Provenance-disabled overhead budget: with provenance off every
-# PHOTODTN_OBS_PROV hook site is a null/branch test, so the clean e2e run
-# must stay within 2% of the prior clean median (same --prior-binary
-# same-session preference as the obs gate).
+# provenance hook site is a null test of the recorder pointer, so the
+# clean e2e run must stay within 2% of the prior clean median (same
+# --prior-binary same-session preference as the obs gate).
 PROV_OVERHEAD_TARGET = 0.02
 # Enabled-cost ratios tracked as advisory *trends* in BENCH_history.jsonl.
 # The absolute ratio is confounded by session load (the 2026-08-09 session
@@ -404,7 +404,7 @@ def main() -> int:
     # Provenance rides the same report: its enabled cost (every lifecycle
     # hook appends one POD event) is advisory, and its disabled cost is the
     # same clean-run residue the obs gate measures — with provenance off,
-    # every PHOTODTN_OBS_PROV site is one null/branch test on the clean run.
+    # every provenance hook site is one null test on the clean run.
     prov_on = e2e_all.get(E2E_PROV)
     prov_enabled_vs_clean = (
         prov_on["median_ns"] / clean["median_ns"]

@@ -26,16 +26,28 @@ ScenarioConfig scenario_from(const Args& args) {
   sc.sim.node_storage_bytes =
       static_cast<std::uint64_t>(static_cast<double>(sc.sim.node_storage_bytes) * scale);
 
-  sc.num_pois = static_cast<std::size_t>(
-      args.get_int("pois", static_cast<std::int64_t>(sc.num_pois)));
-  sc.effective_angle = deg_to_rad(args.get_double("theta-deg", 30.0));
+  const std::int64_t pois = args.get_int("pois", static_cast<std::int64_t>(sc.num_pois));
+  if (pois < 1) throw std::runtime_error("--pois must be >= 1");
+  sc.num_pois = static_cast<std::size_t>(pois);
+  const double theta_deg = args.get_double("theta-deg", 30.0);
+  if (theta_deg <= 0.0 || theta_deg > 360.0)
+    throw std::runtime_error("--theta-deg must be in (0, 360]");
+  sc.effective_angle = deg_to_rad(theta_deg);
   sc.p_thld = args.get_double("p-thld", sc.p_thld);
   if (sc.p_thld < 0.0 || sc.p_thld > 1.0)
     throw std::runtime_error("--p-thld must be in [0, 1]");
-  if (args.has("rate")) sc.photo_rate_per_hour = args.get_double("rate", 0) * scale;
-  if (args.has("storage-gb"))
-    sc.sim.node_storage_bytes =
-        static_cast<std::uint64_t>(args.get_double("storage-gb", 0.6) * 1e9 * scale);
+  if (args.has("rate")) {
+    const double rate = args.get_double("rate", 0);
+    if (rate < 0.0) throw std::runtime_error("--rate must be >= 0");
+    sc.photo_rate_per_hour = rate * scale;
+  }
+  if (args.has("storage-gb")) {
+    const double bytes = args.get_double("storage-gb", 0.6) * 1e9 * scale;
+    // 0x1p64 = 2^64: the cast to uint64_t is undefined at or above it.
+    if (bytes < 0.0 || bytes >= 0x1p64)
+      throw std::runtime_error("--storage-gb must be >= 0 and fit a 64-bit byte count");
+    sc.sim.node_storage_bytes = static_cast<std::uint64_t>(bytes);
+  }
   if (args.has("hours")) sc.trace.duration_s = args.get_double("hours", 0) * 3600.0;
   if (sc.trace.duration_s <= 0.0) throw std::runtime_error("--hours must be positive");
   sc.sim.sample_interval_s = std::max(3600.0, sc.trace.duration_s / 20.0);

@@ -11,8 +11,9 @@
 namespace photodtn::cli {
 
 /// Builds the scenario from --trace/--scale/--pois/--theta-deg/--p-thld/
-/// --rate/--storage-gb/--hours/--seed. Throws std::runtime_error with a
-/// user-readable message on invalid values.
+/// --rate/--storage-gb/--hours/--seed and the --fault-* knobs. Throws
+/// std::runtime_error naming the flag on invalid values (non-finite
+/// numbers included).
 ScenarioConfig scenario_from(const Args& args);
 
 /// Full simulate spec: scenario plus --runs/--seed/--max-contact-s/

@@ -28,11 +28,6 @@ that have bitten floating-point/simulation codebases like this one:
                       persist::checked_write_file / atomic_write_file
                       (persist/file_io.h) so open/write/flush errors surface
                       instead of silently truncating on ENOSPC.
-  raw-prov-hook       .prov().record(...) outside src/obs/ — provenance hook
-                      sites go through the PHOTODTN_OBS_PROV macro (obs/obs.h)
-                      so a PHOTODTN_OBS_PROVENANCE=0 build compiles them out
-                      entirely. Reads (merged(), audit(), the persist round
-                      trip) are unaffected.
 
 Determinism rules (ordering hazards that parallel simulators hit — each
 suppression REQUIRES a justification, see below):
@@ -174,15 +169,6 @@ LINE_RULES = [
         "surface instead of silently truncating on ENOSPC",
         False,
         ("src/persist/", "tools/", "bench/", "examples/"),
-    ),
-    (
-        "raw-prov-hook",
-        re.compile(r"(?:->|\.)\s*prov\s*\(\s*\)\s*\.\s*record\s*\("),
-        "direct provenance record call; route hook sites through the "
-        "PHOTODTN_OBS_PROV macro (obs/obs.h) so PHOTODTN_OBS_PROVENANCE=0 "
-        "builds compile them out",
-        False,
-        ("src/obs/",),
     ),
 ]
 

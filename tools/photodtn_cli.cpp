@@ -16,13 +16,14 @@
 //       limited to --runs 1 with a single --scheme.
 //       --metrics-out writes the merged metrics registry snapshots as JSON;
 //       --trace-out writes run 0 of the first scheme as a Chrome trace
-//       (chrome://tracing / Perfetto). Either flag switches the obs layer on
-//       for the run (as does PHOTODTN_OBS=1); PHOTODTN_OBS_WALL=1 appends
-//       the non-deterministic wall-clock "wallPerf" section to the trace.
+//       (chrome://tracing / Perfetto). Either flag switches the metrics tier
+//       on for the run (and --trace-out the trace tier); the sinks are the
+//       only switches. PHOTODTN_OBS_WALL=1 appends the non-deterministic
+//       wall-clock "wallPerf" section to the trace.
 //       --provenance-out writes run 0 of the first scheme as a per-photo
 //       causal provenance JSONL (photodtn-provenance/1) for
 //       tools/obs/provenance_report.py; it switches only the provenance
-//       layer on (as does PHOTODTN_OBS_PROV=1), independent of metrics.
+//       tier on, independent of metrics.
 //
 //   photodtn_cli trace-gen --out FILE [--trace mit|cambridge] [--scale S]
 //                [--seed K]
