@@ -5,6 +5,11 @@
 // floating-point keys compare with 1e-9 relative tolerance so pure
 // summation-order dust does not trip it.
 //
+// A second lock covers the sinks: the FNV-1a digest of every document the
+// obs and result exporters write for the same runs with every obs tier on,
+// so a change to the JSON bytes fails tier-1 even when it moves every
+// output the same way.
+//
 // Regenerate after an *intended* behavior change with
 //   PHOTODTN_REGEN_GOLDEN=1 ./photodtn_tests --gtest_filter='GoldenExperiment.*'
 // and review the golden diff like any other code change.
@@ -17,11 +22,15 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "obs/chrome_trace.h"
 #include "sim/experiment.h"
+#include "sim/result_io.h"
 
 #ifndef PHOTODTN_TEST_SOURCE_DIR
 #error "PHOTODTN_TEST_SOURCE_DIR must point at the tests/ source directory"
@@ -32,6 +41,38 @@ namespace {
 
 const char* golden_path() {
   return PHOTODTN_TEST_SOURCE_DIR "/integration/golden/experiment_golden.txt";
+}
+
+const char* sink_digests_path() {
+  return PHOTODTN_TEST_SOURCE_DIR "/integration/golden/sink_digests.txt";
+}
+
+using Lines = std::vector<std::pair<std::string, std::string>>;
+
+bool regen_requested() {
+  const char* regen = std::getenv("PHOTODTN_REGEN_GOLDEN");
+  return regen != nullptr && std::string(regen) == "1";
+}
+
+void write_golden(const char* path, const char* test, const Lines& lines) {
+  std::ofstream out(path, std::ios::trunc);
+  ASSERT_TRUE(out) << "cannot write " << path;
+  out << "# Golden results for GoldenExperiment." << test << ".\n"
+      << "# Regenerate with PHOTODTN_REGEN_GOLDEN=1 (see the test header).\n";
+  for (const auto& [key, val] : lines) out << key << "=" << val << "\n";
+}
+
+void read_golden(const char* path, std::map<std::string, std::string>& golden) {
+  std::ifstream in(path);
+  ASSERT_TRUE(in) << "missing golden file " << path
+                  << " — run with PHOTODTN_REGEN_GOLDEN=1 to create it";
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    const auto eq = line.find('=');
+    ASSERT_NE(eq, std::string::npos) << "malformed golden line: " << line;
+    golden.emplace(line.substr(0, eq), line.substr(eq + 1));
+  }
 }
 
 ExperimentSpec golden_spec(const std::string& scheme) {
@@ -81,9 +122,8 @@ const std::vector<std::string>& golden_schemes() {
 /// Ordered key=value serialization of the golden runs: each scheme once
 /// clean and once under golden_fault_plan() (key prefix "<scheme>@faults"),
 /// with the obs tiers `obs_cfg` switches on.
-std::vector<std::pair<std::string, std::string>> compute_lines(
-    const obs::ObsConfig& obs_cfg = {}) {
-  std::vector<std::pair<std::string, std::string>> lines;
+Lines compute_lines(const obs::ObsConfig& obs_cfg = {}) {
+  Lines lines;
   for (const bool faulted : {false, true}) {
   for (const std::string& scheme : golden_schemes()) {
     ExperimentSpec spec = golden_spec(scheme);
@@ -146,27 +186,14 @@ bool is_float_key(const std::string& key) {
 TEST(GoldenExperiment, MatchesCheckedInGolden) {
   const auto lines = compute_lines();
 
-  if (const char* regen = std::getenv("PHOTODTN_REGEN_GOLDEN");
-      regen != nullptr && std::string(regen) == "1") {
-    std::ofstream out(golden_path(), std::ios::trunc);
-    ASSERT_TRUE(out) << "cannot write " << golden_path();
-    out << "# Golden results for GoldenExperiment.MatchesCheckedInGolden.\n"
-        << "# Regenerate with PHOTODTN_REGEN_GOLDEN=1 (see the test header).\n";
-    for (const auto& [key, val] : lines) out << key << "=" << val << "\n";
+  if (regen_requested()) {
+    write_golden(golden_path(), "MatchesCheckedInGolden", lines);
     GTEST_SKIP() << "golden regenerated at " << golden_path();
   }
 
-  std::ifstream in(golden_path());
-  ASSERT_TRUE(in) << "missing golden file " << golden_path()
-                  << " — run with PHOTODTN_REGEN_GOLDEN=1 to create it";
   std::map<std::string, std::string> golden;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    const auto eq = line.find('=');
-    ASSERT_NE(eq, std::string::npos) << "malformed golden line: " << line;
-    golden.emplace(line.substr(0, eq), line.substr(eq + 1));
-  }
+  read_golden(golden_path(), golden);
+  if (HasFatalFailure()) return;
   EXPECT_EQ(golden.size(), lines.size()) << "golden key set drifted — regenerate";
 
   for (const auto& [key, val] : lines) {
@@ -189,6 +216,66 @@ TEST(GoldenExperiment, ObsOnLinesEqualObsOff) {
   const auto on = compute_lines({.metrics = true, .trace = true, .provenance = true});
   ASSERT_EQ(on.size(), off.size());
   for (std::size_t i = 0; i < off.size(); ++i) EXPECT_EQ(on[i], off[i]);
+}
+
+std::string fnv1a_hex(std::string_view bytes) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
+  return buf;
+}
+
+/// FNV-1a of every sink document for each golden run, clean and faulted,
+/// with every obs tier on; each result is built the way run_experiment
+/// builds one. The trace carries a fixed wallPerf section so that block's
+/// bytes are locked too.
+Lines compute_sink_digests() {
+  obs::WallPerfSection wall;
+  wall.lanes = {{"worker-0", 3, 1'234'567}, {"callers", 1, 89}};
+  wall.task_latency_bounds_ns = {1'000, 1'000'000};
+  wall.task_latency_counts = {2, 1, 1};
+  Lines lines;
+  for (const bool faulted : {false, true}) {
+  for (const std::string& scheme : golden_schemes()) {
+    ExperimentSpec spec = golden_spec(scheme);
+    if (faulted) spec.scenario.sim.faults = golden_fault_plan();
+    spec.scenario.sim.obs = {.metrics = true, .trace = true, .provenance = true};
+    std::vector<SimResult> runs;
+    runs.push_back(run_single(spec, 42));
+    const ExperimentResult r = aggregate_results(spec, std::move(runs));
+    const std::span<const ExperimentResult> one(&r, 1);
+    const std::string prefix = (faulted ? scheme + "@faults" : scheme) + ".";
+    lines.emplace_back(prefix + "metrics", fnv1a_hex(metrics_to_json(one)));
+    lines.emplace_back(prefix + "trace",
+                       fnv1a_hex(obs::chrome_trace_json(r.trace_events, &r.metrics, &wall)));
+    lines.emplace_back(prefix + "provenance", fnv1a_hex(provenance_to_jsonl(r)));
+    lines.emplace_back(prefix + "comparison", fnv1a_hex(comparison_to_json(one)));
+  }
+  }
+  return lines;
+}
+
+TEST(GoldenExperiment, SinkBytesMatchCheckedInDigests) {
+  const auto lines = compute_sink_digests();
+
+  if (regen_requested()) {
+    write_golden(sink_digests_path(), "SinkBytesMatchCheckedInDigests", lines);
+    GTEST_SKIP() << "sink digests regenerated at " << sink_digests_path();
+  }
+
+  std::map<std::string, std::string> golden;
+  read_golden(sink_digests_path(), golden);
+  if (HasFatalFailure()) return;
+  EXPECT_EQ(golden.size(), lines.size()) << "sink digest key set drifted — regenerate";
+  for (const auto& [key, val] : lines) {
+    const auto it = golden.find(key);
+    ASSERT_NE(it, golden.end()) << "key missing from sink digests: " << key;
+    EXPECT_EQ(val, it->second) << key;
+  }
 }
 
 }  // namespace
