@@ -1,6 +1,8 @@
 #include "obs/chrome_trace.h"
 
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "persist/file_io.h"
 #include "util/json.h"
@@ -14,7 +16,8 @@ void write_event(JsonWriter& w, const TraceEvent& ev) {
   w.begin_object();
   w.kv("name", ev.name);
   if (ev.cat[0] != '\0') w.kv("cat", ev.cat);
-  w.kv("ph", std::string(1, static_cast<char>(ev.phase)));
+  const char phase = static_cast<char>(ev.phase);
+  w.kv("ph", std::string_view(&phase, 1));
   // 1 simulation second == 1e6 trace "microseconds": the timeline is the
   // simulation clock, so the document never depends on wall time.
   w.kv("ts", ev.ts_s * 1e6);
@@ -100,7 +103,7 @@ std::string chrome_trace_json(std::span<const TraceEvent> events,
     write_wall_perf(w, *wall);
   }
   w.end_object();
-  return w.str();
+  return std::move(w).str();
 }
 
 bool write_chrome_trace(const std::string& path, std::span<const TraceEvent> events,

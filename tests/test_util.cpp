@@ -93,4 +93,19 @@ ChaosScenario build_chaos_scenario(std::uint64_t seed) {
   return s;
 }
 
+namespace {
+
+struct GroupingPunct : std::numpunct<char> {
+  char do_decimal_point() const override { return ','; }
+  char do_thousands_sep() const override { return ','; }
+  std::string do_grouping() const override { return "\3"; }
+};
+
+}  // namespace
+
+GroupingLocaleScope::GroupingLocaleScope()
+    : previous_(std::locale::global(std::locale(std::locale::classic(), new GroupingPunct))) {}
+
+GroupingLocaleScope::~GroupingLocaleScope() { std::locale::global(previous_); }
+
 }  // namespace photodtn::test

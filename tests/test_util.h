@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <locale>
 #include <string>
 #include <vector>
 
@@ -57,5 +58,19 @@ struct ChaosScenario {
 };
 
 ChaosScenario build_chaos_scenario(std::uint64_t seed);
+
+/// While alive, the global C++ locale groups thousands with ',' and uses
+/// ',' as the decimal point, so a stream created meanwhile writes 1234.5 as
+/// "1,234,5". Restores the previous global locale on destruction.
+class GroupingLocaleScope {
+ public:
+  GroupingLocaleScope();
+  ~GroupingLocaleScope();
+  GroupingLocaleScope(const GroupingLocaleScope&) = delete;
+  GroupingLocaleScope& operator=(const GroupingLocaleScope&) = delete;
+
+ private:
+  std::locale previous_;
+};
 
 }  // namespace photodtn::test
