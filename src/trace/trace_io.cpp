@@ -6,28 +6,51 @@
 #include <cstdint>
 #include <fstream>
 #include <limits>
+#include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 #include <system_error>
 
 #include "persist/file_io.h"
+#include "util/to_chars.h"
 
 namespace photodtn {
 
+namespace {
+
+/// The CSV text: the horizon at 6 significant digits ("%g"), times at 17
+/// ("%.17g"), formatted locale-free so the file reads back under any
+/// global locale.
+std::string format_trace(const ContactTrace& trace) {
+  std::string out = "# photodtn-trace v1 nodes=";
+  append_chars(out, trace.num_nodes());
+  out += " horizon=";
+  append_chars(out, trace.horizon(), std::chars_format::general, 6);
+  out += "\nstart,duration,a,b\n";
+  for (const Contact& c : trace.contacts()) {
+    append_chars(out, c.start, std::chars_format::general, 17);
+    out += ',';
+    append_chars(out, c.duration, std::chars_format::general, 17);
+    out += ',';
+    append_chars(out, c.a);
+    out += ',';
+    append_chars(out, c.b);
+    out += '\n';
+  }
+  return out;
+}
+
+}  // namespace
+
 void write_trace(std::ostream& os, const ContactTrace& trace) {
-  os << "# photodtn-trace v1 nodes=" << trace.num_nodes()
-     << " horizon=" << trace.horizon() << '\n';
-  os << "start,duration,a,b\n";
-  os.precision(17);
-  for (const Contact& c : trace.contacts())
-    os << c.start << ',' << c.duration << ',' << c.a << ',' << c.b << '\n';
+  const std::string text = format_trace(trace);
+  os.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 bool write_trace_file(const std::string& path, const ContactTrace& trace) {
-  std::ostringstream os;
-  write_trace(os, trace);
-  return persist::checked_write_file(path, os.str());
+  return persist::checked_write_file(path, format_trace(trace));
 }
 
 namespace {

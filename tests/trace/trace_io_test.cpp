@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "test_util.h"
 #include "trace/synthetic_trace.h"
 
 namespace photodtn {
@@ -22,6 +23,25 @@ TEST(TraceIo, RoundTripPreservesEverything) {
   ASSERT_EQ(back.size(), 2u);
   EXPECT_EQ(back.contacts()[0], (Contact{10.5, 60.0, 0, 1}));
   EXPECT_EQ(back.contacts()[1], (Contact{20.25, 120.0, 1, 2}));
+}
+
+TEST(TraceIo, RoundTripsUnderAGroupingGlobalLocale) {
+  const ContactTrace trace{{{2000.5, 60.0, 0, 1}, {12345.678, 300.0, 1, 2}}, 3, 252000.0};
+  std::ostringstream classic;
+  write_trace(classic, trace);
+  EXPECT_EQ(classic.str().substr(0, classic.str().find('\n')),
+            "# photodtn-trace v1 nodes=3 horizon=252000");
+
+  const test::GroupingLocaleScope grouping;
+  std::stringstream ss;  // created under the grouping locale
+  write_trace(ss, trace);
+  EXPECT_EQ(ss.str(), classic.str());
+  const ContactTrace back = read_trace(ss);
+  EXPECT_EQ(back.num_nodes(), 3);
+  EXPECT_EQ(back.horizon(), 252000.0);
+  ASSERT_EQ(back.size(), 2u);
+  EXPECT_EQ(back.contacts()[0], trace.contacts()[0]);
+  EXPECT_EQ(back.contacts()[1], trace.contacts()[1]);
 }
 
 TEST(TraceIo, RejectsEmptyInput) {
