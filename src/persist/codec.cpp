@@ -1,32 +1,56 @@
 #include "persist/codec.h"
 
 #include <array>
+#include <cstddef>
 #include <cstring>
 
 namespace photodtn::persist {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+// Slicing-by-8: table[k][b] is the CRC register after byte b followed by k
+// zero bytes, so eight input bytes fold into the register with eight
+// lookups instead of eight dependent steps. table[0] is the classic
+// byte-at-a-time table.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables make_crc_tables() {
+  CrcTables table{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : (c >> 1);
     }
-    table[i] = c;
+    table[0][i] = c;
+  }
+  for (std::size_t k = 1; k < table.size(); ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      table[k][i] = (table[k - 1][i] >> 8) ^ table[0][table[k - 1][i] & 0xffu];
+    }
   }
   return table;
+}
+
+std::uint32_t load_le32(const unsigned char* p) noexcept {
+  return std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 | std::uint32_t{p[2]} << 16 |
+         std::uint32_t{p[3]} << 24;
 }
 
 }  // namespace
 
 std::uint32_t crc32(std::string_view data) noexcept {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  static const CrcTables table = make_crc_tables();
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  std::size_t n = data.size();
   std::uint32_t c = 0xffffffffu;
-  for (unsigned char byte : data) {
-    c = table[(c ^ byte) & 0xffu] ^ (c >> 8);
+  for (; n >= 8; n -= 8, p += 8) {
+    const std::uint32_t lo = c ^ load_le32(p);
+    const std::uint32_t hi = load_le32(p + 4);
+    c = table[7][lo & 0xffu] ^ table[6][(lo >> 8) & 0xffu] ^
+        table[5][(lo >> 16) & 0xffu] ^ table[4][lo >> 24] ^ table[3][hi & 0xffu] ^
+        table[2][(hi >> 8) & 0xffu] ^ table[1][(hi >> 16) & 0xffu] ^ table[0][hi >> 24];
   }
+  for (; n > 0; --n, ++p) c = table[0][(c ^ *p) & 0xffu] ^ (c >> 8);
   return c ^ 0xffffffffu;
 }
 

@@ -5,19 +5,51 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <random>
 #include <string>
+#include <string_view>
 
 namespace photodtn::persist {
 namespace {
+
+/// The byte-at-a-time CRC-32 that crc32() replaced, kept as its oracle.
+std::uint32_t crc32_bytewise(std::string_view data) {
+  static const std::array<std::uint32_t, 256> table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : (c >> 1);
+      t[i] = c;
+    }
+    return t;
+  }();
+  std::uint32_t c = 0xffffffffu;
+  for (const unsigned char byte : data) c = table[(c ^ byte) & 0xffu] ^ (c >> 8);
+  return c ^ 0xffffffffu;
+}
 
 TEST(Codec, Crc32KnownVectors) {
   // Standard zlib CRC-32 check values.
   EXPECT_EQ(crc32(""), 0x00000000u);
   EXPECT_EQ(crc32("123456789"), 0xcbf43926u);
   EXPECT_EQ(crc32("The quick brown fox jumps over the lazy dog"), 0x414fa339u);
+
+  // Every length across the 8-byte blocks and the tail, at every alignment,
+  // and one long buffer, all against the byte-at-a-time oracle.
+  std::mt19937_64 gen(7);
+  std::string bytes(1 << 20, '\0');
+  for (char& b : bytes) b = static_cast<char>(gen());
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const std::string_view slice(bytes.data() + start, len);
+      EXPECT_EQ(crc32(slice), crc32_bytewise(slice)) << "start " << start << " len " << len;
+    }
+  }
+  EXPECT_EQ(crc32(bytes), crc32_bytewise(bytes));
 }
 
 TEST(Codec, RoundTripsEveryPrimitive) {
