@@ -23,7 +23,7 @@ void AspectProfile::set_band(Arc arc, double weight) {
 
   // New breakpoints: existing ones plus the band's endpoints.
   std::vector<double> bps = bps_;
-  for (const double b : band.boundaries()) bps.push_back(b);
+  band.append_boundaries(bps);
   if (bps.empty()) bps.push_back(0.0);  // full-circle band: one segment
   std::sort(bps.begin(), bps.end());
   bps.erase(std::unique(bps.begin(), bps.end(),

@@ -47,28 +47,26 @@ void ArcSet::audit() const {
 
 void ArcSet::insert_linear(double lo, double hi) {
   // Inserts [lo, hi) with 0 <= lo < hi <= 2*pi into the sorted disjoint list.
+  // The intervals it overlaps or touches (within kEps) form one run: those
+  // before it end below lo - kEps and those after start beyond hi + kEps.
+  // The run is absorbed into [lo, hi) and replaced by it in place.
   if (hi - lo <= kEps) return;
-  std::vector<std::pair<double, double>> out;
-  out.reserve(intervals_.size() + 1);
-  bool placed = false;
-  for (const auto& [s, e] : intervals_) {
-    if (e < lo - kEps) {
-      out.push_back({s, e});
-    } else if (s > hi + kEps) {
-      if (!placed) {
-        out.push_back({lo, hi});
-        placed = true;
-      }
-      out.push_back({s, e});
-    } else {
-      // Overlaps or touches: absorb into the pending interval.
-      lo = std::min(lo, s);
-      hi = std::max(hi, e);
-    }
+  // Ends ascend with starts, so the run begins at the first interval that
+  // ends at or after lo - kEps.
+  const auto first = std::partition_point(
+      intervals_.begin(), intervals_.end(),
+      [lo](const std::pair<double, double>& iv) { return iv.second < lo - kEps; });
+  auto last = first;
+  for (; last != intervals_.end() && last->first <= hi + kEps; ++last) {
+    lo = std::min(lo, last->first);
+    hi = std::max(hi, last->second);
   }
-  if (!placed) out.push_back({lo, hi});
-  std::sort(out.begin(), out.end());
-  intervals_ = std::move(out);
+  if (first == last) {
+    intervals_.insert(first, std::pair{lo, hi});
+  } else {
+    *first = {lo, hi};
+    intervals_.erase(first + 1, last);
+  }
 }
 
 void ArcSet::add(Arc arc) {
@@ -146,18 +144,16 @@ double ArcSet::gain(Arc arc) const noexcept {
   return g <= kEps ? 0.0 : g;
 }
 
-std::vector<double> ArcSet::boundaries() const {
-  std::vector<double> out;
-  out.reserve(intervals_.size() * 2);
+void ArcSet::append_boundaries(std::vector<double>& out) const {
+  const auto first = static_cast<std::ptrdiff_t>(out.size());
   for (const auto& [s, e] : intervals_) {
     out.push_back(normalize_angle(s));
     out.push_back(e >= kTwoPi - kEps ? 0.0 : normalize_angle(e));
   }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end(),
+  std::sort(out.begin() + first, out.end());
+  out.erase(std::unique(out.begin() + first, out.end(),
                         [](double a, double b) { return std::fabs(a - b) <= kEps; }),
             out.end());
-  return out;
 }
 
 bool ArcSet::full() const noexcept { return measure() >= kTwoPi - 1e-9; }

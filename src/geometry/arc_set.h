@@ -50,9 +50,12 @@ class ArcSet {
   /// where 0 <= lo <= hi <= 2*pi (no wrap; split wrapping queries yourself).
   double overlap_linear(double lo, double hi) const noexcept;
 
-  /// All interval endpoints, normalized to [0, 2*pi), sorted ascending and
-  /// deduplicated. Used by the expected-coverage breakpoint integration.
-  std::vector<double> boundaries() const;
+  /// Appends every interval endpoint to `out`, normalized to [0, 2*pi);
+  /// the appended run is sorted ascending and deduplicated, and the
+  /// elements already in `out` are left as they are. Used by the
+  /// expected-coverage breakpoint integration, which collects the
+  /// boundaries of many sets into one reused buffer.
+  void append_boundaries(std::vector<double>& out) const;
 
   bool empty() const noexcept { return intervals_.empty(); }
   /// True when the whole circle is covered.

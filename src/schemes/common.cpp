@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <string>
-#include <unordered_set>
 
 #include "geometry/angle.h"
 #include "persist/state_access.h"
@@ -10,7 +9,12 @@
 namespace photodtn {
 
 std::vector<PhotoMeta> sorted_photos(const PhotoStore& store) {
-  std::vector<PhotoMeta> out = store.photos();
+  std::vector<PhotoMeta> out;
+  out.reserve(store.size());
+  // photodtn-lint: allow(unordered-iter): extract-and-sort — (taken_at, id)-sorted below
+  for (const auto& [id, p] : store.map()) out.push_back(p);
+  // Ids are unique, so (taken_at, id) is a total order: one sort fixes the
+  // result whatever order the hash map yields.
   std::sort(out.begin(), out.end(), [](const PhotoMeta& x, const PhotoMeta& y) {
     if (x.taken_at != y.taken_at) return x.taken_at < y.taken_at;
     return x.id < y.id;
@@ -32,11 +36,8 @@ CoverageValue standalone_value(const CoverageModel& model, const PhotoMeta& phot
 
 std::vector<PhotoMeta> union_pool(const PhotoStore& a, const PhotoStore& b) {
   std::vector<PhotoMeta> pool = sorted_photos(a);
-  std::unordered_set<PhotoId> seen;
-  seen.reserve(pool.size());
-  for (const PhotoMeta& p : pool) seen.insert(p.id);
   for (const PhotoMeta& p : sorted_photos(b))
-    if (seen.insert(p.id).second) pool.push_back(p);
+    if (!a.contains(p.id)) pool.push_back(p);
   return pool;
 }
 

@@ -2,13 +2,26 @@
 
 #include <algorithm>
 #include <optional>
-#include <unordered_set>
 
 #include "persist/state_access.h"
 #include "schemes/common.h"
 #include "util/check.h"
 
 namespace photodtn {
+
+namespace {
+
+/// `ids` in ascending order, for binary-search membership tests.
+std::vector<PhotoId> sorted_ids(std::vector<PhotoId> ids) {
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+bool holds(const std::vector<PhotoId>& sorted, PhotoId id) {
+  return std::binary_search(sorted.begin(), sorted.end(), id);
+}
+
+}  // namespace
 
 OurScheme::OurScheme(OurSchemeConfig cfg) : cfg_(cfg), selector_(cfg.greedy) {}
 
@@ -359,9 +372,9 @@ void OurScheme::contact_with_center(SimContext& ctx, ContactSession& session) {
     const std::vector<PhotoId> keep =
         selector_.select(model, own_pool, np.store().capacity_bytes(), phase);
     emit_select_commits(now, part, kCommandCenter);
-    const std::unordered_set<PhotoId> keep_set(keep.begin(), keep.end());
+    const std::vector<PhotoId> keep_ids = sorted_ids(keep);
     for (const PhotoMeta& p : own_pool)
-      if (!keep_set.contains(p.id)) ctx.drop_photo(part, p.id);
+      if (!holds(keep_ids, p.id)) ctx.drop_photo(part, p.id);
   }
   senv.remove_collection(kCommandCenter);
   record_engine_rebuilds(part);
@@ -420,40 +433,44 @@ void OurScheme::contact_between_participants(SimContext& ctx, ContactSession& se
          {"second_target", static_cast<double>(plan.second_target.size())}});
   }
 
-  std::unordered_map<PhotoId, PhotoMeta> by_id;
+  // The pool and both targets sorted by id, for the lookups below.
+  std::vector<const PhotoMeta*> by_id;
   by_id.reserve(pool.size());
-  for (const PhotoMeta& p : pool) by_id.emplace(p.id, p);
+  for (const PhotoMeta& p : pool) by_id.push_back(&p);
+  std::sort(by_id.begin(), by_id.end(),
+            [](const PhotoMeta* x, const PhotoMeta* y) { return x->id < y->id; });
+  const std::vector<PhotoId> first_ids = sorted_ids(plan.first_target);
+  const std::vector<PhotoId> second_ids = sorted_ids(plan.second_target);
 
   const bool ok_first = realize_target(ctx, session, plan.first, plan.first_target,
-                                       plan.second_target, by_id);
+                                       first_ids, second_ids, by_id);
   const bool ok_second =
       ok_first && realize_target(ctx, session, plan.second, plan.second_target,
-                                 plan.first_target, by_id);
+                                 second_ids, first_ids, by_id);
 
   if (ok_first && ok_second) {
     // Untruncated: the collections become exactly the solution — pool photos
     // outside a node's target are dropped (this is where acknowledged and
     // redundant photos leave the network).
-    auto drop_leftovers = [&](NodeId holder, const std::vector<PhotoId>& target) {
-      const std::unordered_set<PhotoId> t(target.begin(), target.end());
+    auto drop_leftovers = [&](NodeId holder, const std::vector<PhotoId>& target_ids) {
       Node& h = ctx.node(holder);
       for (const PhotoMeta& p : pool)
-        if (!t.contains(p.id) && h.store().contains(p.id)) ctx.drop_photo(holder, p.id);
+        if (!holds(target_ids, p.id) && h.store().contains(p.id))
+          ctx.drop_photo(holder, p.id);
     };
-    drop_leftovers(plan.first, plan.first_target);
-    drop_leftovers(plan.second, plan.second_target);
+    drop_leftovers(plan.first, first_ids);
+    drop_leftovers(plan.second, second_ids);
   }
 }
 
 bool OurScheme::realize_target(SimContext& ctx, ContactSession& session, NodeId holder,
                                const std::vector<PhotoId>& target,
-                               const std::vector<PhotoId>& peer_target,
-                               const std::unordered_map<PhotoId, PhotoMeta>& pool_by_id) {
+                               const std::vector<PhotoId>& target_ids,
+                               const std::vector<PhotoId>& peer_ids,
+                               std::span<const PhotoMeta* const> pool_by_id) {
   Node& h = ctx.node(holder);
   const NodeId peer = session.peer(holder);
   Node& hp = ctx.node(peer);
-  const std::unordered_set<PhotoId> target_set(target.begin(), target.end());
-  const std::unordered_set<PhotoId> peer_set(peer_target.begin(), peer_target.end());
 
   // Eviction preference when making room: (1) photos no plan wants,
   // (2) photos the peer's plan wants but the peer already holds, (3) photos
@@ -466,9 +483,9 @@ bool OurScheme::realize_target(SimContext& ctx, ContactSession& session, NodeId 
     // id tie-break makes the winner unique, so hash order cannot pick it.
     // photodtn-lint: allow(unordered-iter): selects the unique (rank, value, id) minimum
     for (const auto& [id, p] : h.store().map()) {
-      if (target_set.contains(id)) continue;
+      if (holds(target_ids, id)) continue;
       int rank = 3;
-      if (!peer_set.contains(id)) {
+      if (!holds(peer_ids, id)) {
         rank = 1;
       } else if (hp.store().contains(id)) {
         rank = 2;
@@ -486,7 +503,14 @@ bool OurScheme::realize_target(SimContext& ctx, ContactSession& session, NodeId 
 
   for (const PhotoId id : target) {
     if (h.store().contains(id)) continue;
-    const PhotoMeta& meta = pool_by_id.at(id);
+    // From the pool, not the peer's store: an earlier eviction may have
+    // dropped the photo, and the failed transfer below must still happen.
+    const auto it = std::lower_bound(
+        pool_by_id.begin(), pool_by_id.end(), id,
+        [](const PhotoMeta* p, PhotoId v) { return p->id < v; });
+    PHOTODTN_CHECK_MSG(it != pool_by_id.end() && (*it)->id == id,
+                       "target photo missing from the contact pool");
+    const PhotoMeta& meta = **it;
     if (!session.can_transfer(meta.size_bytes)) return false;  // budget exhausted
     while (!h.store().can_fit(meta.size_bytes)) {
       const auto victim = pick_victim();

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 
 #include "dtn/scheme.h"
@@ -93,11 +94,14 @@ class OurScheme : public Scheme {
 
   /// Realizes one node's target list: transfers missing photos from the
   /// peer in selection order, evicting non-target photos on demand. Returns
-  /// false if the byte budget truncated the plan.
+  /// false if the byte budget truncated the plan. `target_ids` and
+  /// `peer_ids` are the two targets sorted by id; `pool_by_id` is the
+  /// contact's pool sorted by id.
   bool realize_target(SimContext& ctx, ContactSession& session, NodeId holder,
                       const std::vector<PhotoId>& target,
-                      const std::vector<PhotoId>& peer_target,
-                      const std::unordered_map<PhotoId, PhotoMeta>& pool_by_id);
+                      const std::vector<PhotoId>& target_ids,
+                      const std::vector<PhotoId>& peer_ids,
+                      std::span<const PhotoMeta* const> pool_by_id);
 
   /// One persistent incremental engine per node, kept in sync with the
   /// node's metadata cache via revision stamps (schemes live for exactly one

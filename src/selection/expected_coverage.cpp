@@ -30,8 +30,7 @@ CoverageValue expected_coverage_exact(const CoverageModel& model,
     // Expected aspect coverage: integrate coverage probability over the
     // circle, piecewise-constant between arc endpoints.
     bps.clear();
-    for (const auto& c : covers)
-      for (const double b : c.arcs.boundaries()) bps.push_back(b);
+    for (const auto& c : covers) c.arcs.append_boundaries(bps);
     std::sort(bps.begin(), bps.end());
     bps.erase(std::unique(bps.begin(), bps.end()), bps.end());
     if (bps.empty()) {

@@ -2,20 +2,25 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "util/check.h"
 #include "util/prob.h"
 
 namespace photodtn {
 
-bool MetadataCache::update(MetadataEntry entry) {
+bool MetadataCache::is_stale(const MetadataEntry& entry) const {
   PHOTODTN_CHECK_MSG(entry.owner >= 0, "metadata entry needs an owner");
   PHOTODTN_DCHECK_MSG(entry.lambda >= 0.0 && std::isfinite(entry.lambda),
                       "metadata entry lambda must be finite and non-negative");
   PHOTODTN_DCHECK_MSG(is_probability(entry.delivery_prob),
                       "metadata entry delivery probability must be in [0, 1]");
-  auto it = entries_.find(entry.owner);
-  if (it != entries_.end() && it->second.observed_at >= entry.observed_at) return false;
+  const auto it = entries_.find(entry.owner);
+  return it != entries_.end() && it->second.observed_at >= entry.observed_at;
+}
+
+bool MetadataCache::update(MetadataEntry entry) {
+  if (is_stale(entry)) return false;
   entry.revision = ++next_revision_;
   entries_[entry.owner] = std::move(entry);
   PHOTODTN_AUDIT(audit());
@@ -75,8 +80,13 @@ std::size_t MetadataCache::merge_from(const MetadataCache& other, NodeId self) {
   std::size_t accepted = 0;
   // photodtn-lint: allow(unordered-iter): per-owner acceptance is independent; revision stamps are compared only for equality, never ordered
   for (const auto& [owner, entry] : other.entries_) {
-    if (owner == self) continue;
-    if (update(entry)) ++accepted;
+    // Freshness first: most offered entries are stale, and only an accepted
+    // one is copied. Copy-assignment reuses the replaced entry's buffer.
+    if (owner == self || is_stale(entry)) continue;
+    MetadataEntry& slot = entries_[owner];
+    slot = entry;
+    slot.revision = ++next_revision_;
+    ++accepted;
   }
   PHOTODTN_AUDIT(audit());
   return accepted;
@@ -100,11 +110,13 @@ void MetadataCache::audit() const {
                        "MetadataCache entry revision outside the issued range");
   }
   // Revisions are never reused: each accepted entry gets a fresh stamp.
-  std::unordered_map<std::uint64_t, int> seen;
+  // Pairwise over at most one entry per node, so the check allocates
+  // nothing and runs inside allocation-free paths such as merge_from.
   // photodtn-lint: allow(unordered-iter): uniqueness check holds in any visit order
-  for (const auto& [owner, entry] : entries_)
-    PHOTODTN_CHECK_MSG(++seen[entry.revision] == 1,
-                       "MetadataCache revision stamps must be unique");
+  for (auto a = entries_.begin(); a != entries_.end(); ++a)
+    for (auto b = std::next(a); b != entries_.end(); ++b)
+      PHOTODTN_CHECK_MSG(a->second.revision != b->second.revision,
+                         "MetadataCache revision stamps must be unique");
 }
 
 }  // namespace photodtn

@@ -98,6 +98,10 @@ class MetadataCache {
  private:
   friend struct persist::StateAccess;  // checkpoint/restore of entries + revision clock
 
+  /// Checks the entry, then whether the cached copy of its owner is at
+  /// least as fresh (so `entry` would be rejected).
+  bool is_stale(const MetadataEntry& entry) const;
+
   double p_thld_;
   std::uint64_t next_revision_ = 0;  // last revision issued; 0 = none yet
   std::unordered_map<NodeId, MetadataEntry> entries_;

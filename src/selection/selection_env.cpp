@@ -17,18 +17,24 @@ namespace {
 /// added in footprint order. The selection engine's one per-PoI arc union.
 std::vector<std::pair<std::size_t, ArcSet>> union_arcs_by_poi(
     std::span<const PhotoFootprint* const> footprints) {
-  std::vector<const PoiArc*> arcs;
+  struct Placed {
+    std::size_t poi;
+    std::size_t pos;  // position in footprint order
+    const Arc* arc;
+  };
+  std::vector<Placed> arcs;
   for (const PhotoFootprint* fp : footprints)
-    for (const PoiArc& pa : fp->arcs) arcs.push_back(&pa);
-  // Stable, so each PoI's arcs keep their footprint order.
-  std::stable_sort(arcs.begin(), arcs.end(), [](const PoiArc* x, const PoiArc* y) {
-    return x->poi_index < y->poi_index;
+    for (const PoiArc& pa : fp->arcs)
+      arcs.push_back({pa.poi_index, arcs.size(), &pa.arc});
+  // (PoI, position) is a total order, so an in-place sort keeps each PoI's
+  // arcs in footprint order without a stable sort's temporary buffer.
+  std::sort(arcs.begin(), arcs.end(), [](const Placed& x, const Placed& y) {
+    return x.poi != y.poi ? x.poi < y.poi : x.pos < y.pos;
   });
   std::vector<std::pair<std::size_t, ArcSet>> out;
-  for (const PoiArc* pa : arcs) {
-    if (out.empty() || out.back().first != pa->poi_index)
-      out.emplace_back(pa->poi_index, ArcSet{});
-    out.back().second.add(pa->arc);
+  for (const Placed& pa : arcs) {
+    if (out.empty() || out.back().first != pa.poi) out.emplace_back(pa.poi, ArcSet{});
+    out.back().second.add(*pa.arc);
   }
   return out;
 }
@@ -47,92 +53,117 @@ std::vector<std::vector<NodePoiCover>> build_poi_cover_index(
 
 // ------------------------------------------------------------ PiecewiseMiss
 
-PiecewiseMiss PiecewiseMiss::build(
-    std::span<const std::pair<double, const ArcSet*>> covers,
-    const AspectProfile* profile) {
+namespace {
+// The sweep keeps its running product inside [2^-500, 2^500] by exact
+// power-of-two rescales, so hundreds of small factors never underflow it.
+constexpr int kRescaleBits = 500;
+constexpr double kRescaleLow = 0x1p-500;
+constexpr double kRescaleHigh = 0x1p500;
+}  // namespace
+
+void PiecewiseMiss::rebuild(std::span<const NodePoiCover> covers,
+                            const AspectProfile* profile, Scratch& scratch) {
   const bool weighted = profile != nullptr && !profile->is_uniform();
-  PiecewiseMiss out;
-  std::vector<double> cuts;
-  for (const auto& [p, arcs] : covers)
-    for (const double b : arcs->boundaries()) cuts.push_back(b);
+  // Every cover's boundaries, then the profile's breakpoints. Covers often
+  // share boundaries (gossip spreads the same photos), so the cuts are
+  // deduplicated in scratch and cuts_ keeps only the distinct ones.
+  std::vector<double>& cuts = scratch.cuts;
+  cuts.clear();
+  for (const NodePoiCover& c : covers) c.arcs.append_boundaries(cuts);
   if (weighted)
-    for (const double b : profile->breakpoints()) cuts.push_back(b);
+    cuts.insert(cuts.end(), profile->breakpoints().begin(), profile->breakpoints().end());
 
   if (cuts.empty()) {
     // Either nothing covers this PoI (constant 1) or some set is the full
     // circle (constant product); the profile is uniform here, since a
     // non-uniform one always contributes breakpoints.
     double miss = 1.0;
-    for (const auto& [p, arcs] : covers)
-      if (arcs->full()) miss *= 1.0 - p;
-    out.constant_ = miss;
-    return out;
+    for (const NodePoiCover& c : covers)
+      if (c.arcs.full()) miss *= 1.0 - c.p;
+    constant_ = miss;
+    cuts_.clear();
+    vals_.clear();
+    weights_.clear();
+    rates_.clear();
+    prefix_.clear();
+    lut_.clear();
+    lut_scale_ = 0.0;
+    return;
   }
+  constant_ = 1.0;
 
   cuts.push_back(0.0);
   std::sort(cuts.begin(), cuts.end());
-  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+  cuts_.assign(cuts.begin(), std::unique(cuts.begin(), cuts.end()));
 
   // Sweep the circle once: each cover interval opens at its start and
   // closes at its end; the running product of active (1 - p) factors is the
   // segment value. A zero factor (p = 1, the command center) is tracked as
-  // a count so closing it never divides by zero.
-  struct Event {
-    double angle;
-    double factor;
-    bool open;
-  };
-  std::vector<Event> events;
-  for (const auto& [p, arcs] : covers) {
-    const double f = 1.0 - p;
-    for (const auto& [s, e] : arcs->intervals()) {
+  // a count so closing it never divides by zero. The events are pushed and
+  // sorted in a fixed order, so equal angles always apply in the same order
+  // and the product is the same bits on every rebuild.
+  std::vector<Scratch::Event>& events = scratch.events;
+  events.clear();
+  for (const NodePoiCover& c : covers) {
+    const double f = 1.0 - c.p;
+    for (const auto& [s, e] : c.arcs.intervals()) {
       events.push_back({s, f, true});
       if (e < kTwoPi) events.push_back({e, f, false});
     }
   }
   std::sort(events.begin(), events.end(),
-            [](const Event& x, const Event& y) { return x.angle < y.angle; });
+            [](const Scratch::Event& x, const Scratch::Event& y) {
+              return x.angle < y.angle;
+            });
 
-  const std::size_t n = cuts.size();
-  out.cuts_ = std::move(cuts);
-  out.vals_.resize(n);
-  if (weighted) out.weights_.resize(n);
+  const std::size_t n = cuts_.size();
+  vals_.resize(n);
+  if (weighted) {
+    weights_.resize(n);
+  } else {
+    weights_.clear();
+  }
+  rates_.resize(n);
+  prefix_.resize(n + 1);
+  prefix_[0] = 0.0;
+  // The env value is product * 2^-scale. Power-of-two scaling is exact for
+  // normal doubles, so a product that never leaves the normal range yields
+  // the bits an unscaled product would.
   double product = 1.0;
+  int scale = 0;
   int zeros = 0;
   std::size_t next_event = 0;
   for (std::size_t k = 0; k < n; ++k) {
-    const double lo = out.cuts_[k];
+    const double lo = cuts_[k];
+    const double hi = (k + 1 < n) ? cuts_[k + 1] : kTwoPi;
     // Interval endpoints are a subset of the cuts (up to the boundary
     // dedup epsilon, whose slivers the old midpoint sampling misclassified
     // the same way); apply everything up to and including this cut.
     while (next_event < events.size() && events[next_event].angle <= lo) {
-      const Event& ev = events[next_event++];
+      const Scratch::Event& ev = events[next_event++];
       if (ev.factor == 0.0) {
         zeros += ev.open ? 1 : -1;
-      } else if (ev.open) {
+        continue;
+      }
+      if (ev.open) {
         product *= ev.factor;
       } else {
         product /= ev.factor;
       }
+      if (product < kRescaleLow) {
+        product = std::ldexp(product, kRescaleBits);
+        scale += kRescaleBits;
+      } else if (product > kRescaleHigh) {
+        product = std::ldexp(product, -kRescaleBits);
+        scale -= kRescaleBits;
+      }
     }
-    out.vals_[k] = zeros > 0 ? 0.0 : product;
-    if (weighted) {
-      const double hi = (k + 1 < n) ? out.cuts_[k + 1] : kTwoPi;
-      out.weights_[k] = profile->weight_at(normalize_angle(lo + (hi - lo) / 2.0));
-    }
-  }
-
-  // Fused rate array: rate(k) on the integration hot path reads one dense
-  // double instead of re-multiplying value by weight per probe.
-  out.rates_.resize(n);
-  for (std::size_t k = 0; k < n; ++k)
-    out.rates_[k] = out.vals_[k] * (weighted ? out.weights_[k] : 1.0);
-
-  out.prefix_.resize(n + 1);
-  out.prefix_[0] = 0.0;
-  for (std::size_t k = 0; k < n; ++k) {
-    const double hi = (k + 1 < n) ? out.cuts_[k + 1] : kTwoPi;
-    out.prefix_[k + 1] = out.prefix_[k] + out.rate(k) * (hi - out.cuts_[k]);
+    vals_[k] = zeros > 0 ? 0.0 : (scale == 0 ? product : std::ldexp(product, -scale));
+    if (weighted) weights_[k] = profile->weight_at(normalize_angle(lo + (hi - lo) / 2.0));
+    // Fused rate array: rate(k) on the integration hot path reads one dense
+    // double instead of re-multiplying value by weight per probe.
+    rates_[k] = vals_[k] * (weighted ? weights_[k] : 1.0);
+    prefix_[k + 1] = prefix_[k] + rates_[k] * (hi - lo);
   }
 
   // Bucketized segment finder. lut_[b] is the highest segment whose cut
@@ -146,19 +177,20 @@ PiecewiseMiss PiecewiseMiss::build(
   // threshold are a rebuild-vs-query tradeoff: the greedy sweeps probe each
   // dense function hundreds of times per rebuild, the simulator's sparse
   // ones often zero times.)
-  if (n >= kLutMinSegments) {
-    const std::size_t buckets = std::min<std::size_t>(4096, 2 * n);
-    out.lut_scale_ = static_cast<double>(buckets) / kTwoPi;
-    out.lut_.resize(buckets);
-    std::size_t seg = 0;
-    for (std::size_t b = 0; b < buckets; ++b) {
-      while (seg + 1 < n &&
-             static_cast<std::size_t>(out.cuts_[seg + 1] * out.lut_scale_) < b)
-        ++seg;
-      out.lut_[b] = static_cast<std::uint32_t>(seg);
-    }
+  if (n < kLutMinSegments) {
+    lut_.clear();
+    lut_scale_ = 0.0;
+    return;
   }
-  return out;
+  const std::size_t buckets = std::min<std::size_t>(4096, 2 * n);
+  lut_scale_ = static_cast<double>(buckets) / kTwoPi;
+  lut_.resize(buckets);
+  std::size_t seg = 0;
+  for (std::size_t b = 0; b < buckets; ++b) {
+    while (seg + 1 < n && static_cast<std::size_t>(cuts_[seg + 1] * lut_scale_) < b)
+      ++seg;
+    lut_[b] = static_cast<std::uint32_t>(seg);
+  }
 }
 
 std::size_t PiecewiseMiss::segment_of(double a) const noexcept {
@@ -382,14 +414,9 @@ bool SelectionEnvironment::remove_collection(NodeId node) {
 void SelectionEnvironment::refresh(std::size_t poi) const {
   ++rebuilds_;
   double miss = 1.0;
-  std::vector<std::pair<double, const ArcSet*>> covers;
-  covers.reserve(covers_[poi].size());
-  for (const NodePoiCover& c : covers_[poi]) {
-    miss *= 1.0 - c.p;
-    covers.push_back({c.p, &c.arcs});
-  }
+  for (const NodePoiCover& c : covers_[poi]) miss *= 1.0 - c.p;
   pt_miss_[poi] = miss;
-  miss_[poi] = PiecewiseMiss::build(covers, model_->pois()[poi].profile());
+  miss_[poi].rebuild(covers_[poi], model_->pois()[poi].profile(), rebuild_scratch_);
   dirty_[poi] = 0;
   PHOTODTN_AUDIT(miss_[poi].audit());
 }

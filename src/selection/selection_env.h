@@ -19,10 +19,11 @@
 // The environment is *incremental*: collections can be added, extended and
 // removed (metadata cached, expired, or photos committed at a contact), and
 // only the PoIs the changed collection covers are marked dirty; their
-// cached per-PoI state is rebuilt lazily on the next query. PiecewiseMiss
-// carries prefix-sum integrals (with the PoI's aspect-weight profile baked
-// into the segments), making one marginal-gain integral O(log B) in the
-// number of environment breakpoints instead of O(B).
+// cached per-PoI state is rebuilt lazily on the next query, in place over
+// the PoI's own arrays, so a warmed environment rebuilds without touching
+// the heap. PiecewiseMiss carries prefix-sum integrals (with the PoI's
+// aspect-weight profile baked into the segments), making one marginal-gain
+// integral O(log B) in the number of environment breakpoints instead of O(B).
 //
 // Batched gain kernel: the greedy selector evaluates every candidate's gain
 // over and over, and candidate-at-a-time evaluation streams each PoI's
@@ -54,14 +55,29 @@ namespace photodtn {
 /// the stored integrals (value_at still returns the unweighted env value).
 class PiecewiseMiss {
  public:
+  /// The buffers a rebuild works in. Their contents are discarded on every
+  /// call; only their capacity carries over.
+  struct Scratch {
+    /// One cover interval opening or closing, as the sweep sees it.
+    struct Event {
+      double angle;
+      double factor;  // 1 - p of the covering node
+      bool open;
+    };
+    std::vector<double> cuts;
+    std::vector<Event> events;
+  };
+
   /// Constant 1 (no other node covers this PoI, uniform weight).
   PiecewiseMiss() = default;
 
-  /// Builds from the covering nodes' arc sets and delivery probabilities.
-  /// `profile` (optional) bakes the PoI's aspect weighting into the
-  /// integrals; a null or uniform profile means weight 1 everywhere.
-  static PiecewiseMiss build(std::span<const std::pair<double, const ArcSet*>> covers,
-                             const AspectProfile* profile = nullptr);
+  /// Rebuilds the function in place from the covering nodes' arc sets and
+  /// delivery probabilities. `profile` (optional) bakes the PoI's aspect
+  /// weighting into the integrals; a null or uniform profile means weight 1
+  /// everywhere. Every array is overwritten but keeps its capacity, so a
+  /// rebuild no larger than earlier ones allocates nothing.
+  void rebuild(std::span<const NodePoiCover> covers, const AspectProfile* profile,
+               Scratch& scratch);
 
   /// env value at an angle (unweighted miss product).
   double value_at(double angle) const noexcept;
@@ -194,6 +210,10 @@ class SelectionEnvironment {
   void refresh(std::size_t poi) const;
 
   const CoverageModel* model_;
+  // Rebuild scratch shared by every PoI. A run is single-threaded, so one
+  // set of buffers per environment serves all of them and, once it has
+  // grown to the largest PoI, rebuilds stop allocating.
+  mutable PiecewiseMiss::Scratch rebuild_scratch_;
   // Per-PoI state as parallel arrays (structure-of-arrays): the hot queries
   // — point_miss reads and the dirty checks of a batched gain sweep — then
   // stream dense double/char arrays instead of striding over a struct that

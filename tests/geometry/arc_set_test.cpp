@@ -151,7 +151,8 @@ TEST(ArcSet, BoundariesSortedAndNormalized) {
   ArcSet s;
   s.add({5.5, 1.5});  // wraps
   s.add({2.0, 0.5});
-  const auto b = s.boundaries();
+  std::vector<double> b;
+  s.append_boundaries(b);
   for (std::size_t i = 1; i < b.size(); ++i) EXPECT_LT(b[i - 1], b[i]);
   for (const double v : b) {
     EXPECT_GE(v, 0.0);

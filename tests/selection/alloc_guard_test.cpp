@@ -1,0 +1,147 @@
+// Heap-allocation guard for the selection engine's steady state. This
+// executable replaces the global operator new with a counting one, which is
+// why it is built apart from photodtn_tests: each case warms an operation
+// up, then asserts that running it again makes no heap allocation.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cmath>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <vector>
+
+#include "coverage/coverage_model.h"
+#include "geometry/angle.h"
+#include "geometry/arc_set.h"
+#include "selection/metadata_cache.h"
+#include "selection/selection_env.h"
+#include "util/rng.h"
+
+namespace {
+
+std::atomic<std::size_t> g_allocations{0};
+
+void* counted_alloc(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+void* counted_alloc_nothrow(std::size_t size) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc_nothrow(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc_nothrow(size);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+
+namespace photodtn {
+namespace {
+
+template <class F>
+std::size_t allocations_during(F&& f) {
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  f();
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+/// A photo 100 m from `poi` in direction `from` (radians), looking at it.
+PhotoMeta photo_of(const PointOfInterest& poi, double from, PhotoId id) {
+  PhotoMeta p;
+  p.id = id;
+  p.location = poi.location + Vec2{100.0 * std::cos(from), 100.0 * std::sin(from)};
+  p.orientation = normalize_angle(from + kTwoPi / 2.0);
+  p.range = 200.0;
+  p.fov = deg_to_rad(60.0);
+  return p;
+}
+
+TEST(AllocGuard, WarmedEnvironmentRebuildsWithoutAllocating) {
+  Rng rng(16);
+  PoiList pois;
+  for (std::int32_t i = 0; i < 24; ++i) {
+    PointOfInterest poi{
+        i, {rng.uniform(-300.0, 300.0), rng.uniform(-300.0, 300.0)}, 1.0, {}};
+    if (i % 3 == 0) {
+      auto profile = std::make_shared<AspectProfile>();
+      profile->set_band(Arc{rng.uniform(0.0, kTwoPi), rng.uniform(0.3, 2.0)},
+                        rng.uniform(0.5, 3.0));
+      poi.aspect_profile = std::move(profile);
+    }
+    pois.push_back(std::move(poi));
+  }
+  const CoverageModel model(pois, deg_to_rad(30.0));
+  std::vector<std::unique_ptr<PhotoFootprint>> footprints;
+  SelectionEnvironment env(model);
+  PhotoId next_id = 1;
+  for (NodeId node = 0; node < 12; ++node) {
+    // Node 0 is the command center: p = 1, a zero miss factor.
+    NodeCollection nc{node, node == 0 ? 1.0 : rng.uniform(0.1, 0.9), {}};
+    for (int k = 0; k < 20; ++k) {
+      const PointOfInterest& poi = pois[static_cast<std::size_t>(rng.uniform_int(0, 23))];
+      footprints.push_back(std::make_unique<PhotoFootprint>(
+          model.footprint(photo_of(poi, rng.uniform(0.0, kTwoPi), next_id++))));
+      nc.footprints.push_back(footprints.back().get());
+    }
+    env.add_collection(nc);
+  }
+  (void)env.total();  // warm-up: every PoI's arrays and the scratch grow once
+  ASSERT_TRUE(env.remove_collection(3));
+  const std::uint64_t rebuilds = env.rebuild_count();
+  CoverageValue total;
+  EXPECT_EQ(allocations_during([&] { total = env.total(); }), 0u);
+  EXPECT_GT(env.rebuild_count(), rebuilds);  // the sweep did rebuild PoIs
+  EXPECT_GT(total.point, 0.0);
+}
+
+TEST(AllocGuard, ArcAddWithSpareCapacityDoesNotAllocate) {
+  ArcSet set;
+  for (int k = 0; k < 8; ++k) set.add(Arc{0.1 + 0.7 * k, 0.2});
+  set.add(Arc{0.05, 1.6});  // absorbs the first three intervals
+  ASSERT_EQ(set.intervals().size(), 6u);
+  EXPECT_EQ(allocations_during([&] {
+              set.add(Arc{2.55, 0.05});  // lands in a gap: one more interval
+              set.add(Arc{2.0, 1.5});    // absorbs a run of three
+              set.add(Arc{6.0, 0.5});    // wraps: one piece each side of 0
+            }),
+            0u);
+  EXPECT_EQ(set.intervals().size(), 6u);
+}
+
+TEST(AllocGuard, MergingOnlyStaleGossipDoesNotAllocate) {
+  MetadataCache mine;
+  MetadataCache offered;
+  for (NodeId owner = 1; owner <= 10; ++owner) {
+    MetadataEntry e;
+    e.owner = owner;
+    e.photos.resize(5);
+    e.lambda = 1e-4;
+    e.delivery_prob = 0.5;
+    // Older than ours, or (for even owners) exactly as old: both are stale.
+    e.observed_at = owner % 2 == 0 ? 100.0 : 50.0;
+    offered.update(e);
+    e.observed_at = 100.0;
+    mine.update(e);
+  }
+  std::size_t accepted = 1;
+  EXPECT_EQ(allocations_during([&] { accepted = mine.merge_from(offered, 0); }), 0u);
+  EXPECT_EQ(accepted, 0u);
+}
+
+}  // namespace
+}  // namespace photodtn
