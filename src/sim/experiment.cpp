@@ -16,6 +16,9 @@ SimResult run_single(const ExperimentSpec& spec, std::uint64_t seed) {
 SimResult run_single(const ExperimentSpec& spec, std::uint64_t seed,
                      const RunPersistence& persistence) {
   const ScenarioConfig& sc = spec.scenario;
+  // Before anything is allocated. A trace file's own horizon is checked
+  // once the file is read, before the workload is generated over it.
+  sc.validate(sc.trace.duration_s);
 
   Rng root(seed);
   Rng poi_rng = root.split("pois");
@@ -29,6 +32,7 @@ SimResult run_single(const ExperimentSpec& spec, std::uint64_t seed,
   trace_cfg.seed = seed ^ 0x7ace5eedULL;
   ContactTrace trace = spec.trace_file.empty() ? generate_synthetic_trace(trace_cfg)
                                                : read_trace_file(spec.trace_file);
+  if (!spec.trace_file.empty()) sc.validate(trace.horizon());
   if (spec.max_contact_duration_s)
     trace = trace.with_max_duration(*spec.max_contact_duration_s);
 

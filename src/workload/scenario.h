@@ -36,6 +36,19 @@ struct ScenarioConfig {
   SyntheticTraceConfig trace;
   SimConfig sim;
 
+  /// Checks the values that size a run before anything is allocated. The
+  /// horizon, the photo rate and the sample interval must be finite (the
+  /// rate non-negative, the others positive). The horizon (<= 30,000 h),
+  /// the implied photo count (rate x horizon, <= 1e7), the implied
+  /// coverage sample count (horizon / sample interval, <= 1e5) and
+  /// num_pois (<= 100,000) are bounded, each at >= 100x a paper-scale run,
+  /// so a value such as --hours 1e12 fails at once instead of letting
+  /// trace or workload generation take all memory. `horizon_s` is the
+  /// run's horizon: trace.duration_s for a synthetic trace, the file's
+  /// horizon for a replayed one. Throws std::invalid_argument naming the
+  /// offending field.
+  void validate(double horizon_s) const;
+
   /// Presets reproducing the two Table I columns. `seed` controls trace,
   /// workload, and simulator randomness together.
   static ScenarioConfig mit(std::uint64_t seed);

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "cli_config.h"
 #include "sim/result_io.h"
 #include "trace/trace_io.h"
 #include "util/thread_pool.h"
@@ -132,6 +136,51 @@ TEST(Experiment, TraceFileReplayMatchesInMemoryTrace) {
   const SimResult replayed = run_single(from_file, 5);
   EXPECT_EQ(generated.delivered_ids, replayed.delivered_ids);
   EXPECT_EQ(generated.counters.transfers, replayed.counters.transfers);
+}
+
+void expect_rejected_naming(const ExperimentSpec& spec, const std::string& field) {
+  try {
+    (void)run_single(spec, 1);
+    ADD_FAILURE() << field << ": the run was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+  }
+}
+
+TEST(Experiment, RejectsRunSizesBeyondBoundsBeforeAllocating) {
+  // Probed through `photodtn_cli simulate --scale 0.05 --runs 1 --seed 1
+  // --scheme Epidemic`: each of these used to take all the memory it could
+  // and end in a bare std::bad_alloc. Each must now fail at once, naming the
+  // field that implies the oversized run.
+  const std::vector<std::pair<std::vector<const char*>, std::string>> probed = {
+      {{"--hours", "1e12"}, "horizon_s"},
+      {{"--hours", "1e7"}, "horizon_s"},
+      {{"--rate", "1e9"}, "photo_rate_per_hour"},
+      {{"--pois", "1000000000"}, "num_pois"}};
+  for (const auto& [flags, field] : probed) {
+    std::vector<const char*> argv = {"photodtn_cli", "simulate", "--scale", "0.05",
+                                     "--runs",       "1",        "--seed",  "1",
+                                     "--scheme",     "Epidemic"};
+    argv.insert(argv.end(), flags.begin(), flags.end());
+    const Args args = Args::parse(static_cast<int>(argv.size()), argv.data());
+    ExperimentSpec spec = cli::spec_from(args);
+    spec.scheme = "Epidemic";
+    expect_rejected_naming(spec, field);
+  }
+
+  ExperimentSpec samples = tiny_spec("Epidemic", 1);
+  samples.scenario.sim.sample_interval_s = 0.5;  // 144,000 samples over 20 h
+  expect_rejected_naming(samples, "sim.sample_interval_s");
+
+  // A replayed trace is checked against its own horizon, not the config's.
+  const std::string path = ::testing::TempDir() + "/photodtn_long_horizon.csv";
+  {
+    std::ofstream f(path);
+    f << "# photodtn-trace v1 nodes=3 horizon=1e15\nstart,duration,a,b\n10,60,1,2\n";
+  }
+  ExperimentSpec replay = tiny_spec("Epidemic", 1);
+  replay.trace_file = path;
+  expect_rejected_naming(replay, "horizon_s");
 }
 
 TEST(Experiment, ContactDurationCapReducesOrEqualsCoverage) {

@@ -153,6 +153,7 @@ int cmd_trace_gen(const Args& args) {
   const ScenarioConfig sc = cli::scenario_from(args);
   cli::reject_unknown_options(args);
   cli::reject_stray_positionals(args, 0);
+  sc.validate(sc.trace.duration_s);
   const ContactTrace trace = generate_synthetic_trace(sc.trace);
   if (!write_trace_file(out, trace))
     throw std::runtime_error("cannot write trace to " + out);
