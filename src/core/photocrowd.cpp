@@ -47,7 +47,7 @@ std::vector<NodeCollection> DeviceAgent::environment(NodeId exclude_a, NodeId ex
     NodeCollection nc;
     nc.node = e->owner;
     nc.delivery_prob = e->owner == kCommandCenter ? 1.0 : e->delivery_prob;
-    for (const PhotoMeta& p : e->photos) {
+    for (const PhotoMeta& p : e->snapshot->photos) {
       const PhotoFootprint& fp = task_->model().footprint_cached(p);
       if (fp.relevant()) nc.footprints.push_back(&fp);
     }

@@ -24,10 +24,10 @@ ArcSet ArcSet::from_arcs(const std::vector<Arc>& arcs) {
   return s;
 }
 
-void ArcSet::audit() const {
+void audit_arcs(std::span<const ArcInterval> intervals) {
   double total = 0.0;
-  for (std::size_t i = 0; i < intervals_.size(); ++i) {
-    const auto& [s, e] = intervals_[i];
+  for (std::size_t i = 0; i < intervals.size(); ++i) {
+    const auto& [s, e] = intervals[i];
     PHOTODTN_CHECK_MSG(std::isfinite(s) && std::isfinite(e),
                        "ArcSet interval endpoints must be finite");
     PHOTODTN_CHECK_MSG(s >= 0.0 && s < kTwoPi, "ArcSet interval start outside [0, 2*pi)");
@@ -36,12 +36,12 @@ void ArcSet::audit() const {
     if (i > 0) {
       // Strictly after the previous interval: sorted and disjoint. Touching
       // within kEps would have been merged by insert_linear.
-      PHOTODTN_CHECK_MSG(s > intervals_[i - 1].second,
+      PHOTODTN_CHECK_MSG(s > intervals[i - 1].second,
                          "ArcSet intervals must be sorted and disjoint");
     }
     total += e - s;
   }
-  PHOTODTN_CHECK_MSG(total <= kTwoPi + intervals_.size() * kEps,
+  PHOTODTN_CHECK_MSG(total <= kTwoPi + intervals.size() * kEps,
                      "ArcSet total measure exceeds the circle");
 }
 
@@ -55,7 +55,7 @@ void ArcSet::insert_linear(double lo, double hi) {
   // ends at or after lo - kEps.
   const auto first = std::partition_point(
       intervals_.begin(), intervals_.end(),
-      [lo](const std::pair<double, double>& iv) { return iv.second < lo - kEps; });
+      [lo](const ArcInterval& iv) { return iv.second < lo - kEps; });
   auto last = first;
   for (; last != intervals_.end() && last->first <= hi + kEps; ++last) {
     lo = std::min(lo, last->first);
@@ -89,29 +89,34 @@ void ArcSet::add(Arc arc) {
   PHOTODTN_AUDIT(audit());
 }
 
-void ArcSet::unite(const ArcSet& other) {
-  for (const auto& [s, e] : other.intervals_) insert_linear(s, e);
+void ArcSet::unite(std::span<const ArcInterval> other) {
+  for (const auto& [s, e] : other) insert_linear(s, e);
   PHOTODTN_AUDIT(audit());
 }
 
-double ArcSet::measure() const noexcept {
+void ArcSet::assign(std::span<const ArcInterval> canonical) {
+  intervals_.assign(canonical.begin(), canonical.end());
+  PHOTODTN_AUDIT(audit());
+}
+
+double arcs_measure(std::span<const ArcInterval> intervals) noexcept {
   double total = 0.0;
-  for (const auto& [s, e] : intervals_) total += e - s;
+  for (const auto& [s, e] : intervals) total += e - s;
   return std::min(total, kTwoPi);
 }
 
-bool ArcSet::contains(double angle) const noexcept {
+bool arcs_contain(std::span<const ArcInterval> intervals, double angle) noexcept {
   const double a = normalize_angle(angle);
   // Binary search for the last interval with start <= a.
   auto it = std::upper_bound(
-      intervals_.begin(), intervals_.end(), a,
-      [](double v, const std::pair<double, double>& iv) { return v < iv.first; });
-  if (it != intervals_.begin()) {
+      intervals.begin(), intervals.end(), a,
+      [](double v, const ArcInterval& iv) { return v < iv.first; });
+  if (it != intervals.begin()) {
     const auto& [s, e] = *std::prev(it);
     if (a >= s - kEps && a <= e + kEps) return true;
   }
   // Boundary case: a == start of *it within eps.
-  if (it != intervals_.end() && std::fabs(it->first - a) <= kEps) return true;
+  if (it != intervals.end() && std::fabs(it->first - a) <= kEps) return true;
   return false;
 }
 
@@ -144,9 +149,10 @@ double ArcSet::gain(Arc arc) const noexcept {
   return g <= kEps ? 0.0 : g;
 }
 
-void ArcSet::append_boundaries(std::vector<double>& out) const {
+void append_arc_boundaries(std::span<const ArcInterval> intervals,
+                           std::vector<double>& out) {
   const auto first = static_cast<std::ptrdiff_t>(out.size());
-  for (const auto& [s, e] : intervals_) {
+  for (const auto& [s, e] : intervals) {
     out.push_back(normalize_angle(s));
     out.push_back(e >= kTwoPi - kEps ? 0.0 : normalize_angle(e));
   }
@@ -156,6 +162,8 @@ void ArcSet::append_boundaries(std::vector<double>& out) const {
             out.end());
 }
 
-bool ArcSet::full() const noexcept { return measure() >= kTwoPi - 1e-9; }
+bool arcs_full(std::span<const ArcInterval> intervals) noexcept {
+  return arcs_measure(intervals) >= kTwoPi - 1e-9;
+}
 
 }  // namespace photodtn

@@ -15,7 +15,8 @@
 //     implementation detail the output must not depend on);
 //   * SelectionEnvironment cover lists serialize in *list order* — refresh()
 //     folds floating-point miss products in that order, so preserving it is
-//     what makes the rebuilt cached state bit-identical;
+//     what makes the rebuilt cached state bit-identical; a restored engine
+//     owns digests rebuilt from those lists;
 //   * ArcSet intervals restore verbatim (re-adding could renormalize with
 //     different rounding), then audit.
 //
@@ -28,6 +29,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,6 +46,7 @@
 #include "routing/spray_counter.h"
 #include "selection/greedy_selector.h"
 #include "selection/metadata_cache.h"
+#include "selection/poi_cover.h"
 #include "selection/selection_env.h"
 #include "util/rng.h"
 
@@ -67,9 +71,9 @@ struct StateAccess {
     for (std::uint64_t& word : rng.state_) word = r.u64();
   }
 
-  static void save(StateWriter& w, const ArcSet& arcs) {
-    w.u64(arcs.intervals_.size());
-    for (const auto& [lo, hi] : arcs.intervals_) {
+  static void save(StateWriter& w, std::span<const ArcInterval> intervals) {
+    w.u64(intervals.size());
+    for (const auto& [lo, hi] : intervals) {
       w.f64(lo);
       w.f64(hi);
     }
@@ -219,11 +223,13 @@ struct StateAccess {
       w.f64(e.lambda);
       w.f64(e.delivery_prob);
       w.u64(e.revision);
-      w.u64(e.photos.size());
-      for (const PhotoMeta& m : e.photos) save(w, m);
+      w.u64(e.snapshot->photos.size());
+      for (const PhotoMeta& m : e.snapshot->photos) save(w, m);
     }
   }
-  static void load(StateReader& r, MetadataCache& c) {
+  // Each restored entry gets a snapshot of its own, digested against
+  // `model`; snapshots the checkpointed caches shared are not reunited.
+  static void load(StateReader& r, MetadataCache& c, const CoverageModel& model) {
     c.p_thld_ = r.f64();
     c.next_revision_ = r.u64();
     const std::size_t n = r.count(36);
@@ -235,14 +241,11 @@ struct StateAccess {
       e.lambda = r.f64();
       e.delivery_prob = r.f64();
       e.revision = r.u64();
-      const std::size_t photos = r.count(8);
-      e.photos.reserve(photos);
-      for (std::size_t k = 0; k < photos; ++k) {
-        PhotoMeta m;
-        load(r, m);
-        e.photos.push_back(m);
-      }
+      const std::size_t count = r.count(8);
+      std::vector<PhotoMeta> photos(count);
+      for (PhotoMeta& m : photos) load(r, m);
       if (c.entries_.count(e.owner) != 0) r.fail("duplicate metadata-cache owner");
+      e.snapshot = std::make_shared<const MetadataSnapshot>(std::move(photos), model);
       c.entries_[e.owner] = std::move(e);
     }
     c.audit();
@@ -251,28 +254,30 @@ struct StateAccess {
   // Cover lists serialize in list order and the cached per-PoI factors are
   // *recomputed* through refresh() — a pure function of the ordered list —
   // rather than serialized, so the restored floating-point state is the
-  // product of the same multiplications in the same order.
+  // product of the same multiplications in the same order. A cover entry is
+  // a view of its collection's arc digest; the registry saves each
+  // collection's PoIs, and restore gathers every collection's saved
+  // intervals back into a digest the engine owns.
   static void save(StateWriter& w, const SelectionEnvironment& env) {
     w.u64(env.rebuilds_);
     w.u64(env.covers_.size());
     for (std::size_t poi = 0; poi < env.covers_.size(); ++poi) {
       const auto& covers = env.covers_[poi];
       w.u64(covers.size());
-      for (const NodePoiCover& c : covers) {
+      for (const CoverView& c : covers) {
         w.i32(c.node);
         w.f64(c.p);
         save(w, c.arcs);
       }
       w.boolean(env.dirty_[poi] != 0);
     }
-    const auto nodes = sorted_keys(env.loaded_);
-    w.u64(nodes.size());
-    for (const NodeId node : nodes) {
-      const auto& entry = env.loaded_.at(node);
-      w.i32(node);
+    w.u64(env.loaded_.size());
+    for (const SelectionEnvironment::Loaded& entry : env.loaded_) {
+      const ArcDigest& digest = *entry.digest;
+      w.i32(entry.node);
       w.f64(entry.delivery_prob);
-      w.u64(entry.touched.size());
-      for (const std::size_t poi : entry.touched) w.u64(poi);
+      w.u64(digest.size());
+      for (std::size_t k = 0; k < digest.size(); ++k) w.u64(digest.poi(k));
     }
   }
   static void load(StateReader& r, SelectionEnvironment& env) {
@@ -280,32 +285,55 @@ struct StateAccess {
     env.rebuilds_ = 0;
     const std::uint64_t saved_rebuilds = r.u64();
     if (r.u64() != pois) r.fail("selection environment PoI count mismatch");
+    std::vector<std::vector<NodePoiCover>> saved(pois);
     for (std::size_t poi = 0; poi < pois; ++poi) {
       const std::size_t covers = r.count(12);
-      env.covers_[poi].clear();
-      env.covers_[poi].reserve(covers);
-      for (std::size_t i = 0; i < covers; ++i) {
-        NodePoiCover c;
+      saved[poi].resize(covers);
+      for (NodePoiCover& c : saved[poi]) {
         c.node = r.i32();
         c.p = r.f64();
         load(r, c.arcs);
-        env.covers_[poi].push_back(std::move(c));
       }
       env.dirty_[poi] = r.boolean() ? 1 : 0;
     }
     const std::size_t nodes = r.count(12);
     env.loaded_.clear();
+    env.loaded_.reserve(nodes);
     for (std::size_t i = 0; i < nodes; ++i) {
-      const NodeId node = r.i32();
-      if (env.loaded_.count(node) != 0) r.fail("duplicate environment collection");
-      auto& entry = env.loaded_[node];
+      SelectionEnvironment::Loaded entry;
+      entry.node = r.i32();
+      if (i > 0 && entry.node == env.loaded_.back().node)
+        r.fail("duplicate environment collection");
+      if (i > 0 && entry.node < env.loaded_.back().node)
+        r.fail("environment collections not in node order");
       entry.delivery_prob = r.f64();
+      auto digest = std::make_shared<ArcDigest>();
       const std::size_t touched = r.count(8);
-      entry.touched.reserve(touched);
       for (std::size_t k = 0; k < touched; ++k) {
         const std::uint64_t poi = r.u64();
         if (poi >= pois) r.fail("environment touched-PoI index out of range");
-        entry.touched.push_back(static_cast<std::size_t>(poi));
+        if (!digest->empty() && poi <= digest->poi(digest->size() - 1))
+          r.fail("environment touched PoIs not ascending");
+        const auto& list = saved[poi];
+        const auto it =
+            std::find_if(list.begin(), list.end(),
+                         [&](const NodePoiCover& c) { return c.node == entry.node; });
+        if (it == list.end()) r.fail("environment touched PoI has no cover for the node");
+        digest->append(static_cast<std::size_t>(poi), it->arcs.intervals());
+      }
+      entry.digest = std::move(digest);
+      env.loaded_.push_back(std::move(entry));
+    }
+    // The cover lists, in saved order, as views of the rebuilt digests.
+    for (std::size_t poi = 0; poi < pois; ++poi) {
+      env.covers_[poi].clear();
+      env.covers_[poi].reserve(saved[poi].size());
+      for (const NodePoiCover& c : saved[poi]) {
+        const SelectionEnvironment::Loaded* entry = env.find_loaded(c.node);
+        const std::size_t k = entry == nullptr ? 0 : entry->digest->find(poi);
+        if (entry == nullptr || k == entry->digest->size())
+          r.fail("environment cover entry of no loaded collection");
+        env.covers_[poi].push_back(CoverView{c.node, c.p, entry->digest->arcs(k)});
       }
     }
     // Rebuild the cached factors of every clean PoI now (dirty ones rebuild

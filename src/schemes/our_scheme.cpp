@@ -135,8 +135,8 @@ void OurScheme::on_node_down(SimContext& ctx, NodeId node, bool storage_wiped) {
   if (!cfg_.metadata_enabled) return;
   // photodtn-lint: allow(unordered-iter): per-cache erase of one key, caches independent
   for (auto& [holder, c] : caches_) c.erase(node);
-  // Holders' engines reconcile lazily: the erased entry falls out of `want`
-  // on their next sync_engine and the collection is unloaded there.
+  // Holders' engines reconcile lazily: the erased entry is missing from the
+  // valid entries on their next sync_engine, which unloads the collection.
   if (storage_wiped) {
     // The crashed node's own soft state is gone. clear() keeps its revision
     // counter monotone and the engine is dropped outright, so post-reboot
@@ -150,7 +150,10 @@ MetadataEntry OurScheme::snapshot(SimContext& ctx, NodeId node, double now) cons
   Node& n = ctx.node(node);
   MetadataEntry e;
   e.owner = node;
-  e.photos = sorted_photos(n.store());
+  // Digested once here; every cache that accepts the entry and every engine
+  // that loads it shares this record.
+  e.snapshot =
+      std::make_shared<const MetadataSnapshot>(sorted_photos(n.store()), ctx.model());
   e.observed_at = now;
   e.lambda = n.rates().aggregate_rate(now);
   e.delivery_prob = n.delivery_prob(now);
@@ -209,57 +212,52 @@ SelectionEnvironment& OurScheme::sync_engine(SimContext& ctx, NodeId viewer,
 
   // Desired contents: the viewer's validly cached collections, minus the
   // contact parties (they are live in the reallocation, not environment).
-  std::unordered_map<NodeId, const MetadataEntry*> want;
+  std::vector<const MetadataEntry*>& want = valid_scratch_;
+  want.clear();
   if (cfg_.metadata_enabled) {
-    if (const auto cit = caches_.find(viewer); cit != caches_.end()) {
-      for (const MetadataEntry* e : cit->second.valid_entries(now)) {
-        if (e->owner == exclude_a || e->owner == exclude_b) continue;
-        want.emplace(e->owner, e);
-      }
-    }
+    if (const auto cit = caches_.find(viewer); cit != caches_.end())
+      cit->second.valid_entries(now, want);
   }
 
-  // Unload collections that disappeared (pruned/excluded) or were restamped
-  // by a fresher snapshot; keep the ones whose revision still matches — their
-  // per-PoI factors are exactly the cached ones.
+  // Both lists are sorted by owner, so one walk reconciles them. A loaded
+  // collection whose entry disappeared (pruned or excluded) or was
+  // restamped by a fresher snapshot is unloaded; one whose revision still
+  // matches stays, with exactly its cached per-PoI factors. New and
+  // refreshed entries load in owner order, so engine state never depends
+  // on cache hash order. (Unloads interleave with loads here, but an unload
+  // erases list entries in place and a load appends, so every PoI's cover
+  // list ends up the same as unloading everything first.)
+  const std::vector<std::pair<NodeId, std::uint64_t>>& loaded = st.loaded_revs;
+  std::vector<std::pair<NodeId, std::uint64_t>>& kept = revs_scratch_;
+  kept.clear();
   std::uint64_t unloads = 0;
-  // photodtn-lint: allow(unordered-iter): per-key keep/erase decision; surviving set is order-independent
-  for (auto lit = st.loaded_revs.begin(); lit != st.loaded_revs.end();) {
-    const auto wit = want.find(lit->first);
-    if (wit != want.end() && wit->second->revision == lit->second) {
-      want.erase(wit);
-      ++lit;
-    } else {
-      st.env.remove_collection(lit->first);
-      lit = st.loaded_revs.erase(lit);
-      ++unloads;
-    }
-  }
-
-  // Load what is new or refreshed, in owner order for reproducible engine
-  // state regardless of cache hash order.
-  std::vector<const MetadataEntry*> fresh;
-  fresh.reserve(want.size());
-  // photodtn-lint: allow(unordered-iter): extract-and-sort — owner-sorted below
-  for (const auto& [owner, e] : want) fresh.push_back(e);
-  std::sort(fresh.begin(), fresh.end(),
-            [](const MetadataEntry* x, const MetadataEntry* y) {
-              return x->owner < y->owner;
-            });
   std::uint64_t loads = 0;
-  for (const MetadataEntry* e : fresh) {
-    NodeCollection nc;
-    nc.node = e->owner;
-    nc.delivery_prob = e->owner == kCommandCenter ? 1.0 : e->delivery_prob;
-    for (const PhotoMeta& p : e->photos) {
-      const PhotoFootprint& fp = ctx.model().footprint_cached(p);
-      if (fp.relevant()) nc.footprints.push_back(&fp);
+  std::size_t li = 0;
+  auto unload_next = [&] {
+    st.env.remove_collection(loaded[li++].first);
+    ++unloads;
+  };
+  for (const MetadataEntry* e : want) {
+    if (e->owner == exclude_a || e->owner == exclude_b) continue;
+    while (li < loaded.size() && loaded[li].first < e->owner) unload_next();
+    if (li < loaded.size() && loaded[li].first == e->owner) {
+      if (loaded[li].second == e->revision) {
+        kept.push_back(loaded[li++]);
+        continue;
+      }
+      unload_next();
     }
-    if (nc.footprints.empty() || nc.delivery_prob <= 0.0) continue;
-    st.env.add_collection(nc);
-    st.loaded_revs.emplace(e->owner, e->revision);
+    const double p = e->owner == kCommandCenter ? 1.0 : e->delivery_prob;
+    const ArcDigest& digest = e->snapshot->digest;
+    if (digest.empty() || p <= 0.0) continue;
+    // Shares the snapshot's ownership: no arcs are copied.
+    st.env.add_collection(e->owner, p,
+                          std::shared_ptr<const ArcDigest>(e->snapshot, &digest));
+    kept.emplace_back(e->owner, e->revision);
     ++loads;
   }
+  while (li < loaded.size()) unload_next();
+  st.loaded_revs.swap(kept);
   if (hooks_.obs != nullptr) {
     obs::MetricsRegistry& reg = hooks_.obs->registry();
     reg.add(hooks_.engine_unloads, unloads);
@@ -282,7 +280,7 @@ void OurScheme::on_contact(SimContext& ctx, ContactSession& session) {
       for (const NodeId n : {session.a(), session.b()})
         // photodtn-lint: allow(unordered-iter): commutative integer sum
         for (const auto& [owner, entry] : cache(n).entries())
-          records += entry.photos.size();
+          records += entry.snapshot->photos.size();
       if (per_photo > 0) session.consume(records * per_photo);
       if (hooks_.obs != nullptr) {
         obs::MetricsRegistry& reg = hooks_.obs->registry();
@@ -349,7 +347,7 @@ void OurScheme::contact_with_center(SimContext& ctx, ContactSession& session) {
     hooks_.obs->registry().record(hooks_.pool_size, pool.size());
   std::vector<const PhotoFootprint*> delivered;
   {
-    GreedyPhase phase(senv, 1.0);
+    GreedyPhase phase(senv, 1.0, selector_.phase_buffers());
     const std::vector<PhotoId> to_deliver =
         selector_.select(model, pool, PhotoStore::kUnlimited, phase);
     emit_select_commits(now, kCommandCenter, part);
@@ -367,7 +365,8 @@ void OurScheme::contact_with_center(SimContext& ctx, ContactSession& session) {
   // in place — only the PoIs they cover get rebuilt.
   senv.extend_collection(kCommandCenter, 1.0, delivered);
   {
-    GreedyPhase phase(senv, std::max(np.delivery_prob(now), cfg_.greedy.p_floor));
+    GreedyPhase phase(senv, std::max(np.delivery_prob(now), cfg_.greedy.p_floor),
+                      selector_.phase_buffers());
     const std::vector<PhotoMeta> own_pool = sorted_photos(np.store());
     const std::vector<PhotoId> keep =
         selector_.select(model, own_pool, np.store().capacity_bytes(), phase);
@@ -538,11 +537,10 @@ void OurScheme::save_persist_state(persist::StateWriter& w) const {
     const EngineState& es = engines_.at(node);
     w.i32(node);
     w.u64(es.last_rebuilds);
-    const auto owners = StateAccess::sorted_keys(es.loaded_revs);
-    w.u64(owners.size());
-    for (const NodeId owner : owners) {
+    w.u64(es.loaded_revs.size());
+    for (const auto& [owner, revision] : es.loaded_revs) {
       w.i32(owner);
-      w.u64(es.loaded_revs.at(owner));
+      w.u64(revision);
     }
     StateAccess::save(w, es.env);
   }
@@ -557,7 +555,7 @@ void OurScheme::load_persist_state(persist::StateReader& r, SimContext& ctx) {
   for (std::size_t i = 0; i < ncaches; ++i) {
     const NodeId node = r.i32();
     if (caches_.count(node) != 0) r.fail("duplicate metadata-cache node");
-    StateAccess::load(r, cache(node));
+    StateAccess::load(r, cache(node), ctx.model());
   }
   const std::size_t nengines = r.count(28);
   engines_.clear();
@@ -568,10 +566,14 @@ void OurScheme::load_persist_state(persist::StateReader& r, SimContext& ctx) {
         engines_.emplace(node, EngineState(ctx.model())).first->second;
     es.last_rebuilds = r.u64();
     const std::size_t owners = r.count(12);
+    es.loaded_revs.reserve(owners);
     for (std::size_t k = 0; k < owners; ++k) {
       const NodeId owner = r.i32();
-      if (es.loaded_revs.count(owner) != 0) r.fail("duplicate engine revision");
-      es.loaded_revs[owner] = r.u64();
+      if (k > 0 && owner == es.loaded_revs.back().first)
+        r.fail("duplicate engine revision");
+      if (k > 0 && owner < es.loaded_revs.back().first)
+        r.fail("engine revisions not in owner order");
+      es.loaded_revs.emplace_back(owner, r.u64());
     }
     StateAccess::load(r, es.env);
   }

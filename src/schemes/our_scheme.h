@@ -84,9 +84,9 @@ class OurScheme : public Scheme {
   MetadataEntry snapshot(SimContext& ctx, NodeId node, double now) const;
   /// Reconciles `viewer`'s persistent selection engine with its metadata
   /// cache: collections whose cached entry disappeared or was restamped are
-  /// removed/reloaded, untouched ones keep their cached per-PoI factors.
-  /// Returns the engine holding every validly cached collection except the
-  /// contact parties.
+  /// removed/reloaded (by their snapshot's shared arc digest), untouched ones
+  /// keep their cached per-PoI factors. Returns the engine holding every
+  /// validly cached collection except the contact parties.
   SelectionEnvironment& sync_engine(SimContext& ctx, NodeId viewer,
                                     NodeId exclude_a, NodeId exclude_b, double now);
   void contact_with_center(SimContext& ctx, ContactSession& session);
@@ -111,7 +111,8 @@ class OurScheme : public Scheme {
   struct EngineState {
     explicit EngineState(const CoverageModel& model) : env(model) {}
     SelectionEnvironment env;
-    std::unordered_map<NodeId, std::uint64_t> loaded_revs;
+    /// (owner, cache revision) of every loaded collection, sorted by owner.
+    std::vector<std::pair<NodeId, std::uint64_t>> loaded_revs;
     std::uint64_t last_rebuilds = 0;  // env.rebuild_count() at last reading
   };
 
@@ -139,6 +140,10 @@ class OurScheme : public Scheme {
   GreedySelector selector_;
   std::unordered_map<NodeId, MetadataCache> caches_;
   std::unordered_map<NodeId, EngineState> engines_;
+  // sync_engine's buffers, reused across contacts: the viewer's valid
+  // entries and the reconciled revision list it swaps in.
+  std::vector<const MetadataEntry*> valid_scratch_;
+  std::vector<std::pair<NodeId, std::uint64_t>> revs_scratch_;
   ObsHooks hooks_;
   /// The run's recorders, set by init(); nullptr while that tier is off.
   /// prov_ also gates the selector's commit log.

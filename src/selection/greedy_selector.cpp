@@ -1,8 +1,6 @@
 #include "selection/greedy_selector.h"
 
 #include <algorithm>
-#include <queue>
-#include <unordered_set>
 
 #include "util/check.h"
 
@@ -40,12 +38,11 @@ std::vector<PhotoId> GreedySelector::select(const CoverageModel& model,
   // Resolve every candidate's footprint once up front — gain evaluation then
   // never touches the model's hash cache (the greedy inner loop re-evaluates
   // candidates many times).
-  std::vector<const PhotoFootprint*> fps;
-  model.footprints_cached(pool, fps);
+  model.footprints_cached(pool, fps_);
   stats_ = SelectionStats{};
   std::vector<PhotoId> chosen =
-      params_.lazy ? select_lazy(pool, fps, capacity_bytes, phase)
-                   : select_plain(pool, fps, capacity_bytes, phase);
+      params_.lazy ? select_lazy(pool, fps_, capacity_bytes, phase)
+                   : select_plain(pool, fps_, capacity_bytes, phase);
   totals_.gain_evals += stats_.gain_evals;
   totals_.reevals += stats_.reevals;
   totals_.commits += stats_.commits;
@@ -98,36 +95,36 @@ std::vector<PhotoId> GreedySelector::select_plain(
 std::vector<PhotoId> GreedySelector::select_lazy(
     std::span<const PhotoMeta> pool, std::span<const PhotoFootprint* const> fps,
     std::uint64_t capacity_bytes, GreedyPhase& phase) const {
-  struct Cand {
-    CoverageValue gain;
-    PhotoId id;
-    std::size_t idx;
-    std::uint64_t stamp;
+  // A max-heap in heap_, kept by std::push_heap/pop_heap: the operations a
+  // std::priority_queue runs on its vector, so the pops are the same.
+  const auto less = [](const Cand& x, const Cand& y) {
+    // Exact ties broken toward the lower PhotoId, matching plain greedy
+    // (which scans the pool but prefers the smaller id on equal gain).
+    if (x.gain != y.gain) return x.gain < y.gain;
+    return x.id > y.id;
   };
-  struct Less {
-    bool operator()(const Cand& x, const Cand& y) const {
-      // Exact ties broken toward the lower PhotoId, matching plain greedy
-      // (which scans the pool but prefers the smaller id on equal gain).
-      if (x.gain != y.gain) return x.gain < y.gain;
-      return x.id > y.id;
-    }
+  std::vector<Cand>& heap = heap_;
+  heap.clear();
+  auto push = [&](const Cand& c) {
+    heap.push_back(c);
+    std::push_heap(heap.begin(), heap.end(), less);
   };
   // Seed the CELF heap with one batched sweep — same values in the same
   // push order as per-candidate seeding, so the heap state is identical.
-  std::vector<CoverageValue> gains(pool.size());
+  std::vector<CoverageValue>& gains = gains_;
+  gains.resize(pool.size());
   phase.gains_batch(fps, gains);
   stats_.gain_evals += pool.size();
-  std::priority_queue<Cand, std::vector<Cand>, Less> heap;
   for (std::size_t i = 0; i < pool.size(); ++i) {
-    if (gain_worth_taking(gains[i], params_.eps))
-      heap.push({gains[i], pool[i].id, i, 0});
+    if (gain_worth_taking(gains[i], params_.eps)) push({gains[i], pool[i].id, i, 0});
   }
   std::vector<PhotoId> chosen;
   std::uint64_t used = 0;
   std::uint64_t commit_stamp = 0;
   while (!heap.empty()) {
-    Cand top = heap.top();
-    heap.pop();
+    std::pop_heap(heap.begin(), heap.end(), less);
+    Cand top = heap.back();
+    heap.pop_back();
     if (used + pool[top.idx].size_bytes > capacity_bytes) continue;  // never fits again
     if (top.stamp != commit_stamp) {
       // Stale: re-evaluate against the current selection. Submodularity
@@ -137,7 +134,7 @@ std::vector<PhotoId> GreedySelector::select_lazy(
       top.stamp = commit_stamp;
       ++stats_.gain_evals;
       ++stats_.reevals;
-      if (gain_worth_taking(top.gain, params_.eps)) heap.push(top);
+      if (gain_worth_taking(top.gain, params_.eps)) push(top);
       continue;
     }
     phase.commit(*fps[top.idx]);
@@ -169,8 +166,10 @@ ReallocationPlan GreedySelector::reallocate(
 
   // Phase 1: maximize C_ex(F_first, ∅) — the peer's collection is excluded,
   // the rest of M stays.
-  GreedyPhase phase_first(env, p_first);
-  plan.first_target = select(model, pool, cap_first, phase_first);
+  {
+    GreedyPhase phase_first(env, p_first, phase_buffers_);
+    plan.first_target = select(model, pool, cap_first, phase_first);
+  }
 
   // Phase 2: the second node selects from the SAME pool, now against the
   // environment plus the first node's tentative selection. The engine only
@@ -182,16 +181,16 @@ ReallocationPlan GreedySelector::reallocate(
   // delivery probability (not the floored one): if p_first is truly tiny,
   // the second node should still duplicate valuable photos (Section III-D).
   first_sel.delivery_prob = a_first ? p_a : p_b;
-  // Footprints in pool order (one hash probe per photo, not a pool scan per
-  // selected id — contact pools reach hundreds of photos).
-  const std::unordered_set<PhotoId> in_first(plan.first_target.begin(),
-                                             plan.first_target.end());
-  for (std::size_t i = 0; i < pool.size(); ++i)
-    if (in_first.contains(pool[i].id))
-      first_sel.footprints.push_back(&model.footprint_cached(pool[i]));
+  // Footprints in pool order (a binary search per photo, not a pool scan
+  // per selected id — contact pools reach hundreds of photos).
+  std::vector<PhotoId> first_ids = plan.first_target;
+  std::sort(first_ids.begin(), first_ids.end());
+  for (const PhotoMeta& p : pool)
+    if (std::binary_search(first_ids.begin(), first_ids.end(), p.id))
+      first_sel.footprints.push_back(&model.footprint_cached(p));
 
   ScopedCollection guard(env, first_sel);
-  GreedyPhase phase_second(env, p_second);
+  GreedyPhase phase_second(env, p_second, phase_buffers_);
   plan.second_target = select(model, pool, cap_second, phase_second);
   return plan;
 }

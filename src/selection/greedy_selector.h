@@ -127,6 +127,12 @@ class GreedySelector {
   /// across select()/reallocate() calls until drained.
   void enable_commit_log(bool on) noexcept { log_commits_ = on; }
 
+  /// Buffers for the phases that select through this selector: reallocate
+  /// runs its two phases in them, and a caller building its own phase can
+  /// pass them too, so commits reuse the capacity earlier phases grew.
+  /// Scratch like the counters: one phase at a time.
+  GreedyPhase::Buffers& phase_buffers() const noexcept { return phase_buffers_; }
+
   /// Drains the accumulated commit log in commit order. The log is transient
   /// scheme-contact state: callers drain it within the same on_contact that
   /// filled it, before any checkpoint surface, so it is never persisted.
@@ -150,10 +156,26 @@ class GreedySelector {
                                    std::uint64_t capacity_bytes,
                                    GreedyPhase& phase) const;
 
+  /// A CELF heap entry: a candidate's cached gain and the commit count it
+  /// was computed at.
+  struct Cand {
+    CoverageValue gain;
+    PhotoId id;
+    std::size_t idx;
+    std::uint64_t stamp;
+  };
+
   GreedyParams params_;
+  // select()'s working buffers: the pool's footprints, the seeding sweep's
+  // gains and the CELF heap. Scratch like the counters — reused by every
+  // select(), so a warmed selector's phases allocate only their result.
+  mutable std::vector<const PhotoFootprint*> fps_;
+  mutable std::vector<CoverageValue> gains_;
+  mutable std::vector<Cand> heap_;
   mutable SelectionStats stats_;
   mutable SelectionStats totals_;
   mutable std::vector<SelectCommit> commit_log_;
+  mutable GreedyPhase::Buffers phase_buffers_;
   bool log_commits_ = false;
 };
 

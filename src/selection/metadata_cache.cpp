@@ -9,8 +9,17 @@
 
 namespace photodtn {
 
+MetadataSnapshot::MetadataSnapshot(std::vector<PhotoMeta> photos_in,
+                                   const CoverageModel& model)
+    : photos(std::move(photos_in)) {
+  std::vector<const PhotoFootprint*> footprints;
+  model.footprints_cached(photos, footprints);
+  digest = ArcDigest(footprints);
+}
+
 bool MetadataCache::is_stale(const MetadataEntry& entry) const {
   PHOTODTN_CHECK_MSG(entry.owner >= 0, "metadata entry needs an owner");
+  PHOTODTN_CHECK_MSG(entry.snapshot != nullptr, "metadata entry needs a snapshot");
   PHOTODTN_DCHECK_MSG(entry.lambda >= 0.0 && std::isfinite(entry.lambda),
                       "metadata entry lambda must be finite and non-negative");
   PHOTODTN_DCHECK_MSG(is_probability(entry.delivery_prob),
@@ -54,6 +63,13 @@ std::size_t MetadataCache::prune(double now) {
 
 std::vector<const MetadataEntry*> MetadataCache::valid_entries(double now) const {
   std::vector<const MetadataEntry*> out;
+  valid_entries(now, out);
+  return out;
+}
+
+void MetadataCache::valid_entries(double now,
+                                  std::vector<const MetadataEntry*>& out) const {
+  out.clear();
   out.reserve(entries_.size());
   // photodtn-lint: allow(unordered-iter): extract-and-sort — owner-sorted below
   for (const auto& [owner, entry] : entries_)
@@ -64,7 +80,6 @@ std::vector<const MetadataEntry*> MetadataCache::valid_entries(double now) const
             [](const MetadataEntry* a, const MetadataEntry* b) {
               return a->owner < b->owner;
             });
-  return out;
 }
 
 void MetadataCache::clear() {
@@ -80,8 +95,8 @@ std::size_t MetadataCache::merge_from(const MetadataCache& other, NodeId self) {
   std::size_t accepted = 0;
   // photodtn-lint: allow(unordered-iter): per-owner acceptance is independent; revision stamps are compared only for equality, never ordered
   for (const auto& [owner, entry] : other.entries_) {
-    // Freshness first: most offered entries are stale, and only an accepted
-    // one is copied. Copy-assignment reuses the replaced entry's buffer.
+    // Freshness first: most offered entries are stale. An accepted one costs
+    // a pointer copy — the snapshot itself is shared, never copied.
     if (owner == self || is_stale(entry)) continue;
     MetadataEntry& slot = entries_[owner];
     slot = entry;
@@ -100,6 +115,7 @@ void MetadataCache::audit() const {
     PHOTODTN_CHECK_MSG(owner == entry.owner,
                        "MetadataCache entry keyed by a different owner");
     PHOTODTN_CHECK_MSG(entry.owner >= 0, "MetadataCache entry owner must be valid");
+    PHOTODTN_CHECK_MSG(entry.snapshot != nullptr, "MetadataCache entry needs a snapshot");
     PHOTODTN_CHECK_MSG(std::isfinite(entry.lambda) && entry.lambda >= 0.0,
                        "MetadataCache entry lambda must be finite and >= 0");
     PHOTODTN_CHECK_MSG(is_probability(entry.delivery_prob),

@@ -10,18 +10,36 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
+#include "coverage/coverage_model.h"
 #include "coverage/photo.h"
 #include "persist/fwd.h"
+#include "selection/poi_cover.h"
 
 namespace photodtn {
 
+/// One observation of a node's photo collection (the metadata record of
+/// Section III-B). Built once, then shared read-only — through
+/// std::shared_ptr<const MetadataSnapshot> — by every cache that accepts it
+/// and every selection engine that loads it, so gossip copies a pointer and
+/// an engine load copies no arcs.
+struct MetadataSnapshot {
+  /// Builds the arc digest of `photos` from `model`'s footprints.
+  MetadataSnapshot(std::vector<PhotoMeta> photos, const CoverageModel& model);
+
+  /// The collection's photo metadata.
+  std::vector<PhotoMeta> photos;
+  /// The arcs the photos put on each PoI, unioned in photo order.
+  ArcDigest digest;
+};
+
 struct MetadataEntry {
   NodeId owner = -1;
-  /// Snapshot of the owner's photo collection metadata.
-  std::vector<PhotoMeta> photos;
+  /// The owner's photo collection as observed. Never null in a cache.
+  std::shared_ptr<const MetadataSnapshot> snapshot;
   /// When the owner was last *directly* observed (by whoever produced the
   /// snapshot). Gossip forwards this original timestamp unchanged.
   double observed_at = 0.0;
@@ -62,8 +80,10 @@ class MetadataCache {
   /// feeds the scheme.cache_invalidations metric).
   std::size_t prune(double now);
 
-  /// All entries currently valid at `now` (does not prune).
+  /// All entries currently valid at `now`, sorted by owner (does not prune).
   std::vector<const MetadataEntry*> valid_entries(double now) const;
+  /// Same, into `out` (cleared first), so a caller can reuse its buffer.
+  void valid_entries(double now, std::vector<const MetadataEntry*>& out) const;
 
   const MetadataEntry* find(NodeId owner) const;
   void erase(NodeId owner) { entries_.erase(owner); }
@@ -86,11 +106,11 @@ class MetadataCache {
   }
 
   /// Deep invariant check (audit builds / tests): every entry is keyed by its
-  /// own owner id, owners are valid (>= 0), inter-contact rates satisfy
-  /// lambda >= 0 and are finite, delivery probabilities lie in [0, 1],
-  /// observation timestamps are finite and non-negative (update() only ever
-  /// replaces an entry with a fresher one, so observed_at is monotone per
-  /// owner), revision stamps are unique and within the issued range, and the
+  /// own owner id and holds a snapshot, owners are valid (>= 0),
+  /// inter-contact rates satisfy lambda >= 0 and are finite, delivery
+  /// probabilities lie in [0, 1], observation timestamps are finite and
+  /// non-negative (update() only ever replaces an entry with a fresher one,
+  /// so observed_at is monotone per owner), revision stamps are unique and within the issued range, and the
   /// validity threshold is a probability. Throws std::logic_error on
   /// violation.
   void audit() const;

@@ -10,47 +10,6 @@
 
 namespace photodtn {
 
-namespace {
-
-/// The arcs `footprints` put on each PoI, unioned: one (poi index, arcs)
-/// pair per PoI they cover, in ascending PoI order. Each PoI's arcs are
-/// added in footprint order. The selection engine's one per-PoI arc union.
-std::vector<std::pair<std::size_t, ArcSet>> union_arcs_by_poi(
-    std::span<const PhotoFootprint* const> footprints) {
-  struct Placed {
-    std::size_t poi;
-    std::size_t pos;  // position in footprint order
-    const Arc* arc;
-  };
-  std::vector<Placed> arcs;
-  for (const PhotoFootprint* fp : footprints)
-    for (const PoiArc& pa : fp->arcs)
-      arcs.push_back({pa.poi_index, arcs.size(), &pa.arc});
-  // (PoI, position) is a total order, so an in-place sort keeps each PoI's
-  // arcs in footprint order without a stable sort's temporary buffer.
-  std::sort(arcs.begin(), arcs.end(), [](const Placed& x, const Placed& y) {
-    return x.poi != y.poi ? x.poi < y.poi : x.pos < y.pos;
-  });
-  std::vector<std::pair<std::size_t, ArcSet>> out;
-  for (const Placed& pa : arcs) {
-    if (out.empty() || out.back().first != pa.poi) out.emplace_back(pa.poi, ArcSet{});
-    out.back().second.add(*pa.arc);
-  }
-  return out;
-}
-
-}  // namespace
-
-std::vector<std::vector<NodePoiCover>> build_poi_cover_index(
-    const CoverageModel& model, std::span<const NodeCollection> nodes) {
-  std::vector<std::vector<NodePoiCover>> index(model.pois().size());
-  for (const NodeCollection& nc : nodes) {
-    for (auto& [poi, arcs] : union_arcs_by_poi(nc.footprints))
-      index[poi].push_back(NodePoiCover{nc.node, nc.delivery_prob, std::move(arcs)});
-  }
-  return index;
-}
-
 // ------------------------------------------------------------ PiecewiseMiss
 
 namespace {
@@ -61,7 +20,7 @@ constexpr double kRescaleLow = 0x1p-500;
 constexpr double kRescaleHigh = 0x1p500;
 }  // namespace
 
-void PiecewiseMiss::rebuild(std::span<const NodePoiCover> covers,
+void PiecewiseMiss::rebuild(std::span<const CoverView> covers,
                             const AspectProfile* profile, Scratch& scratch) {
   const bool weighted = profile != nullptr && !profile->is_uniform();
   // Every cover's boundaries, then the profile's breakpoints. Covers often
@@ -69,7 +28,7 @@ void PiecewiseMiss::rebuild(std::span<const NodePoiCover> covers,
   // deduplicated in scratch and cuts_ keeps only the distinct ones.
   std::vector<double>& cuts = scratch.cuts;
   cuts.clear();
-  for (const NodePoiCover& c : covers) c.arcs.append_boundaries(cuts);
+  for (const CoverView& c : covers) append_arc_boundaries(c.arcs, cuts);
   if (weighted)
     cuts.insert(cuts.end(), profile->breakpoints().begin(), profile->breakpoints().end());
 
@@ -78,8 +37,8 @@ void PiecewiseMiss::rebuild(std::span<const NodePoiCover> covers,
     // circle (constant product); the profile is uniform here, since a
     // non-uniform one always contributes breakpoints.
     double miss = 1.0;
-    for (const NodePoiCover& c : covers)
-      if (c.arcs.full()) miss *= 1.0 - c.p;
+    for (const CoverView& c : covers)
+      if (arcs_full(c.arcs)) miss *= 1.0 - c.p;
     constant_ = miss;
     cuts_.clear();
     vals_.clear();
@@ -104,9 +63,9 @@ void PiecewiseMiss::rebuild(std::span<const NodePoiCover> covers,
   // and the product is the same bits on every rebuild.
   std::vector<Scratch::Event>& events = scratch.events;
   events.clear();
-  for (const NodePoiCover& c : covers) {
+  for (const CoverView& c : covers) {
     const double f = 1.0 - c.p;
-    for (const auto& [s, e] : c.arcs.intervals()) {
+    for (const auto& [s, e] : c.arcs) {
       events.push_back({s, f, true});
       if (e < kTwoPi) events.push_back({e, f, false});
     }
@@ -242,7 +201,7 @@ double PiecewiseMiss::integrate_excluding(double lo, double hi,
   const auto& iv = exclude.intervals();
   auto it = std::lower_bound(
       iv.begin(), iv.end(), lo,
-      [](const std::pair<double, double>& seg, double v) { return seg.second <= v; });
+      [](const ArcInterval& seg, double v) { return seg.second <= v; });
   for (; it != iv.end() && it->first < hi; ++it)
     total -= integral(std::max(lo, it->first), std::min(hi, it->second));
   return std::max(0.0, total);
@@ -343,29 +302,45 @@ SelectionEnvironment::SelectionEnvironment(const CoverageModel& model,
   for (const NodeCollection& nc : others) add_collection(nc);
 }
 
-void SelectionEnvironment::add_collection(const NodeCollection& collection) {
-  PHOTODTN_CHECK_MSG(!loaded_.contains(collection.node),
+auto SelectionEnvironment::slot_of(NodeId node) const noexcept
+    -> std::vector<Loaded>::const_iterator {
+  return std::lower_bound(loaded_.begin(), loaded_.end(), node,
+                          [](const Loaded& l, NodeId n) { return l.node < n; });
+}
+
+const SelectionEnvironment::Loaded* SelectionEnvironment::find_loaded(
+    NodeId node) const noexcept {
+  const auto it = slot_of(node);
+  return it != loaded_.end() && it->node == node ? &*it : nullptr;
+}
+
+void SelectionEnvironment::add_collection(NodeId node, double delivery_prob,
+                                          std::shared_ptr<const ArcDigest> digest) {
+  PHOTODTN_CHECK_MSG(!has_collection(node),
                      "environment already holds this node's collection");
-  PHOTODTN_CHECK_MSG(is_probability(collection.delivery_prob),
+  PHOTODTN_CHECK_MSG(is_probability(delivery_prob),
                      "collection delivery probability must be in [0, 1]");
-  Loaded& entry = loaded_[collection.node];
-  entry.delivery_prob = collection.delivery_prob;
-  // One cover entry per covered PoI; touched comes out in ascending order.
-  std::vector<std::pair<std::size_t, ArcSet>> by_poi =
-      union_arcs_by_poi(collection.footprints);
-  entry.touched.reserve(by_poi.size());
-  for (auto& [poi, arcs] : by_poi) {
-    covers_[poi].push_back(
-        NodePoiCover{collection.node, collection.delivery_prob, std::move(arcs)});
+  PHOTODTN_CHECK_MSG(digest != nullptr, "a loaded collection needs its arc digest");
+  PHOTODTN_CHECK_MSG(digest->empty() || digest->poi(digest->size() - 1) < covers_.size(),
+                     "arc digest covers a PoI outside the model");
+  // One cover entry per covered PoI, a view of the digest's intervals.
+  for (std::size_t k = 0; k < digest->size(); ++k) {
+    const std::size_t poi = digest->poi(k);
+    covers_[poi].push_back(CoverView{node, delivery_prob, digest->arcs(k)});
     dirty_[poi] = 1;
-    entry.touched.push_back(poi);
   }
+  loaded_.insert(slot_of(node), Loaded{node, delivery_prob, std::move(digest)});
+}
+
+void SelectionEnvironment::add_collection(const NodeCollection& collection) {
+  add_collection(collection.node, collection.delivery_prob,
+                 std::make_shared<const ArcDigest>(collection.footprints));
 }
 
 void SelectionEnvironment::extend_collection(
     NodeId node, double delivery_prob, std::span<const PhotoFootprint* const> extra) {
-  const auto it = loaded_.find(node);
-  if (it == loaded_.end()) {
+  const Loaded* found = find_loaded(node);
+  if (found == nullptr) {
     NodeCollection nc;
     nc.node = node;
     nc.delivery_prob = delivery_prob;
@@ -373,48 +348,72 @@ void SelectionEnvironment::extend_collection(
     add_collection(nc);
     return;
   }
-  PHOTODTN_CHECK_MSG(it->second.delivery_prob == delivery_prob,
+  Loaded& entry = loaded_[static_cast<std::size_t>(found - loaded_.data())];
+  PHOTODTN_CHECK_MSG(entry.delivery_prob == delivery_prob,
                      "extend_collection must keep the delivery probability");
-  for (auto& [poi, arcs] : union_arcs_by_poi(extra)) {
-    std::vector<NodePoiCover>& covers = covers_[poi];
-    auto cover = std::find_if(covers.begin(), covers.end(),
-                              [&](const NodePoiCover& c) { return c.node == node; });
-    if (cover == covers.end()) {
-      covers.push_back(NodePoiCover{node, delivery_prob, std::move(arcs)});
+  const ArcDigest added(extra);
+  if (added.empty()) return;
+  // The grown digest merges the two ascending PoI lists: a PoI only one
+  // side covers keeps that side's intervals, a PoI both cover gets their
+  // union. The old digest is never written — another engine may share it.
+  const ArcDigest& old = *entry.digest;
+  auto grown = std::make_shared<ArcDigest>();
+  ArcSet merged;
+  std::size_t i = 0;
+  for (std::size_t j = 0; j < added.size(); ++j) {
+    const std::size_t poi = added.poi(j);
+    for (; i < old.size() && old.poi(i) < poi; ++i)
+      grown->append(old.poi(i), old.arcs(i));
+    if (i < old.size() && old.poi(i) == poi) {
+      merged.assign(old.arcs(i));
+      merged.unite(added.arcs(j));
+      // Unchanged intervals: nothing new on this PoI.
+      if (!std::ranges::equal(merged.intervals(), old.arcs(i))) dirty_[poi] = 1;
+      grown->append(poi, merged.intervals());
+      ++i;
+    } else {
+      grown->append(poi, added.arcs(j));
       dirty_[poi] = 1;
-      it->second.touched.insert(
-          std::upper_bound(it->second.touched.begin(), it->second.touched.end(), poi),
-          poi);
-      continue;
     }
-    ArcSet merged = cover->arcs;
-    merged.unite(arcs);
-    if (merged == cover->arcs) continue;  // nothing new on this PoI
-    cover->arcs = std::move(merged);
-    dirty_[poi] = 1;
   }
+  for (; i < old.size(); ++i) grown->append(old.poi(i), old.arcs(i));
+  // Point the node's cover entries at the grown digest, each in its place
+  // in its PoI's list; PoIs the node newly covers get an entry at the end.
+  for (std::size_t k = 0; k < grown->size(); ++k) {
+    std::vector<CoverView>& covers = covers_[grown->poi(k)];
+    const auto cover = std::find_if(covers.begin(), covers.end(),
+                                    [&](const CoverView& c) { return c.node == node; });
+    if (cover == covers.end()) {
+      covers.push_back(CoverView{node, delivery_prob, grown->arcs(k)});
+    } else {
+      cover->arcs = grown->arcs(k);
+    }
+  }
+  entry.digest = std::move(grown);
 }
 
 bool SelectionEnvironment::remove_collection(NodeId node) {
-  const auto it = loaded_.find(node);
-  if (it == loaded_.end()) return false;
-  for (const std::size_t poi : it->second.touched) {
-    std::vector<NodePoiCover>& covers = covers_[poi];
+  const Loaded* found = find_loaded(node);
+  if (found == nullptr) return false;
+  const ArcDigest& digest = *found->digest;
+  for (std::size_t k = 0; k < digest.size(); ++k) {
+    const std::size_t poi = digest.poi(k);
+    std::vector<CoverView>& covers = covers_[poi];
     const auto cover = std::find_if(covers.begin(), covers.end(),
-                                    [&](const NodePoiCover& c) { return c.node == node; });
+                                    [&](const CoverView& c) { return c.node == node; });
     PHOTODTN_CHECK_MSG(cover != covers.end(),
                        "environment cover list out of sync with registry");
     covers.erase(cover);
     dirty_[poi] = 1;
   }
-  loaded_.erase(it);
+  loaded_.erase(loaded_.begin() + (found - loaded_.data()));
   return true;
 }
 
 void SelectionEnvironment::refresh(std::size_t poi) const {
   ++rebuilds_;
   double miss = 1.0;
-  for (const NodePoiCover& c : covers_[poi]) miss *= 1.0 - c.p;
+  for (const CoverView& c : covers_[poi]) miss *= 1.0 - c.p;
   pt_miss_[poi] = miss;
   miss_[poi].rebuild(covers_[poi], model_->pois()[poi].profile(), rebuild_scratch_);
   dirty_[poi] = 0;
@@ -451,45 +450,54 @@ void SelectionEnvironment::audit() const {
                          miss_.size() == covers_.size() &&
                          dirty_.size() == covers_.size(),
                      "environment per-PoI arrays must match the model");
-  std::vector<std::size_t> cover_counts(covers_.size(), 0);
-  // photodtn-lint: allow(unordered-iter): per-entry audit checks + commutative counts
-  for (const auto& [node, entry] : loaded_) {
+  // Every digest entry has exactly one cover entry viewing it: each one is
+  // found in its PoI's list below, and the lists hold no more entries than
+  // the digests have in all.
+  std::size_t digest_entries = 0;
+  for (std::size_t i = 0; i < loaded_.size(); ++i) {
+    const Loaded& entry = loaded_[i];
+    PHOTODTN_CHECK_MSG(i == 0 || loaded_[i - 1].node < entry.node,
+                       "loaded collections must be sorted by unique node id");
     PHOTODTN_CHECK_MSG(is_probability(entry.delivery_prob),
                        "loaded collection delivery probability must be in [0, 1]");
-    PHOTODTN_CHECK_MSG(std::is_sorted(entry.touched.begin(), entry.touched.end()) &&
-                           std::adjacent_find(entry.touched.begin(),
-                                              entry.touched.end()) == entry.touched.end(),
-                       "loaded touched-PoI lists must be sorted and unique");
-    for (const std::size_t poi : entry.touched) {
-      PHOTODTN_CHECK_MSG(poi < covers_.size(), "touched PoI out of range");
+    PHOTODTN_CHECK_MSG(entry.digest != nullptr, "loaded collection lost its arc digest");
+    const ArcDigest& digest = *entry.digest;
+    digest.audit();
+    digest_entries += digest.size();
+    for (std::size_t k = 0; k < digest.size(); ++k) {
+      const std::size_t poi = digest.poi(k);
+      PHOTODTN_CHECK_MSG(poi < covers_.size(), "digest PoI out of range");
       const auto& covers = covers_[poi];
-      const auto it = std::find_if(covers.begin(), covers.end(),
-                                   [&](const NodePoiCover& c) { return c.node == node; });
+      const auto it = std::find_if(covers.begin(), covers.end(), [&](const CoverView& c) {
+        return c.node == entry.node;
+      });
       PHOTODTN_CHECK_MSG(it != covers.end(),
-                         "touched PoI missing this node's cover entry");
-      PHOTODTN_CHECK_MSG(it->p == entry.delivery_prob && !it->arcs.empty(),
-                         "cover entry must carry the collection's p and arcs");
-      it->arcs.audit();
-      ++cover_counts[poi];
+                         "covered PoI missing this node's cover entry");
+      PHOTODTN_CHECK_MSG(it->p == entry.delivery_prob && !it->arcs.empty() &&
+                             it->arcs.data() == digest.arcs(k).data() &&
+                             it->arcs.size() == digest.arcs(k).size(),
+                         "cover entry must view the collection's p and digest arcs");
     }
   }
+  std::size_t cover_entries = 0;
+  for (const auto& covers : covers_) cover_entries += covers.size();
+  PHOTODTN_CHECK_MSG(cover_entries == digest_entries,
+                     "cover list holds entries no loaded collection owns");
   for (std::size_t poi = 0; poi < covers_.size(); ++poi) {
-    PHOTODTN_CHECK_MSG(covers_[poi].size() == cover_counts[poi],
-                       "cover list holds entries no loaded collection owns");
     if (dirty_[poi]) continue;  // cached terms not built yet — nothing to verify
     double miss = 1.0;
-    for (const NodePoiCover& c : covers_[poi]) miss *= 1.0 - c.p;
+    for (const CoverView& c : covers_[poi]) miss *= 1.0 - c.p;
     PHOTODTN_CHECK_MSG(std::fabs(pt_miss_[poi] - miss) <= 1e-12,
                        "cached point-miss product out of date");
     miss_[poi].audit();
     // Cross-check the cached miss function against direct products at the
     // covers' interval midpoints (the same probe the pre-sweep builder used).
-    for (const NodePoiCover& c : covers_[poi]) {
-      for (const auto& [s, e] : c.arcs.intervals()) {
+    for (const CoverView& c : covers_[poi]) {
+      for (const auto& [s, e] : c.arcs) {
         const double mid = s + (e - s) / 2.0;
         double expect = 1.0;
-        for (const NodePoiCover& o : covers_[poi])
-          if (o.arcs.contains(mid)) expect *= 1.0 - o.p;
+        for (const CoverView& o : covers_[poi])
+          if (arcs_contain(o.arcs, mid)) expect *= 1.0 - o.p;
         PHOTODTN_CHECK_MSG(std::fabs(miss_[poi].value_at(mid) - expect) <= 1e-9,
                            "cached miss function out of date");
       }
@@ -499,25 +507,51 @@ void SelectionEnvironment::audit() const {
 
 // ------------------------------------------------------------- GreedyPhase
 
+GreedyPhase::GreedyPhase(const SelectionEnvironment& env, double delivery_prob,
+                         Buffers& buffers)
+    : env_(&env), p_(delivery_prob), buf_(&buffers) {
+  start();
+}
+
 GreedyPhase::GreedyPhase(const SelectionEnvironment& env, double delivery_prob)
     : env_(&env),
       p_(delivery_prob),
-      own_arcs_(env.model().pois().size()),
-      own_covered_(env.model().pois().size(), 0) {
+      owned_(std::make_unique<Buffers>()),
+      buf_(owned_.get()) {
+  start();
+}
+
+void GreedyPhase::start() {
   PHOTODTN_CHECK_MSG(p_ > 0.0 && p_ <= 1.0, "selection needs p in (0, 1]");
+  PHOTODTN_CHECK_MSG(!buf_->in_use, "phase buffers are in use by another phase");
+  // Clean buffers stay clean when resized: every PoI starts uncovered.
+  const std::size_t npois = env_->model().pois().size();
+  buf_->own_arcs.resize(npois);
+  buf_->own_covered.resize(npois, 0);
+  buf_->in_use = true;
+}
+
+GreedyPhase::~GreedyPhase() {
+  for (const std::size_t poi : buf_->touched) {
+    buf_->own_arcs[poi].clear();
+    buf_->own_covered[poi] = 0;
+  }
+  buf_->touched.clear();
+  buf_->in_use = false;
 }
 
 CoverageValue GreedyPhase::gain(const PhotoFootprint& fp) const {
   CoverageValue g;
+  const std::vector<char>& own_covered = buf_->own_covered;
   for (const PoiArc& pa : fp.arcs) {
     const PointOfInterest& poi = env_->model().pois()[pa.poi_index];
-    if (!own_covered_[pa.poi_index])
+    if (!own_covered[pa.poi_index])
       g.point += poi.weight * env_->point_miss(pa.poi_index) * p_;
     // Split a wrapping arc into linear pieces.
     const double start = normalize_angle(pa.arc.start);
     const double end = start + std::min(pa.arc.length, kTwoPi);
     const PiecewiseMiss& env_fn = env_->aspect_miss(pa.poi_index);
-    const ArcSet& own = own_arcs_[pa.poi_index];
+    const ArcSet& own = buf_->own_arcs[pa.poi_index];
     double integral = 0.0;
     if (end <= kTwoPi) {
       integral = env_fn.integrate_excluding(start, end, own);
@@ -535,11 +569,11 @@ void GreedyPhase::gains_batch(std::span<const PhotoFootprint* const> fps,
   PHOTODTN_CHECK_MSG(out.size() == fps.size(),
                      "gains_batch output span must match the candidate span");
   if (fps.empty()) return;
-  // Small batches skip the counting sort: the PoI-major restructuring (and
-  // its scratch allocations) only pays for itself once many candidates
-  // share PoIs. gain() computes the identical sums in the identical order,
-  // so the cutover is invisible in the output bytes — contact-time pools in
-  // the simulator are often this small, the dense benches never are.
+  // Small batches skip the counting sort: the PoI-major restructuring only
+  // pays for itself once many candidates share PoIs. gain() computes the
+  // identical sums in the identical order, so the cutover is invisible in
+  // the output bytes — contact-time pools in the simulator are often this
+  // small, the dense benches never are.
   constexpr std::size_t kSmallBatch = 32;
   if (fps.size() <= kSmallBatch) {
     for (std::size_t i = 0; i < fps.size(); ++i) out[i] = gain(*fps[i]);
@@ -551,18 +585,17 @@ void GreedyPhase::gains_batch(std::span<const PhotoFootprint* const> fps,
   // order gain() does — the sums are bit-identical. Each PoI is visited
   // once, so a dirty one is rebuilt once, on first touch.
   const auto& pois = env_->model().pois();
-  const std::size_t npois = own_arcs_.size();
+  const std::size_t npois = buf_->own_arcs.size();
   // Counting sort of the candidates' arcs into per-PoI buckets.
-  std::vector<std::uint32_t> offset(npois + 1, 0);
+  std::vector<std::uint32_t>& offset = buf_->offset;
+  offset.assign(npois + 1, 0);
   for (const PhotoFootprint* fp : fps)
     for (const PoiArc& pa : fp->arcs) ++offset[pa.poi_index + 1];
   for (std::size_t p = 0; p < npois; ++p) offset[p + 1] += offset[p];
-  struct Entry {
-    std::uint32_t cand;  // candidate index (owns out[cand])
-    double lo, hi;       // normalized span; hi > 2*pi means it wraps
-  };
-  std::vector<Entry> entries(offset[npois]);
-  std::vector<std::uint32_t> fill(offset.begin(), offset.end() - 1);
+  std::vector<Buffers::BatchEntry>& entries = buf_->entries;
+  entries.resize(offset[npois]);
+  std::vector<std::uint32_t>& fill = buf_->fill;
+  fill.assign(offset.begin(), offset.end() - 1);
   for (std::size_t i = 0; i < fps.size(); ++i) {
     out[i] = CoverageValue{};
     for (const PoiArc& pa : fps[i]->arcs) {
@@ -578,12 +611,12 @@ void GreedyPhase::gains_batch(std::span<const PhotoFootprint* const> fps,
     // per PoI: weight, point term, miss function, committed arcs.
     const PointOfInterest& poi = pois[p];
     const PiecewiseMiss& env_fn = env_->aspect_miss(p);
-    const ArcSet& own = own_arcs_[p];
-    const bool covered = own_covered_[p] != 0;
+    const ArcSet& own = buf_->own_arcs[p];
+    const bool covered = buf_->own_covered[p] != 0;
     const double pt_add = covered ? 0.0 : poi.weight * env_->point_miss(p) * p_;
     const double wp = poi.weight * p_;
     for (std::uint32_t k = lo_e; k < hi_e; ++k) {
-      const Entry& en = entries[k];
+      const Buffers::BatchEntry& en = entries[k];
       CoverageValue& g = out[en.cand];
       if (!covered) g.point += pt_add;
       double integral = 0.0;
@@ -600,20 +633,32 @@ void GreedyPhase::gains_batch(std::span<const PhotoFootprint* const> fps,
 
 void GreedyPhase::commit(const PhotoFootprint& fp) {
   for (const PoiArc& pa : fp.arcs) {
-    own_covered_[pa.poi_index] = 1;
-    own_arcs_[pa.poi_index].add(pa.arc);
+    if (!buf_->own_covered[pa.poi_index]) {
+      buf_->own_covered[pa.poi_index] = 1;
+      buf_->touched.push_back(pa.poi_index);
+    }
+    buf_->own_arcs[pa.poi_index].add(pa.arc);
   }
   PHOTODTN_AUDIT(audit());
 }
 
 void GreedyPhase::audit() const {
-  PHOTODTN_CHECK_MSG(own_arcs_.size() == own_covered_.size(),
+  const Buffers& b = *buf_;
+  PHOTODTN_CHECK_MSG(b.in_use && b.own_arcs.size() == b.own_covered.size() &&
+                         b.own_arcs.size() == env_->model().pois().size(),
                      "GreedyPhase parallel arrays must agree in size");
-  for (std::size_t poi = 0; poi < own_arcs_.size(); ++poi) {
-    own_arcs_[poi].audit();
-    PHOTODTN_CHECK_MSG((own_covered_[poi] != 0) == !own_arcs_[poi].empty(),
+  std::size_t covered = 0;
+  for (std::size_t poi = 0; poi < b.own_arcs.size(); ++poi) {
+    b.own_arcs[poi].audit();
+    PHOTODTN_CHECK_MSG((b.own_covered[poi] != 0) == !b.own_arcs[poi].empty(),
                        "point-covered flag must match committed arc presence");
+    if (b.own_covered[poi] != 0) ++covered;
   }
+  PHOTODTN_CHECK_MSG(covered == b.touched.size(),
+                     "touched list must name each covered PoI once");
+  for (const std::size_t poi : b.touched)
+    PHOTODTN_CHECK_MSG(poi < b.own_covered.size() && b.own_covered[poi] != 0,
+                       "touched list must name only covered PoIs");
 }
 
 }  // namespace photodtn

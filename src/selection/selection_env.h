@@ -21,9 +21,13 @@
 // only the PoIs the changed collection covers are marked dirty; their
 // cached per-PoI state is rebuilt lazily on the next query, in place over
 // the PoI's own arrays, so a warmed environment rebuilds without touching
-// the heap. PiecewiseMiss carries prefix-sum integrals (with the PoI's
-// aspect-weight profile baked into the segments), making one marginal-gain
-// integral O(log B) in the number of environment breakpoints instead of O(B).
+// the heap. A loaded collection is its arc digest (poi_cover.h), held by
+// shared pointer: a metadata snapshot's digest is built once and every
+// engine that loads the snapshot reads the same intervals, so a PoI's cover
+// entries are views, and loading or unloading a collection copies no arcs.
+// PiecewiseMiss carries prefix-sum integrals (with the PoI's aspect-weight
+// profile baked into the segments), making one marginal-gain integral
+// O(log B) in the number of environment breakpoints instead of O(B).
 //
 // Batched gain kernel: the greedy selector evaluates every candidate's gain
 // over and over, and candidate-at-a-time evaluation streams each PoI's
@@ -36,8 +40,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "coverage/coverage_model.h"
@@ -71,12 +75,12 @@ class PiecewiseMiss {
   /// Constant 1 (no other node covers this PoI, uniform weight).
   PiecewiseMiss() = default;
 
-  /// Rebuilds the function in place from the covering nodes' arc sets and
-  /// delivery probabilities. `profile` (optional) bakes the PoI's aspect
-  /// weighting into the integrals; a null or uniform profile means weight 1
-  /// everywhere. Every array is overwritten but keeps its capacity, so a
+  /// Rebuilds the function in place from the covering nodes' arcs and
+  /// delivery probabilities, read in cover order. `profile` (optional) bakes
+  /// the PoI's aspect weighting into the integrals; a null or uniform profile
+  /// means weight 1 everywhere. Every array is overwritten but keeps its capacity, so a
   /// rebuild no larger than earlier ones allocates nothing.
-  void rebuild(std::span<const NodePoiCover> covers, const AspectProfile* profile,
+  void rebuild(std::span<const CoverView> covers, const AspectProfile* profile,
                Scratch& scratch);
 
   /// env value at an angle (unweighted miss product).
@@ -150,15 +154,23 @@ class SelectionEnvironment {
   SelectionEnvironment(const CoverageModel& model,
                        std::span<const NodeCollection> others);
 
-  /// Adds a collection (node ids must be unique; footprint pointers only
-  /// need to live for the duration of the call — arcs are copied). Marks
-  /// exactly the PoIs the collection point-covers dirty.
+  /// Adds a collection by its arc digest (node ids must be unique). The
+  /// engine shares the digest — it keeps the pointer while the collection
+  /// is loaded and never modifies it — so other holders (the metadata
+  /// snapshot it came from, other engines) may keep reading it. Marks
+  /// exactly the PoIs the digest covers dirty.
+  void add_collection(NodeId node, double delivery_prob,
+                      std::shared_ptr<const ArcDigest> digest);
+
+  /// Adds a collection from its footprints (pointers only need to live for
+  /// the duration of the call): the engine builds the digest and owns it.
   void add_collection(const NodeCollection& collection);
 
   /// Adds photos to an existing collection (or adds the collection when the
   /// node is not loaded). Used when a collection grows in place — e.g. the
-  /// command center receiving deliveries mid-contact. Only PoIs whose
-  /// covered arcs actually change are marked dirty.
+  /// command center receiving deliveries mid-contact. The grown collection
+  /// gets a new digest of the engine's own; one it shared is left as it
+  /// was. Only PoIs whose covered arcs actually change are marked dirty.
   void extend_collection(NodeId node, double delivery_prob,
                          std::span<const PhotoFootprint* const> extra);
 
@@ -166,7 +178,7 @@ class SelectionEnvironment {
   /// Marks only the PoIs the collection covered dirty.
   bool remove_collection(NodeId node);
 
-  bool has_collection(NodeId node) const noexcept { return loaded_.contains(node); }
+  bool has_collection(NodeId node) const noexcept { return find_loaded(node) != nullptr; }
   std::size_t collection_count() const noexcept { return loaded_.size(); }
 
   /// Lifetime count of lazy per-PoI rebuilds (refresh() calls): how much
@@ -191,9 +203,10 @@ class SelectionEnvironment {
   CoverageValue total() const;
 
   /// Deep invariant check (audit builds / tests): per-PoI cover lists
-  /// consistent with the loaded-collection registry, point-miss products
-  /// and piecewise miss functions match a from-scratch recomputation, arc
-  /// sets canonical. Throws std::logic_error on violation.
+  /// consistent with the loaded-collection registry (each entry a view of
+  /// its collection's digest), point-miss products and piecewise miss
+  /// functions match a from-scratch recomputation, arcs canonical. Throws
+  /// std::logic_error on violation.
   void audit() const;
 
  private:
@@ -203,10 +216,14 @@ class SelectionEnvironment {
   friend struct persist::StateAccess;
 
   struct Loaded {
+    NodeId node = -1;
     double delivery_prob = 0.0;
-    std::vector<std::size_t> touched;  // PoIs this collection covers
+    std::shared_ptr<const ArcDigest> digest;  // its PoIs are the ones touched
   };
 
+  /// Where `node` is or would be inserted in the sorted registry.
+  std::vector<Loaded>::const_iterator slot_of(NodeId node) const noexcept;
+  const Loaded* find_loaded(NodeId node) const noexcept;
   void refresh(std::size_t poi) const;
 
   const CoverageModel* model_;
@@ -219,20 +236,49 @@ class SelectionEnvironment {
   // stream dense double/char arrays instead of striding over a struct that
   // drags each PoI's cover list and miss function through cache with it.
   // dirty_ starts all-1: the initial rebuild must bake in the PoI profile.
-  mutable std::vector<std::vector<NodePoiCover>> covers_;
+  std::vector<std::vector<CoverView>> covers_;
   mutable std::vector<double> pt_miss_;
   mutable std::vector<PiecewiseMiss> miss_;
   mutable std::vector<char> dirty_;
   mutable std::uint64_t rebuilds_ = 0;
-  std::unordered_map<NodeId, Loaded> loaded_;
+  // The loaded collections, sorted by node id. Slots are reused: unloading
+  // and reloading a collection into a warmed engine allocates nothing.
+  std::vector<Loaded> loaded_;
 };
 
 class GreedyPhase {
  public:
+  /// What a phase commits into and its batched sweep works in. The buffers
+  /// outlive the phase, so their capacity carries over from one phase to
+  /// the next; a phase resets only the PoIs it touched, and leaves the
+  /// buffers clean when it ends. One phase at a time may use them.
+  struct Buffers {
+    /// One candidate arc in gains_batch's per-PoI buckets.
+    struct BatchEntry {
+      std::uint32_t cand;  // candidate index (owns out[cand])
+      double lo, hi;       // normalized span; hi > 2*pi means it wraps
+    };
+    std::vector<ArcSet> own_arcs;       // per PoI: the tentative selection's arcs
+    std::vector<char> own_covered;      // per PoI: the selection point-covers it
+    std::vector<std::size_t> touched;   // PoIs with committed arcs
+    std::vector<std::uint32_t> offset;  // gains_batch counting sort
+    std::vector<std::uint32_t> fill;
+    std::vector<BatchEntry> entries;
+    bool in_use = false;
+  };
+
   /// `delivery_prob` is the selecting node's p, already floored by the
   /// caller if desired (a common positive factor never changes the greedy
   /// order, but a literal 0 would make every gain zero and stall selection).
+  GreedyPhase(const SelectionEnvironment& env, double delivery_prob, Buffers& buffers);
+
+  /// A phase with buffers of its own, allocated for it.
   GreedyPhase(const SelectionEnvironment& env, double delivery_prob);
+
+  /// Clears the PoIs the phase committed to, so the buffers are clean.
+  ~GreedyPhase();
+  GreedyPhase(const GreedyPhase&) = delete;
+  GreedyPhase& operator=(const GreedyPhase&) = delete;
 
   /// Expected-coverage gain of adding this footprint to the tentative
   /// selection (lexicographic CoverageValue).
@@ -251,17 +297,20 @@ class GreedyPhase {
   double delivery_prob() const noexcept { return p_; }
 
   /// The tentative selection's arcs on a PoI (for tests).
-  const ArcSet& own_arcs(std::size_t poi) const { return own_arcs_.at(poi); }
+  const ArcSet& own_arcs(std::size_t poi) const { return buf_->own_arcs.at(poi); }
 
   /// Deep invariant check (audit builds / tests): committed arc sets are
-  /// canonical and the point-covered flags match arc presence exactly.
+  /// canonical, the point-covered flags match arc presence exactly, and
+  /// the touched list names exactly the covered PoIs.
   void audit() const;
 
  private:
+  void start();
+
   const SelectionEnvironment* env_;
   double p_;
-  std::vector<ArcSet> own_arcs_;
-  std::vector<char> own_covered_;
+  std::unique_ptr<Buffers> owned_;  // set only when the phase owns its buffers
+  Buffers* buf_;
 };
 
 }  // namespace photodtn

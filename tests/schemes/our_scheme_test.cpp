@@ -126,7 +126,7 @@ TEST(OurScheme, MetadataCachePopulatedByContacts) {
   // Node 2 cached node 1's metadata (post-contact snapshot).
   const MetadataCache& c2 = scheme.cache_of(2);
   ASSERT_NE(c2.find(1), nullptr);
-  EXPECT_EQ(c2.find(1)->photos.size(), 1u);
+  EXPECT_EQ(c2.find(1)->snapshot->photos.size(), 1u);
   EXPECT_DOUBLE_EQ(c2.find(1)->observed_at, 100.0);
 }
 
@@ -231,8 +231,8 @@ TEST(OurScheme, CrashPurgesCachedEntryAndRebootGossipRepopulates) {
   const MetadataCache& c2 = scheme.cache_of(2);
   ASSERT_NE(c2.find(1), nullptr);
   EXPECT_DOUBLE_EQ(c2.find(1)->observed_at, 450.0);  // post-reboot snapshot
-  ASSERT_EQ(c2.find(1)->photos.size(), 1u);
-  EXPECT_EQ(c2.find(1)->photos[0].id, post_id);  // pre-crash photo is gone
+  ASSERT_EQ(c2.find(1)->snapshot->photos.size(), 1u);
+  EXPECT_EQ(c2.find(1)->snapshot->photos[0].id, post_id);  // pre-crash photo is gone
 
   // Node 1's own cache was rebuilt from scratch after the wipe.
   const MetadataCache& c1 = scheme.cache_of(1);

@@ -1,4 +1,6 @@
-// Heap-allocation guard for the selection engine's steady state. This
+// Heap-allocation guard for the selection engine's steady state: the PoI
+// rebuild sweep, arc insertion, gossip merges, greedy phases and reloading
+// a shared digest. This
 // executable replaces the global operator new with a counting one, which is
 // why it is built apart from photodtn_tests: each case warms an operation
 // up, then asserts that running it again makes no heap allocation.
@@ -15,6 +17,7 @@
 #include "geometry/angle.h"
 #include "geometry/arc_set.h"
 #include "selection/metadata_cache.h"
+#include "selection/poi_cover.h"
 #include "selection/selection_env.h"
 #include "util/rng.h"
 
@@ -124,12 +127,16 @@ TEST(AllocGuard, ArcAddWithSpareCapacityDoesNotAllocate) {
 }
 
 TEST(AllocGuard, MergingOnlyStaleGossipDoesNotAllocate) {
+  const PoiList pois{PointOfInterest{0, {0.0, 0.0}, 1.0, {}}};
+  const CoverageModel model(pois, deg_to_rad(30.0));
+  std::vector<PhotoMeta> photos;
+  for (PhotoId id = 1; id <= 5; ++id) photos.push_back(photo_of(pois[0], 0.5 * id, id));
   MetadataCache mine;
   MetadataCache offered;
   for (NodeId owner = 1; owner <= 10; ++owner) {
     MetadataEntry e;
     e.owner = owner;
-    e.photos.resize(5);
+    e.snapshot = std::make_shared<const MetadataSnapshot>(photos, model);
     e.lambda = 1e-4;
     e.delivery_prob = 0.5;
     // Older than ours, or (for even owners) exactly as old: both are stale.
@@ -141,6 +148,117 @@ TEST(AllocGuard, MergingOnlyStaleGossipDoesNotAllocate) {
   std::size_t accepted = 1;
   EXPECT_EQ(allocations_during([&] { accepted = mine.merge_from(offered, 0); }), 0u);
   EXPECT_EQ(accepted, 0u);
+}
+
+TEST(AllocGuard, AcceptingFresherGossipCopiesOnlyAPointer) {
+  // Every offered entry is fresher than the cached one for the same owner
+  // and holds more photos: accepting it shares the offered snapshot.
+  Rng rng(17);
+  const PoiList pois{PointOfInterest{0, {0.0, 0.0}, 1.0, {}}};
+  const CoverageModel model(pois, deg_to_rad(30.0));
+  MetadataCache mine;
+  MetadataCache offered;
+  PhotoId next_id = 1;
+  for (NodeId owner = 1; owner <= 10; ++owner) {
+    auto photos = [&](int n) {
+      std::vector<PhotoMeta> out;
+      for (int k = 0; k < n; ++k)
+        out.push_back(photo_of(pois[0], rng.uniform(0.0, kTwoPi), next_id++));
+      return out;
+    };
+    MetadataEntry e;
+    e.owner = owner;
+    e.lambda = 1e-4;
+    e.delivery_prob = 0.5;
+    e.observed_at = 50.0;
+    e.snapshot = std::make_shared<const MetadataSnapshot>(photos(2), model);
+    mine.update(e);
+    e.observed_at = 100.0;
+    e.snapshot = std::make_shared<const MetadataSnapshot>(photos(9), model);
+    offered.update(e);
+  }
+  std::size_t accepted = 0;
+  EXPECT_EQ(allocations_during([&] { accepted = mine.merge_from(offered, 0); }), 0u);
+  EXPECT_EQ(accepted, 10u);
+  EXPECT_EQ(mine.find(4)->snapshot, offered.find(4)->snapshot);  // shared, not copied
+  EXPECT_EQ(mine.find(4)->snapshot->photos.size(), 9u);
+}
+
+/// An environment of `nodes` collections over random PoIs, each loaded by
+/// a digest it shares with the caller (`digests[node]`), plus the photos'
+/// footprints.
+struct DigestRig {
+  PoiList pois;
+  std::unique_ptr<CoverageModel> model;
+  std::vector<std::unique_ptr<PhotoFootprint>> footprints;
+  std::vector<std::shared_ptr<const ArcDigest>> digests;
+  std::vector<double> probs;
+
+  DigestRig(Rng& rng, NodeId nodes) {
+    for (std::int32_t i = 0; i < 24; ++i)
+      pois.push_back(PointOfInterest{
+          i, {rng.uniform(-300.0, 300.0), rng.uniform(-300.0, 300.0)}, 1.0, {}});
+    model = std::make_unique<CoverageModel>(pois, deg_to_rad(30.0));
+    PhotoId next_id = 1;
+    for (NodeId node = 0; node < nodes; ++node) {
+      std::vector<const PhotoFootprint*> fps;
+      for (int k = 0; k < 20; ++k) {
+        const PointOfInterest& poi =
+            pois[static_cast<std::size_t>(rng.uniform_int(0, 23))];
+        footprints.push_back(std::make_unique<PhotoFootprint>(
+            model->footprint(photo_of(poi, rng.uniform(0.0, kTwoPi), next_id++))));
+        fps.push_back(footprints.back().get());
+      }
+      digests.push_back(std::make_shared<const ArcDigest>(fps));
+      probs.push_back(node == 0 ? 1.0 : rng.uniform(0.1, 0.9));
+    }
+  }
+};
+
+TEST(AllocGuard, WarmedGreedyPhaseDoesNotAllocate) {
+  Rng rng(18);
+  DigestRig rig(rng, 8);
+  SelectionEnvironment env(*rig.model);
+  for (NodeId node = 0; node < 8; ++node)
+    env.add_collection(node, rig.probs[static_cast<std::size_t>(node)],
+                       rig.digests[static_cast<std::size_t>(node)]);
+  std::vector<const PhotoFootprint*> candidates;
+  for (const auto& fp : rig.footprints) candidates.push_back(fp.get());
+  ASSERT_GT(candidates.size(), 32u);  // the batched sweep's counting-sort path
+  std::vector<CoverageValue> gains(candidates.size());
+  GreedyPhase::Buffers buffers;
+  auto run_phase = [&] {
+    GreedyPhase phase(env, 0.7, buffers);
+    phase.gains_batch(candidates, gains);
+    for (std::size_t i = 0; i < candidates.size(); i += 3) phase.commit(*candidates[i]);
+    phase.gains_batch(candidates, gains);
+  };
+  run_phase();  // warm-up: the buffers and the environment's PoIs grow once
+  EXPECT_EQ(allocations_during(run_phase), 0u);
+  EXPECT_FALSE(buffers.in_use);
+  for (std::size_t poi = 0; poi < rig.pois.size(); ++poi) {
+    EXPECT_TRUE(buffers.own_arcs[poi].empty()) << poi;
+    EXPECT_EQ(buffers.own_covered[poi], 0) << poi;
+  }
+}
+
+TEST(AllocGuard, ReloadingASharedDigestDoesNotAllocate) {
+  Rng rng(19);
+  DigestRig rig(rng, 12);
+  SelectionEnvironment env(*rig.model);
+  for (NodeId node = 0; node < 12; ++node)
+    env.add_collection(node, rig.probs[static_cast<std::size_t>(node)],
+                       rig.digests[static_cast<std::size_t>(node)]);
+  auto reload = [&] {
+    ASSERT_TRUE(env.remove_collection(5));
+    env.add_collection(5, rig.probs[5], rig.digests[5]);
+    (void)env.total();
+  };
+  (void)env.total();
+  reload();  // warm-up
+  EXPECT_EQ(allocations_during(reload), 0u);
+  EXPECT_EQ(env.collection_count(), 12u);
+  EXPECT_EQ(rig.digests[5].use_count(), 2);  // the caller's and the engine's
 }
 
 }  // namespace

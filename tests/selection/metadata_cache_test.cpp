@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "test_util.h"
 #include "util/check.h"
@@ -19,7 +21,9 @@ MetadataEntry entry(NodeId owner, double observed_at, double lambda, double p = 
   e.observed_at = observed_at;
   e.lambda = lambda;
   e.delivery_prob = p;
-  e.photos = {test::make_photo(0, 0, 0)};
+  const CoverageModel no_pois(PoiList{}, 0.5);  // these tests never read the digest
+  e.snapshot = std::make_shared<const MetadataSnapshot>(
+      std::vector<PhotoMeta>{test::make_photo(0, 0, 0)}, no_pois);
   return e;
 }
 

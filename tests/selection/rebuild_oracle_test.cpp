@@ -127,6 +127,13 @@ std::shared_ptr<AspectProfile> random_profile(Rng& rng) {
   return profile;
 }
 
+/// The engine's view of owning cover entries.
+std::vector<CoverView> views_of(const std::vector<NodePoiCover>& covers) {
+  std::vector<CoverView> views;
+  for (const NodePoiCover& c : covers) views.push_back({c.node, c.p, c.arcs.intervals()});
+  return views;
+}
+
 void expect_same_function(const PiecewiseMiss& got, const ReferencePiecewiseMiss& want,
                           int step) {
   ASSERT_EQ(got.segment_count(), want.segment_count()) << step;
@@ -162,7 +169,7 @@ TEST(RebuildOracle, InPlaceRebuildMatchesFreshBuildBitwise) {
     const std::vector<NodePoiCover> covers = random_covers(rng, kind);
     const std::shared_ptr<AspectProfile> profile =
         weighted ? random_profile(rng) : nullptr;
-    pm.rebuild(covers, profile.get(), scratch);
+    pm.rebuild(views_of(covers), profile.get(), scratch);
 
     std::vector<std::pair<double, const ArcSet*>> pairs;
     for (const NodePoiCover& c : covers) pairs.push_back({c.p, &c.arcs});
@@ -191,7 +198,7 @@ TEST(RebuildOracle, MissSweepSurvivesUnderflowOfManyCovers) {
   }
   PiecewiseMiss pm;
   PiecewiseMiss::Scratch scratch;
-  pm.rebuild(covers, nullptr, scratch);
+  pm.rebuild(views_of(covers), nullptr, scratch);
   pm.audit();
   EXPECT_EQ(pm.value_at(kStart / 2.0), 1.0);
   for (int closed = 0; closed < kCovers; ++closed) {
