@@ -1,5 +1,9 @@
 #include "sim/experiment.h"
 
+#include <iterator>
+#include <stdexcept>
+#include <string>
+
 #include "persist/file_io.h"
 #include "persist/snapshot.h"
 #include "schemes/factory.h"
@@ -74,18 +78,47 @@ SimResult run_single(const ExperimentSpec& spec, std::uint64_t seed,
   return sim.run(*scheme);
 }
 
-ExperimentResult run_experiment(const ExperimentSpec& spec, ThreadPool* pool) {
-  PHOTODTN_CHECK(spec.runs >= 1);
-  if (pool == nullptr) pool = &ThreadPool::shared();
-  // One chunk per seed, each writing its own slot; the merge below then
-  // folds the slots in seed order — the same order the old per-seed
-  // std::async fan-out consumed its futures in, but with the pool's bounded
-  // worker set instead of runs-many OS threads.
-  std::vector<SimResult> results(spec.runs);
-  pool->parallel_chunks(spec.runs, [&](std::size_t k) {
-    results[k] = run_single(spec, spec.seed_base + k);
+namespace {
+
+/// Runs seeds seed_base .. seed_base + runs - 1 of every spec on `pool`,
+/// one chunk per (spec, seed) pair, and aggregates each spec's runs in seed
+/// order. Each chunk writes its own slot, so the results do not depend on
+/// the pool size or on which chunk finishes first.
+std::vector<ExperimentResult> run_specs(const std::vector<ExperimentSpec>& specs,
+                                        std::size_t runs, ThreadPool& pool) {
+  if (runs < 1 || runs > kMaxExperimentRuns) {
+    throw std::invalid_argument("runs must be in [1, " +
+                                std::to_string(kMaxExperimentRuns) + "], got " +
+                                std::to_string(runs));
+  }
+  std::vector<SimResult> results(specs.size() * runs);
+  pool.parallel_chunks(results.size(), [&](std::size_t k) {
+    const std::size_t seed = k % runs;
+    SimResult r = run_single(specs[k / runs], specs[k / runs].seed_base + seed);
+    if (seed != 0) {
+      // aggregate_results keeps only run 0's events; dropping the rest as
+      // each run finishes keeps the held results small.
+      r.obs.trace_events = {};
+      r.obs.prov_events = {};
+    }
+    results[k] = std::move(r);
   });
-  return aggregate_results(spec, std::move(results));
+  std::vector<ExperimentResult> out;
+  out.reserve(specs.size());
+  for (std::size_t s = 0; s < specs.size(); ++s) {
+    const auto first = results.begin() + static_cast<std::ptrdiff_t>(s * runs);
+    out.push_back(aggregate_results(
+        specs[s], std::vector<SimResult>(std::make_move_iterator(first),
+                                         std::make_move_iterator(first + runs))));
+  }
+  return out;
+}
+
+}  // namespace
+
+ExperimentResult run_experiment(const ExperimentSpec& spec, ThreadPool* pool) {
+  ThreadPool& lanes = pool != nullptr ? *pool : ThreadPool::shared();
+  return std::move(run_specs({spec}, spec.runs, lanes).front());
 }
 
 ExperimentResult aggregate_results(const ExperimentSpec& spec,
@@ -134,14 +167,9 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
 
 std::vector<ExperimentResult> run_comparison(const ExperimentSpec& base,
                                              const std::vector<std::string>& schemes) {
-  std::vector<ExperimentResult> out;
-  out.reserve(schemes.size());
-  for (const std::string& name : schemes) {
-    ExperimentSpec spec = base;
-    spec.scheme = name;
-    out.push_back(run_experiment(spec));
-  }
-  return out;
+  std::vector<ExperimentSpec> specs(schemes.size(), base);
+  for (std::size_t s = 0; s < schemes.size(); ++s) specs[s].scheme = schemes[s];
+  return run_specs(specs, base.runs, ThreadPool::shared());
 }
 
 }  // namespace photodtn

@@ -103,14 +103,22 @@ SimResult run_single(const ExperimentSpec& spec, std::uint64_t seed,
 ExperimentResult aggregate_results(const ExperimentSpec& spec,
                                    std::vector<SimResult> results);
 
+/// Most runs one experiment may ask for: 100x the paper's 50.
+inline constexpr std::size_t kMaxExperimentRuns = 5000;
+
 /// Runs `spec.runs` seeds (seed_base, seed_base+1, ...) in parallel on
 /// `pool` (nullptr = the shared pool) and aggregates in seed order. Results
 /// are byte-identical across pool sizes: each run writes its own slot and
-/// the ordered merge folds them deterministically.
+/// the ordered merge folds them deterministically. Throws
+/// std::invalid_argument, before anything is allocated, unless `spec.runs`
+/// is in [1, kMaxExperimentRuns].
 ExperimentResult run_experiment(const ExperimentSpec& spec, ThreadPool* pool);
 ExperimentResult run_experiment(const ExperimentSpec& spec);
 
-/// Convenience: the same scenario under several schemes.
+/// The same scenario under several schemes, in `schemes` order. Every
+/// (scheme, seed) run is one chunk on the shared pool, so no scheme waits
+/// for another's slowest seed; each scheme aggregates its runs in seed
+/// order, exactly as run_experiment does. Same run bound as run_experiment.
 std::vector<ExperimentResult> run_comparison(const ExperimentSpec& base,
                                              const std::vector<std::string>& schemes);
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -82,6 +83,28 @@ TEST(Experiment, ComparisonRunsAllSchemes) {
   EXPECT_EQ(results[1].scheme, "Spray&Wait");
 }
 
+TEST(Experiment, ComparisonFanOutMatchesPerSchemeExperiments) {
+  // run_comparison runs every (scheme, seed) pair as one pool chunk; each
+  // scheme's aggregate, run 0's events included, must be the one its own
+  // run_experiment gives.
+  ExperimentSpec spec = tiny_spec("OurScheme", 3);
+  spec.scenario.sim.obs = obs::ObsConfig{true, true, true};
+  const std::vector<std::string> schemes{"OurScheme", "Spray&Wait", "Epidemic"};
+  const std::vector<ExperimentResult> fanned = run_comparison(spec, schemes);
+  ASSERT_EQ(fanned.size(), schemes.size());
+  for (std::size_t s = 0; s < schemes.size(); ++s) {
+    spec.scheme = schemes[s];
+    const ExperimentResult alone = run_experiment(spec);
+    EXPECT_EQ(experiment_result_to_json(fanned[s]), experiment_result_to_json(alone))
+        << schemes[s];
+    EXPECT_EQ(metrics_to_json({&fanned[s], 1}), metrics_to_json({&alone, 1}))
+        << schemes[s];
+    EXPECT_EQ(provenance_to_jsonl(fanned[s]), provenance_to_jsonl(alone)) << schemes[s];
+    ASSERT_FALSE(alone.trace_events.empty());
+    EXPECT_EQ(fanned[s].trace_events.size(), alone.trace_events.size()) << schemes[s];
+  }
+}
+
 TEST(Experiment, ParallelAggregationIsDeterministic) {
   // Runs execute on worker threads; the aggregate statistics must not
   // depend on completion order.
@@ -136,6 +159,21 @@ TEST(Experiment, TraceFileReplayMatchesInMemoryTrace) {
   const SimResult replayed = run_single(from_file, 5);
   EXPECT_EQ(generated.delivered_ids, replayed.delivered_ids);
   EXPECT_EQ(generated.counters.transfers, replayed.counters.transfers);
+}
+
+TEST(Experiment, RejectsRunCountsOutsideTheBoundBeforeAllocating) {
+  // A result slot per (scheme, run) is allocated up front, so an absurd run
+  // count must fail before that allocation, not with std::bad_alloc or
+  // std::length_error, and zero runs must not pass for one.
+  for (const std::size_t runs :
+       {std::size_t{0}, kMaxExperimentRuns + 1, std::size_t{100'000'000'000},
+        std::numeric_limits<std::size_t>::max()}) {
+    const ExperimentSpec spec = tiny_spec("Epidemic", runs);
+    EXPECT_THROW((void)run_experiment(spec), std::invalid_argument) << runs;
+    EXPECT_THROW((void)run_comparison(spec, {"Epidemic", "OurScheme"}),
+                 std::invalid_argument)
+        << runs;
+  }
 }
 
 void expect_rejected_naming(const ExperimentSpec& spec, const std::string& field) {

@@ -57,6 +57,9 @@ TEST(CliConfig, RejectsBadValues) {
   EXPECT_THROW(scenario_from(parse({"simulate", "--p-thld", "1.5"})),
                std::runtime_error);
   EXPECT_THROW(scenario_from(parse({"simulate", "--hours", "-3"})), std::runtime_error);
+  // trace-gen reads its seed through scenario_from.
+  EXPECT_THROW(scenario_from(parse({"trace-gen", "--seed", "-3"})), std::runtime_error);
+  EXPECT_EQ(spec_from(parse({"simulate", "--runs", "5000"})).runs, 5000u);
   // Values that used to hang, wrap, reach an internal check, or cast a
   // NaN or negative double to uint64_t: each must fail naming its flag.
   const std::vector<std::pair<const char*, const char*>> bad = {
@@ -68,7 +71,12 @@ TEST(CliConfig, RejectsBadValues) {
       {"fault-interrupt", "nan"}, {"fault-gossip-loss", "nan"},
       {"fault-crash-rate", "inf"}, {"p-thld", "nan"},
       {"storage-gb", "nan"},      {"storage-gb", "-1"},
-      {"storage-gb", "1e11"},     {"rate", "-5"}};
+      {"storage-gb", "1e11"},     {"rate", "-5"},
+      // --runs 0 and -5 silently ran one run, 1e11 ended in a bare
+      // std::bad_alloc, and --seed -3 ran seed 2^64 - 3.
+      {"runs", "0"},              {"runs", "-5"},
+      {"runs", "100000000000"},   {"runs", "5001"},
+      {"seed", "-3"}};
   for (const auto& [flag, value] : bad) {
     const std::string opt = std::string("--") + flag;
     try {

@@ -3,15 +3,26 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "geometry/angle.h"
 #include "workload/photo_gen.h"
 
 namespace photodtn::cli {
 
+namespace {
+
+std::uint64_t seed_from(const Args& args) {
+  const std::int64_t seed = args.get_int("seed", 1);
+  if (seed < 0) throw std::runtime_error("--seed must be >= 0");
+  return static_cast<std::uint64_t>(seed);
+}
+
+}  // namespace
+
 ScenarioConfig scenario_from(const Args& args) {
   const std::string trace = args.get("trace", "mit");
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  const std::uint64_t seed = seed_from(args);
   if (trace != "mit" && trace != "cambridge")
     throw std::runtime_error("--trace must be 'mit' or 'cambridge'");
   ScenarioConfig sc = trace == "cambridge" ? ScenarioConfig::cambridge(seed)
@@ -70,9 +81,12 @@ ScenarioConfig scenario_from(const Args& args) {
 ExperimentSpec spec_from(const Args& args) {
   ExperimentSpec spec;
   spec.scenario = scenario_from(args);
-  spec.runs =
-      static_cast<std::size_t>(std::max<std::int64_t>(1, args.get_int("runs", 3)));
-  spec.seed_base = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  const std::int64_t runs = args.get_int("runs", 3);
+  if (runs < 1 || runs > static_cast<std::int64_t>(kMaxExperimentRuns))
+    throw std::runtime_error("--runs must be in [1, " +
+                             std::to_string(kMaxExperimentRuns) + "]");
+  spec.runs = static_cast<std::size_t>(runs);
+  spec.seed_base = seed_from(args);
   if (args.has("max-contact-s")) {
     const double cap = args.get_double("max-contact-s", 600.0);
     if (cap < 0.0) throw std::runtime_error("--max-contact-s must be >= 0");

@@ -17,7 +17,8 @@ namespace photodtn::cli {
 ScenarioConfig scenario_from(const Args& args);
 
 /// Full simulate spec: scenario plus --runs/--seed/--max-contact-s/
-/// --trace-file/--calibrated.
+/// --trace-file/--calibrated. --runs must be in [1, kMaxExperimentRuns] and
+/// --seed non-negative.
 ExperimentSpec spec_from(const Args& args);
 
 /// Parses the --scheme comma list (default "OurScheme,Spray&Wait").

@@ -90,21 +90,20 @@ int cmd_simulate(const Args& args) {
               sc.photo_rate_per_hour,
               static_cast<double>(sc.sim.node_storage_bytes) / 1e9, spec.runs);
 
-  Table table({"scheme", "point coverage", "aspect (rad)", "delivered", "ci95(point)"});
   std::vector<ExperimentResult> results;
-  for (const std::string& name : schemes) {
-    spec.scheme = name;
-    if (persistence.enabled()) {
-      // One checkpointed/resumed run, folded through the same aggregation
-      // as run_experiment so the output stays byte-comparable.
-      std::vector<SimResult> single;
-      single.push_back(run_single(spec, spec.seed_base, persistence));
-      results.push_back(aggregate_results(spec, std::move(single)));
-    } else {
-      results.push_back(run_experiment(spec));
-    }
-    const ExperimentResult& r = results.back();
-    table.add_row({name, r.final_point.mean(), r.final_aspect.mean(),
+  if (persistence.enabled()) {
+    // One checkpointed/resumed run of the one scheme, folded through the
+    // same aggregation as run_experiment so the output stays byte-comparable.
+    spec.scheme = schemes.front();
+    std::vector<SimResult> single;
+    single.push_back(run_single(spec, spec.seed_base, persistence));
+    results.push_back(aggregate_results(spec, std::move(single)));
+  } else {
+    results = run_comparison(spec, schemes);
+  }
+  Table table({"scheme", "point coverage", "aspect (rad)", "delivered", "ci95(point)"});
+  for (const ExperimentResult& r : results) {
+    table.add_row({r.scheme, r.final_point.mean(), r.final_aspect.mean(),
                    r.final_delivered.mean(), r.final_point.ci95_half_width()});
   }
   table.print(std::cout);
