@@ -132,9 +132,8 @@ int main() {
     auto scheme = make_scheme(name);
     const SimResult r = sim.run(*scheme);
     std::int64_t covering = 0;
-    // photodtn-lint: allow(unordered-iter): commutative integer count
-    for (const auto& [id, p] : sim.node(kCommandCenter).store().map())
-      if (model.footprint_cached(p).relevant()) ++covering;
+    for (const PhotoMeta* p : sim.node(kCommandCenter).store().ordered())
+      if (model.footprint_cached(*p).relevant()) ++covering;
     table.add_row({name, static_cast<std::int64_t>(r.delivered_photos), covering,
                    rad_to_deg(r.final_coverage.aspect)});
   }

@@ -118,9 +118,9 @@ struct StateAccess {
   // Capacity is reconstruction state (node config), not snapshot state: only
   // the stored photos serialize, sorted by id.
   static void save(StateWriter& w, const PhotoStore& store) {
-    const auto ids = sorted_keys(store.map());
-    w.u64(ids.size());
-    for (const PhotoId id : ids) save(w, store.map().at(id));
+    const std::vector<PhotoMeta> photos = store.photos();
+    w.u64(photos.size());
+    for (const PhotoMeta& m : photos) save(w, m);
   }
   static void load(StateReader& r, PhotoStore& store) {
     if (!store.empty()) r.fail("photo store not empty before restore");

@@ -1,7 +1,5 @@
 #include "schemes/best_possible.h"
 
-#include "schemes/common.h"
-
 namespace photodtn {
 
 void BestPossibleScheme::on_photo_taken(SimContext& ctx, NodeId node,
@@ -14,9 +12,11 @@ void BestPossibleScheme::on_photo_taken(SimContext& ctx, NodeId node,
 
 void BestPossibleScheme::replicate(SimContext& ctx, ContactSession& session, NodeId src,
                                    NodeId dst) {
-  for (const PhotoMeta& p : sorted_photos(ctx.node(src).store())) {
-    if (ctx.node(dst).store().contains(p.id)) continue;
-    session.transfer(p.id, src, dst, /*keep_source=*/true);
+  // Only the receiver's store changes, so the sender's live order is walked.
+  const PhotoStore& to = ctx.node(dst).store();
+  for (const PhotoMeta* p : ctx.node(src).store().ordered()) {
+    if (to.contains(p->id)) continue;
+    session.transfer(p->id, src, dst, /*keep_source=*/true);
   }
 }
 

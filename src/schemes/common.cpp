@@ -1,6 +1,5 @@
 #include "schemes/common.h"
 
-#include <algorithm>
 #include <string>
 
 #include "geometry/angle.h"
@@ -11,14 +10,7 @@ namespace photodtn {
 std::vector<PhotoMeta> sorted_photos(const PhotoStore& store) {
   std::vector<PhotoMeta> out;
   out.reserve(store.size());
-  // photodtn-lint: allow(unordered-iter): extract-and-sort — (taken_at, id)-sorted below
-  for (const auto& [id, p] : store.map()) out.push_back(p);
-  // Ids are unique, so (taken_at, id) is a total order: one sort fixes the
-  // result whatever order the hash map yields.
-  std::sort(out.begin(), out.end(), [](const PhotoMeta& x, const PhotoMeta& y) {
-    if (x.taken_at != y.taken_at) return x.taken_at < y.taken_at;
-    return x.id < y.id;
-  });
+  for (const PhotoMeta* p : store.ordered()) out.push_back(*p);
   return out;
 }
 
@@ -36,8 +28,8 @@ CoverageValue standalone_value(const CoverageModel& model, const PhotoMeta& phot
 
 std::vector<PhotoMeta> union_pool(const PhotoStore& a, const PhotoStore& b) {
   std::vector<PhotoMeta> pool = sorted_photos(a);
-  for (const PhotoMeta& p : sorted_photos(b))
-    if (!a.contains(p.id)) pool.push_back(p);
+  for (const PhotoMeta* p : b.ordered())
+    if (!a.contains(p->id)) pool.push_back(*p);
   return pool;
 }
 

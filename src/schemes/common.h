@@ -13,9 +13,10 @@
 
 namespace photodtn {
 
-/// Deterministic snapshot of a store: photos sorted by (taken_at, id).
-/// Stores are hash maps, so iteration order is unspecified; every scheme
-/// that walks a store must use this to keep runs reproducible.
+/// Copy of store.ordered(): the photos in (taken_at, id) order. For loops
+/// that mutate the store they walk (custody hand-offs, drops) or that need
+/// values which outlive it; a loop that writes only another node's store
+/// walks store.ordered() directly.
 std::vector<PhotoMeta> sorted_photos(const PhotoStore& store);
 
 /// Standalone photo coverage of a single photo, ignoring every other photo:

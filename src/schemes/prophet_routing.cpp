@@ -26,11 +26,13 @@ void ProphetRoutingScheme::forward(SimContext& ctx, ContactSession& session, Nod
   const double p_src = ctx.node(src).delivery_prob(now);
   const double p_dst = ctx.node(dst).delivery_prob(now);
   if (p_dst < p_src + min_advantage_ || p_dst == 0.0) return;
-  for (const PhotoMeta& p : sorted_photos(ctx.node(src).store())) {
-    if (ctx.node(dst).store().contains(p.id)) continue;
-    if (!session.can_transfer(p.size_bytes)) break;
-    if (!ctx.node(dst).store().can_fit(p.size_bytes)) break;
-    if (!session.transfer(p.id, src, dst, /*keep_source=*/true)) break;
+  // Only the receiver's store changes, so the sender's live order is walked.
+  const PhotoStore& to = ctx.node(dst).store();
+  for (const PhotoMeta* p : ctx.node(src).store().ordered()) {
+    if (to.contains(p->id)) continue;
+    if (!session.can_transfer(p->size_bytes)) break;
+    if (!to.can_fit(p->size_bytes)) break;
+    if (!session.transfer(p->id, src, dst, /*keep_source=*/true)) break;
   }
 }
 

@@ -37,10 +37,9 @@ double ReferencePhotoNet::distance(const PhotoMeta& a, const PhotoMeta& b) const
 double ReferencePhotoNet::min_distance_to(SimContext& ctx, const PhotoMeta& photo,
                                        NodeId node) const {
   double best = std::numeric_limits<double>::infinity();
-  // photodtn-lint: allow(unordered-iter): min over finite distances commutes exactly
-  for (const auto& [id, p] : ctx.node(node).store().map()) {
-    if (id == photo.id) continue;
-    best = std::min(best, distance(photo, p));
+  for (const PhotoMeta* p : ctx.node(node).store().ordered()) {
+    if (p->id == photo.id) continue;
+    best = std::min(best, distance(photo, *p));
   }
   return best;
 }

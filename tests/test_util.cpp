@@ -1,5 +1,10 @@
 #include "test_util.h"
 
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <utility>
+
 #include "trace/synthetic_trace.h"
 #include "workload/photo_gen.h"
 #include "workload/poi_gen.h"
@@ -107,5 +112,57 @@ GroupingLocaleScope::GroupingLocaleScope()
     : previous_(std::locale::global(std::locale(std::locale::classic(), new GroupingPunct))) {}
 
 GroupingLocaleScope::~GroupingLocaleScope() { std::locale::global(previous_); }
+
+RecordedRun run_recorded(const CoverageModel& model, const ContactTrace& trace,
+                         const std::vector<PhotoEvent>& events, const SimConfig& cfg,
+                         Scheme& scheme) {
+  Simulator sim(model, trace, events, cfg);
+  RecordedRun run;
+  sim.set_event_listener([&](const SimEvent& e) { run.events.push_back(e); });
+  run.result = sim.run(scheme);
+  return run;
+}
+
+namespace {
+
+std::vector<std::pair<const char*, std::uint64_t>> counter_fields(const SimCounters& c) {
+  return {{"contacts", c.contacts},
+          {"photos_taken", c.photos_taken},
+          {"transfers", c.transfers},
+          {"bytes_transferred", c.bytes_transferred},
+          {"failed_transfers", c.failed_transfers},
+          {"drops", c.drops},
+          {"interrupted_contacts", c.interrupted_contacts},
+          {"interrupted_transfers", c.interrupted_transfers},
+          {"partial_bytes", c.partial_bytes},
+          {"missed_contacts", c.missed_contacts},
+          {"node_crashes", c.node_crashes},
+          {"photos_lost_to_crash", c.photos_lost_to_crash},
+          {"photos_missed_down", c.photos_missed_down},
+          {"gossip_losses", c.gossip_losses}};
+}
+
+}  // namespace
+
+void expect_same_run(const RecordedRun& want, const RecordedRun& got,
+                     const std::string& label) {
+  const std::size_t n = std::min(want.events.size(), got.events.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    const SimEvent& w = want.events[i];
+    const SimEvent& g = got.events[i];
+    ASSERT_TRUE(w.type == g.type && w.time == g.time && w.a == g.a && w.b == g.b &&
+                w.photo == g.photo)
+        << label << ": event " << i << " differs: want type "
+        << static_cast<int>(w.type) << " t=" << w.time << " a=" << w.a << " b=" << w.b
+        << " photo=" << w.photo << ", got type " << static_cast<int>(g.type)
+        << " t=" << g.time << " a=" << g.a << " b=" << g.b << " photo=" << g.photo;
+  }
+  ASSERT_EQ(want.events.size(), got.events.size()) << label;
+  const auto wc = counter_fields(want.result.counters);
+  const auto gc = counter_fields(got.result.counters);
+  for (std::size_t i = 0; i < wc.size(); ++i)
+    EXPECT_EQ(wc[i].second, gc[i].second) << label << ": counters." << wc[i].first;
+  EXPECT_EQ(want.result.delivered_ids, got.result.delivered_ids) << label;
+}
 
 }  // namespace photodtn::test

@@ -12,6 +12,7 @@
 #include "coverage/photo.h"
 #include "coverage/poi.h"
 #include "dtn/fault.h"
+#include "dtn/scheme.h"
 #include "dtn/simulator.h"
 #include "geometry/angle.h"
 #include "trace/contact_trace.h"
@@ -58,6 +59,22 @@ struct ChaosScenario {
 };
 
 ChaosScenario build_chaos_scenario(std::uint64_t seed);
+
+/// One simulation run with its full SimEvent stream, for comparing a
+/// production scheme against a test-only oracle.
+struct RecordedRun {
+  std::vector<SimEvent> events;
+  SimResult result;
+};
+
+RecordedRun run_recorded(const CoverageModel& model, const ContactTrace& trace,
+                         const std::vector<PhotoEvent>& events, const SimConfig& cfg,
+                         Scheme& scheme);
+
+/// Fails the calling test unless `got` is the same run as `want`: the full
+/// SimEvent stream, every SimCounters field and the delivery order.
+void expect_same_run(const RecordedRun& want, const RecordedRun& got,
+                     const std::string& label);
 
 /// While alive, the global C++ locale groups thousands with ',' and uses
 /// ',' as the decimal point, so a stream created meanwhile writes 1234.5 as

@@ -39,7 +39,7 @@ suppression REQUIRES a justification, see below):
                       loop body order-invariant in an allow justification.
                       Tracks local declarations, members of the paired
                       module header, and accessors returning unordered refs
-                      (e.g. store().map(), cache.entries()).
+                      (e.g. cache.entries(), prophet().entries()).
   pointer-key         std::map/set keyed by a pointer — iteration order is
                       address order, different every run under ASLR.
   atomic-float        std::atomic<float/double> — concurrent FP accumulation
@@ -225,7 +225,7 @@ def unordered_decls(lines: list[str]) -> tuple[set[str], set[str]]:
 
     Variables covers members (`photos_`), locals (`want`), and reference
     parameters (`peer_snapshot`). Accessors are functions returning an
-    unordered reference (`map()`, `entries()`); their *call sites* are what
+    unordered reference (`entries()`); their *call sites* are what
     iteration must not touch.
     """
     variables: set[str] = set()
@@ -548,7 +548,7 @@ def collect_files(root: Path, args_paths: list[str]) -> list[Path]:
 def global_accessor_registry(root: Path) -> set[str]:
     """Accessor names returning unordered refs, from every src/ header.
 
-    Lets the lint flag `for (... : store.map())` in a file that never sees
+    Lets the lint flag `for (... : cache.entries())` in a file that never sees
     the declaration. Only src/ headers feed the registry: test helpers do
     not put unordered refs into the public API.
     """
