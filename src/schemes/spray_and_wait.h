@@ -21,6 +21,8 @@ class SprayAndWaitScheme : public Scheme {
 
   void on_photo_taken(SimContext& ctx, NodeId node, const PhotoMeta& photo) override;
   void on_contact(SimContext& ctx, ContactSession& session) override;
+  /// A wipe loses the node's buffer, and with it its copy counts.
+  void on_node_down(SimContext& ctx, NodeId node, bool storage_wiped) override;
 
   /// Checkpoint/restore of the per-node spray counters.
   void save_persist_state(persist::StateWriter& w) const override;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "schemes/best_possible.h"
 #include "schemes/factory.h"
 #include "schemes/modified_spray.h"
@@ -111,6 +113,43 @@ TEST(ModifiedSpray, EvictsLowestCoverageWhenFull) {
   EXPECT_GE(r.counters.drops, 1u);
   EXPECT_EQ(r.delivered_photos, 1u);  // the useful photo reached the center
   EXPECT_DOUBLE_EQ(r.final_point_norm, 1.0);
+}
+
+/// Copy-budget accounting across a storage wipe, for either spray scheme.
+/// L = 4: node 1 sprays P to node 2, leaving 2 copies on each. Node 2 is
+/// wiped in [200, 300) and reboots empty; node 1 sprays P to it again and
+/// grants 1 of its 2 copies, so node 2 is in the wait phase and must not
+/// spray P to node 3. A counter that outlived the wipe would hold 2 + 1 = 3
+/// copies and spray past the budget.
+template <typename SprayScheme>
+void expect_wipe_forgets_copies() {
+  const CoverageModel model = probe_model();
+  const ContactTrace trace{
+      {{100.0, 60.0, 1, 2}, {400.0, 60.0, 1, 2}, {1000.0, 60.0, 2, 3}}, 4, 2000.0};
+  SimConfig cfg = small_config();
+  cfg.faults.scripted_downtime = {{2, 200.0, 300.0}};  // wipes by default
+  Simulator sim(model, trace,
+                {capture(1.0, 1, photo_viewing(model.pois()[0], 0.0))}, cfg);
+  std::vector<SimEvent> transfers;
+  sim.set_event_listener([&](const SimEvent& e) {
+    if (e.type == SimEvent::Type::kTransfer) transfers.push_back(e);
+  });
+  SprayScheme scheme(4);
+  const SimResult r = sim.run(scheme);
+  EXPECT_EQ(r.counters.photos_lost_to_crash, 1u);
+  ASSERT_EQ(transfers.size(), 2u) << "node 2 sprayed past its copy budget";
+  for (const SimEvent& e : transfers) {
+    EXPECT_EQ(e.a, 1);
+    EXPECT_EQ(e.b, 2);
+  }
+}
+
+TEST(SprayWipe, SprayAndWaitForgetsTheCopiesAWipeDestroyed) {
+  expect_wipe_forgets_copies<SprayAndWaitScheme>();
+}
+
+TEST(SprayWipe, ModifiedSprayForgetsTheCopiesAWipeDestroyed) {
+  expect_wipe_forgets_copies<ModifiedSprayScheme>();
 }
 
 TEST(BestPossible, RequestsUnconstrainedResources) {
