@@ -1,14 +1,14 @@
-// Observability demo: hook the simulator's event stream and narrate a small
-// crowdsourcing mission minute by minute — who photographed what, which
-// contacts moved which photos, what got dropped as redundant, and when the
-// command center received each view. Useful for debugging schemes and for
-// teaching how the Section III algorithm behaves contact by contact.
+// Observability demo: read the run's event log (its trace view) and narrate
+// a small crowdsourcing mission minute by minute — who photographed what,
+// which contacts moved which photos, what got dropped as redundant, and when
+// the command center received each view. Useful for debugging schemes and
+// for teaching how the Section III algorithm behaves contact by contact.
 //
 // Run: ./mission_timeline
 // Besides the console narration, the run records the obs layer's metrics
-// and span stream and writes mission_trace.json — open it in
-// chrome://tracing or https://ui.perfetto.dev to scrub the same mission on
-// a timeline (EXPERIMENTS.md has the recipe).
+// and writes the same events to mission_trace.json — open it in
+// chrome://tracing or https://ui.perfetto.dev to scrub the mission on a
+// timeline (EXPERIMENTS.md has the recipe).
 #include <cstdio>
 #include <string>
 
@@ -24,18 +24,45 @@ using namespace photodtn;
 
 namespace {
 
-const char* type_name(SimEvent::Type t) {
-  switch (t) {
-    case SimEvent::Type::kContact: return "CONTACT ";
-    case SimEvent::Type::kPhotoTaken: return "CAPTURE ";
-    case SimEvent::Type::kTransfer: return "TRANSFER";
-    case SimEvent::Type::kDrop: return "DROP    ";
-    case SimEvent::Type::kDelivery: return "DELIVERY";
-    case SimEvent::Type::kContactInterrupted: return "LINKCUT ";
-    case SimEvent::Type::kNodeDown: return "CRASH   ";
-    case SimEvent::Type::kNodeUp: return "REBOOT  ";
+/// One console line for `e`, or nothing for the events the narration
+/// skips (coverage samples and OurScheme's selection decisions).
+bool narrate(const obs::Event& e) {
+  using Kind = obs::Event::Kind;
+  const double h = e.ts_s / 3600.0;
+  const auto photo = static_cast<unsigned long long>(e.photo);
+  switch (e.kind) {
+    case Kind::kContact:  // recorded after the transfers it carried
+      std::printf("[%5.2fh] CONTACT  node %d <-> node %d: %.0f s, %.1f MB moved\n", h,
+                  e.node, e.peer, e.aux, static_cast<double>(e.bytes) / 1e6);
+      return true;
+    case Kind::kCapture:
+      std::printf("[%5.2fh] CAPTURE  scout %d takes photo #%llu\n", h, e.node, photo);
+      return true;
+    case Kind::kTransfer:
+      std::printf("[%5.2fh] TRANSFER photo #%llu: %d -> %d\n", h, photo, e.node, e.peer);
+      return true;
+    case Kind::kDrop:
+      std::printf("[%5.2fh] DROP     node %d drops photo #%llu (redundant/acked)\n", h,
+                  e.node, photo);
+      return true;
+    case Kind::kDelivery:
+      std::printf("[%5.2fh] DELIVERY photo #%llu reaches the command center via %d\n", h,
+                  photo, e.peer);
+      return true;
+    case Kind::kLinkCut:
+      std::printf("[%5.2fh] LINKCUT  link %d <-> %d dies%s\n", h, e.node, e.peer,
+                  e.photo != 0 ? " mid-transfer (photo lost in flight)" : "");
+      return true;
+    case Kind::kCrash:
+    case Kind::kCrashWipe:
+      std::printf("[%5.2fh] CRASH    scout %d goes dark\n", h, e.node);
+      return true;
+    case Kind::kReboot:
+      std::printf("[%5.2fh] REBOOT   scout %d back online\n", h, e.node);
+      return true;
+    default:
+      return false;
   }
-  return "?";
 }
 
 }  // namespace
@@ -81,50 +108,16 @@ int main() {
   cfg.faults.interrupt_fraction_min = 0.2;
   cfg.faults.interrupt_fraction_max = 0.8;
   cfg.obs.metrics = true;  // record sim.*/scheme.* metrics ...
-  cfg.obs.trace = true;    // ... and the span stream for the Chrome trace
+  cfg.obs.trace = true;    // ... and the events the trace view shows
   Simulator sim(model, trace, std::move(events), cfg);
-
-  std::size_t shown = 0;
-  sim.set_event_listener([&](const SimEvent& e) {
-    if (shown >= 60) return;  // keep the console readable
-    ++shown;
-    const double h = e.time / 3600.0;
-    switch (e.type) {
-      case SimEvent::Type::kContact:
-        std::printf("[%5.2fh] %s node %d <-> node %d\n", h, type_name(e.type), e.a,
-                    e.b);
-        break;
-      case SimEvent::Type::kPhotoTaken:
-        std::printf("[%5.2fh] %s scout %d takes photo #%llu\n", h, type_name(e.type),
-                    e.a, (unsigned long long)e.photo);
-        break;
-      case SimEvent::Type::kTransfer:
-        std::printf("[%5.2fh] %s photo #%llu: %d -> %d\n", h, type_name(e.type),
-                    (unsigned long long)e.photo, e.a, e.b);
-        break;
-      case SimEvent::Type::kDrop:
-        std::printf("[%5.2fh] %s node %d drops photo #%llu (redundant/acked)\n", h,
-                    type_name(e.type), e.a, (unsigned long long)e.photo);
-        break;
-      case SimEvent::Type::kDelivery:
-        std::printf("[%5.2fh] %s photo #%llu reaches the command center via %d\n", h,
-                    type_name(e.type), (unsigned long long)e.photo, e.a);
-        break;
-      case SimEvent::Type::kContactInterrupted:
-        std::printf("[%5.2fh] %s link %d <-> %d dies%s\n", h, type_name(e.type), e.a,
-                    e.b, e.photo != 0 ? " mid-transfer (photo lost in flight)" : "");
-        break;
-      case SimEvent::Type::kNodeDown:
-        std::printf("[%5.2fh] %s scout %d goes dark\n", h, type_name(e.type), e.a);
-        break;
-      case SimEvent::Type::kNodeUp:
-        std::printf("[%5.2fh] %s scout %d back online\n", h, type_name(e.type), e.a);
-        break;
-    }
-  });
 
   auto scheme = make_scheme("OurScheme");
   const SimResult r = sim.run(*scheme);
+  std::size_t shown = 0;
+  for (const obs::Event& e : r.obs.trace_events) {
+    if (shown >= 60) break;  // keep the console readable
+    if (narrate(e)) ++shown;
+  }
   if (shown >= 60) std::printf("... (%s)\n", "timeline truncated at 60 events");
   std::printf("\nMission result: %.0f%% of targets covered, %.0f deg mean aspect, "
               "%llu photos delivered, %llu transfers, %llu drops.\n",

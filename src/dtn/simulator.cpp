@@ -32,12 +32,11 @@ std::uint64_t ContactSession::wire_carry(std::uint64_t bytes, PhotoId photo) {
   severed_ = true;
   sim_.bump(sim_.ids_.interrupted_contacts);
   sim_.bump(sim_.ids_.partial_bytes, remaining);
-  sim_.emit(SimEvent::Type::kContactInterrupted, contact_.a, contact_.b, photo);
-  if (obs::TraceRecorder* tr = sim_.obs_.trace()) {
-    tr->instant("linkcut", "fault", sim_.now_, contact_.a,
-                {{"peer", static_cast<double>(contact_.b)},
-                 {"photo", static_cast<double>(photo)}});
-  }
+  sim_.record({.kind = obs::Event::Kind::kLinkCut,
+               .ts_s = sim_.now_,
+               .photo = photo,
+               .node = contact_.a,
+               .peer = contact_.b});
   return remaining;
 }
 
@@ -48,13 +47,12 @@ bool ContactSession::consume(std::uint64_t bytes) {
   const std::uint64_t sendable = unlimited_ ? bytes : std::min(bytes, budget_);
   const std::uint64_t carried = wire_carry(sendable, 0);
   if (!unlimited_) budget_ -= carried;
-  obs::ProvenanceRecorder* prov = sim_.obs_.prov();
-  if (prov != nullptr && carried > 0) {
-    prov->record({.kind = obs::ProvEvent::Kind::kMetadataBytes,
-                  .ts_s = sim_.now_,
-                  .node = static_cast<std::int32_t>(contact_.a),
-                  .peer = static_cast<std::int32_t>(contact_.b),
-                  .bytes = carried});
+  if (carried > 0) {
+    sim_.record({.kind = obs::Event::Kind::kMetadataBytes,
+                 .ts_s = sim_.now_,
+                 .node = contact_.a,
+                 .peer = contact_.b,
+                 .bytes = carried});
   }
   if (severed_) return false;
   if (sendable < bytes) {  // budget ran dry mid-exchange
@@ -71,36 +69,33 @@ bool ContactSession::transfer(PhotoId photo, NodeId from, NodeId to, bool keep_s
   Node& src = sim_.node(from);
   Node& dst = sim_.node(to);
   const PhotoMeta* meta = src.store().find(photo);
-  // One kTransfer provenance event per attempt, whatever the outcome: the
-  // attribution pipeline buckets wasted bytes by these outcomes.
-  const auto prov_attempt = [&](obs::ProvEvent::Outcome outcome,
-                                std::uint64_t wire_bytes) {
-    if (obs::ProvenanceRecorder* prov = sim_.obs_.prov()) {
-      prov->record({.kind = obs::ProvEvent::Kind::kTransfer,
-                    .outcome = outcome,
-                    .ts_s = sim_.now_,
-                    .photo = static_cast<std::uint64_t>(photo),
-                    .node = static_cast<std::int32_t>(from),
-                    .peer = static_cast<std::int32_t>(to),
-                    .bytes = wire_bytes});
-    }
+  // One kTransfer event per attempt, whatever the outcome: the attribution
+  // pipeline buckets wasted bytes by these outcomes (the trace shows only
+  // the completed ones).
+  using Outcome = obs::Event::Outcome;
+  const auto record_attempt = [&](Outcome outcome, std::uint64_t wire_bytes) {
+    sim_.record({.kind = obs::Event::Kind::kTransfer,
+                 .outcome = outcome,
+                 .ts_s = sim_.now_,
+                 .photo = photo,
+                 .node = from,
+                 .peer = to,
+                 .bytes = wire_bytes});
   };
   if (meta == nullptr) {
     sim_.bump(sim_.ids_.failed_transfers);
-    prov_attempt(obs::ProvEvent::Outcome::kMissing, 0);
+    record_attempt(Outcome::kMissing, 0);
     return false;
   }
   if (dst.store().contains(photo)) {
     sim_.bump(sim_.ids_.failed_transfers);
-    prov_attempt(obs::ProvEvent::Outcome::kDuplicate, 0);
+    record_attempt(Outcome::kDuplicate, 0);
     return false;
   }
   const std::uint64_t bytes = meta->size_bytes;
   if (!can_transfer(bytes) || !dst.store().can_fit(bytes)) {
     sim_.bump(sim_.ids_.failed_transfers);
-    prov_attempt(can_transfer(bytes) ? obs::ProvEvent::Outcome::kNoSpace
-                                     : obs::ProvEvent::Outcome::kNoBudget,
-                 0);
+    record_attempt(can_transfer(bytes) ? Outcome::kNoSpace : Outcome::kNoBudget, 0);
     return false;
   }
   const std::uint64_t carried = wire_carry(bytes, photo);
@@ -111,7 +106,7 @@ bool ContactSession::transfer(PhotoId photo, NodeId from, NodeId to, bool keep_s
     // half-received file is discarded, a half-sent one is still whole).
     sim_.bump(sim_.ids_.interrupted_transfers);
     sim_.bump(sim_.ids_.failed_transfers);
-    prov_attempt(obs::ProvEvent::Outcome::kInterrupted, carried);
+    record_attempt(Outcome::kInterrupted, carried);
     return false;
   }
   const PhotoMeta copy = *meta;  // copy before any mutation invalidates `meta`
@@ -119,14 +114,7 @@ bool ContactSession::transfer(PhotoId photo, NodeId from, NodeId to, bool keep_s
   PHOTODTN_CHECK(added);
   sim_.bump(sim_.ids_.transfers);
   sim_.bump(sim_.ids_.bytes_transferred, bytes);
-  sim_.emit(SimEvent::Type::kTransfer, from, to, photo);
-  if (obs::TraceRecorder* tr = sim_.obs_.trace()) {
-    tr->instant("transfer", "photo", sim_.now_, from,
-                {{"photo", static_cast<double>(photo)},
-                 {"to", static_cast<double>(to)},
-                 {"bytes", static_cast<double>(bytes)}});
-  }
-  prov_attempt(obs::ProvEvent::Outcome::kOk, bytes);
+  record_attempt(Outcome::kOk, bytes);
   if (!keep_source) src.store().remove(photo);
   if (to == kCommandCenter) sim_.register_delivery(from, copy);
   return true;
@@ -204,17 +192,7 @@ bool Simulator::drop_photo(NodeId id, PhotoId photo) {
   const bool removed = node(id).store().remove(photo);
   if (removed) {
     bump(ids_.drops);
-    emit(SimEvent::Type::kDrop, id, -1, photo);
-    if (obs::TraceRecorder* tr = obs_.trace()) {
-      tr->instant("drop", "photo", now_, id,
-                  {{"photo", static_cast<double>(photo)}});
-    }
-    if (obs::ProvenanceRecorder* prov = obs_.prov()) {
-      prov->record({.kind = obs::ProvEvent::Kind::kDrop,
-                    .ts_s = now_,
-                    .photo = static_cast<std::uint64_t>(photo),
-                    .node = static_cast<std::int32_t>(id)});
-    }
+    record({.kind = obs::Event::Kind::kDrop, .ts_s = now_, .photo = photo, .node = id});
   }
   return removed;
 }
@@ -224,20 +202,12 @@ void Simulator::register_delivery(NodeId from, const PhotoMeta& photo) {
   bump(ids_.delivered);
   delivered_ids_.push_back(photo.id);
   cc_coverage_.add(model_->footprint_cached(photo));
-  emit(SimEvent::Type::kDelivery, from, kCommandCenter, photo.id);
-  if (obs::TraceRecorder* tr = obs_.trace()) {
-    tr->instant("delivery", "delivery", now_, kCommandCenter,
-                {{"photo", static_cast<double>(photo.id)},
-                 {"from", static_cast<double>(from)}});
-  }
-  if (obs::ProvenanceRecorder* prov = obs_.prov()) {
-    prov->record({.kind = obs::ProvEvent::Kind::kDelivery,
-                  .ts_s = now_,
-                  .photo = static_cast<std::uint64_t>(photo.id),
-                  .node = static_cast<std::int32_t>(kCommandCenter),
-                  .peer = static_cast<std::int32_t>(from),
-                  .bytes = photo.size_bytes});
-  }
+  record({.kind = obs::Event::Kind::kDelivery,
+          .ts_s = now_,
+          .photo = photo.id,
+          .node = kCommandCenter,
+          .peer = from,
+          .bytes = photo.size_bytes});
 }
 
 void Simulator::apply_churn(const ChurnTransition& tr, Scheme& scheme) {
@@ -246,18 +216,13 @@ void Simulator::apply_churn(const ChurnTransition& tr, Scheme& scheme) {
     PHOTODTN_DCHECK_MSG(d == 0, "down transition for an already-down node");
     d = 1;
     bump(ids_.node_crashes);
-    if (obs::TraceRecorder* rec = obs_.trace()) {
-      rec->instant("crash", "fault", now_, tr.node, {{"wipe", tr.wipe ? 1.0 : 0.0}});
-    }
     Node& n = node(tr.node);
+    record({.kind = tr.wipe ? obs::Event::Kind::kCrashWipe : obs::Event::Kind::kCrash,
+            .ts_s = now_,
+            .node = tr.node,
+            .value = tr.wipe ? static_cast<double>(n.store().size()) : 0.0});
     if (tr.wipe) {
       bump(ids_.photos_lost_to_crash, n.store().size());
-      if (obs::ProvenanceRecorder* prov = obs_.prov()) {
-        prov->record({.kind = obs::ProvEvent::Kind::kCrashWipe,
-                      .ts_s = now_,
-                      .node = static_cast<std::int32_t>(tr.node),
-                      .value = static_cast<double>(n.store().size())});
-      }
       n.store().clear();
       // Routing soft state dies with the flash: the reboot re-learns rates
       // and predictabilities from scratch (peers keep their view of us —
@@ -266,15 +231,11 @@ void Simulator::apply_churn(const ChurnTransition& tr, Scheme& scheme) {
       n.prophet() = ProphetTable(config_.prophet, tr.node);
       n.rates() = RateEstimator(now_);
     }
-    emit(SimEvent::Type::kNodeDown, tr.node, -1, 0);
     scheme.on_node_down(*this, tr.node, tr.wipe);
   } else {
     PHOTODTN_DCHECK_MSG(d == 1, "up transition for a node that is not down");
     d = 0;
-    if (obs::TraceRecorder* rec = obs_.trace()) {
-      rec->instant("reboot", "fault", now_, tr.node);
-    }
-    emit(SimEvent::Type::kNodeUp, tr.node, -1, 0);
+    record({.kind = obs::Event::Kind::kReboot, .ts_s = now_, .node = tr.node});
     scheme.on_node_up(*this, tr.node);
   }
 }
@@ -288,14 +249,12 @@ void Simulator::take_sample() {
   s.delivered_photos = delivered_;
   s.bytes_transferred = obs_.registry().value(ids_.bytes_transferred);
   samples_.push_back(s);
-  // Counter tracks for the trace timeline (Chrome renders them as area
-  // charts above the event lanes).
-  if (obs::TraceRecorder* tr = obs_.trace()) {
-    tr->counter("delivered_photos", now_, static_cast<double>(s.delivered_photos));
-    tr->counter("bytes_transferred", now_, static_cast<double>(s.bytes_transferred));
-    tr->counter("point_coverage", now_, s.point_coverage);
-    tr->counter("aspect_coverage", now_, s.aspect_coverage);
-  }
+  record({.kind = obs::Event::Kind::kSample,
+          .ts_s = now_,
+          .photo = s.delivered_photos,
+          .bytes = s.bytes_transferred,
+          .value = s.point_coverage,
+          .aux = s.aspect_coverage});
 }
 
 SimResult Simulator::run(Scheme& scheme) {
@@ -350,18 +309,11 @@ SimResult Simulator::run(Scheme& scheme) {
         continue;
       }
       bump(ids_.photos_taken);
-      emit(SimEvent::Type::kPhotoTaken, ev.node, -1, ev.photo.id);
-      if (obs::TraceRecorder* tr = obs_.trace()) {
-        tr->instant("capture", "photo", now_, ev.node,
-                    {{"photo", static_cast<double>(ev.photo.id)}});
-      }
-      if (obs::ProvenanceRecorder* prov = obs_.prov()) {
-        prov->record({.kind = obs::ProvEvent::Kind::kCapture,
-                      .ts_s = now_,
-                      .photo = static_cast<std::uint64_t>(ev.photo.id),
-                      .node = static_cast<std::int32_t>(ev.node),
-                      .bytes = ev.photo.size_bytes});
-      }
+      record({.kind = obs::Event::Kind::kCapture,
+              .ts_s = now_,
+              .photo = ev.photo.id,
+              .node = ev.node,
+              .bytes = ev.photo.size_bytes});
       scheme.on_photo_taken(*this, ev.node, ev.photo);
       continue;
     }
@@ -374,7 +326,6 @@ SimResult Simulator::run(Scheme& scheme) {
       continue;
     }
     bump(ids_.contacts);
-    emit(SimEvent::Type::kContact, c.a, c.b, 0);
     Node& na = node(c.a);
     Node& nb = node(c.b);
     na.rates().record_contact(c.b, c.start);
@@ -411,13 +362,15 @@ SimResult Simulator::run(Scheme& scheme) {
     if (obs_.metrics_on()) {
       obs_.registry().record(h_contact_bytes_, session.bytes_used());
     }
-    if (obs::TraceRecorder* tr = obs_.trace()) {
-      tr->complete("contact", "contact", c.start, c.duration, c.a,
-                   {{"peer", static_cast<double>(c.b)},
-                    {"bytes", static_cast<double>(session.bytes_used())},
-                    {"budget", session.unlimited() ? -1.0
-                                                   : static_cast<double>(budget)}});
-    }
+    // Stamped with now_, which is c.start unless the contact starts past
+    // the horizon: the log's time never runs backwards.
+    record({.kind = obs::Event::Kind::kContact,
+            .ts_s = now_,
+            .node = c.a,
+            .peer = c.b,
+            .bytes = session.bytes_used(),
+            .value = session.unlimited() ? -1.0 : static_cast<double>(budget),
+            .aux = c.duration});
   }
 
   // Trailing samples up to and including the horizon.
@@ -437,12 +390,7 @@ SimResult Simulator::run(Scheme& scheme) {
   result.counters = read_counters();
   PHOTODTN_AUDIT(obs_.audit());
   if (obs_.metrics_on()) result.obs.metrics = obs_.registry().snapshot();
-  if (const obs::TraceRecorder* tr = obs_.trace()) {
-    result.obs.trace_events = tr->merged();
-  }
-  if (const obs::ProvenanceRecorder* prov = obs_.prov()) {
-    result.obs.prov_events = prov->merged();
-  }
+  obs_.fill_views(result.obs);
   return result;
 }
 

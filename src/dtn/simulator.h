@@ -73,29 +73,6 @@ struct SimSample {
   std::uint64_t bytes_transferred = 0;
 };
 
-/// One observable simulator event, for debugging, tracing, and timeline
-/// tools. Delivered to the listener synchronously, in simulation order.
-struct SimEvent {
-  enum class Type {
-    kContact,     // a/b: endpoints
-    kPhotoTaken,  // a: photographer, photo
-    kTransfer,    // a: source, b: destination, photo
-    kDrop,        // a: holder, photo
-    kDelivery,    // a: source, photo (arrived at the command center)
-    kContactInterrupted,  // a/b: endpoints; photo: the cut transfer (0 if
-                          // the link died between transfers)
-    kNodeDown,    // a: the node that crashed
-    kNodeUp,      // a: the node that rebooted
-  };
-  Type type{};
-  double time = 0.0;
-  NodeId a = -1;
-  NodeId b = -1;
-  PhotoId photo = 0;
-};
-
-using SimEventListener = std::function<void(const SimEvent&)>;
-
 struct SimCounters {
   std::uint64_t contacts = 0;  // contacts actually held (missed ones excluded)
   std::uint64_t photos_taken = 0;
@@ -125,8 +102,9 @@ struct SimResult {
   /// metadata when the workload applied sensor noise.
   std::vector<PhotoId> delivered_ids;
   SimCounters counters;
-  /// Metrics snapshot + merged trace events; empty unless the run enabled
-  /// the corresponding ObsConfig switch. Never feeds golden comparisons.
+  /// Metrics snapshot + the event log's trace and provenance views; each
+  /// empty unless the run enabled its ObsConfig switch. Never feeds golden
+  /// comparisons.
   obs::ObsReport obs;
 };
 
@@ -155,8 +133,8 @@ class SimContext {
 
   /// The run's observability bundle, or nullptr when the context has none
   /// (the default keeps scheme unit-test mocks source-compatible). Schemes
-  /// must check metrics_on(), or take the trace()/prov() recorder pointer,
-  /// before paying any instrumentation cost beyond the null test.
+  /// must check metrics_on(), or take the log() pointer, before paying any
+  /// instrumentation cost beyond the null test.
   virtual obs::Obs* obs() { return nullptr; }
 };
 
@@ -264,13 +242,6 @@ class Simulator : public SimContext {
   /// a checkpoint position.
   std::uint64_t event_index() const noexcept { return event_index_; }
 
-  /// Observes every simulation event (contacts, captures, transfers, drops,
-  /// deliveries). Set before run(); pass nullptr to disable. The listener
-  /// must not mutate simulation state.
-  void set_event_listener(SimEventListener listener) {
-    listener_ = std::move(listener);
-  }
-
   // SimContext interface.
   double now() const override { return now_; }
   const CoverageModel& model() const override { return *model_; }
@@ -315,8 +286,9 @@ class Simulator : public SimContext {
   void bump(obs::MetricsRegistry::Counter c, std::uint64_t n = 1) {
     obs_.registry().add(c, n);
   }
-  void emit(SimEvent::Type type, NodeId a, NodeId b, PhotoId photo) const {
-    if (listener_) listener_(SimEvent{type, now_, a, b, photo});
+  /// Appends `ev` to the event log unless both of its tiers are off.
+  void record(const obs::Event& ev) {
+    if (obs::EventLog* log = obs_.log()) log->record(ev);
   }
 
   const CoverageModel* model_;
@@ -346,7 +318,6 @@ class Simulator : public SimContext {
   std::uint64_t delivered_ = 0;
   std::vector<PhotoId> delivered_ids_;
   std::vector<SimSample> samples_;
-  SimEventListener listener_;
 };
 
 }  // namespace photodtn

@@ -1,11 +1,13 @@
-// Chrome trace-event sink: renders merged TraceEvents (plus an optional
-// metrics snapshot and an optional wall-clock perf section) into the JSON
-// format chrome://tracing and Perfetto open directly.
+// Chrome trace-event sink: renders the trace view of an event log (plus an
+// optional metrics snapshot and an optional wall-clock perf section) into
+// the JSON format chrome://tracing and Perfetto open directly. Each event's
+// name, category, phase, thread and args derive from its kind; a coverage
+// sample renders as four counter tracks.
 //
 // Timestamps: Chrome wants microseconds; we map 1 simulation second to 1e6
 // "microseconds", so the trace timeline *is* the simulation clock. Because
-// every event is keyed by simulation time and the merge order is
-// deterministic, the emitted document is byte-identical across reruns and
+// every event is keyed by simulation time and the log's order is its
+// emission order, the emitted document is byte-identical across reruns and
 // thread counts. The only wall-clock data allowed anywhere near a trace is
 // the `wallPerf` top-level section (thread-pool lane utilization and task
 // latency) — explicitly opt-in, never golden-compared.
@@ -16,8 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/event_log.h"
 #include "obs/metrics.h"
-#include "obs/trace_recorder.h"
 
 namespace photodtn {
 
@@ -41,13 +43,14 @@ struct WallPerfSection {
 WallPerfSection wall_section_from_pool(const ThreadPoolStats& stats);
 
 /// The full document: {"displayTimeUnit":"ms","traceEvents":[...]} plus
-/// optional "photodtnMetrics" and "wallPerf" top-level keys.
-std::string chrome_trace_json(std::span<const TraceEvent> events,
+/// optional "photodtnMetrics" and "wallPerf" top-level keys. Events the
+/// trace view does not show are skipped.
+std::string chrome_trace_json(std::span<const Event> events,
                               const MetricsSnapshot* metrics = nullptr,
                               const WallPerfSection* wall = nullptr);
 
 /// Writes chrome_trace_json to `path`; false on I/O failure.
-bool write_chrome_trace(const std::string& path, std::span<const TraceEvent> events,
+bool write_chrome_trace(const std::string& path, std::span<const Event> events,
                         const MetricsSnapshot* metrics = nullptr,
                         const WallPerfSection* wall = nullptr);
 

@@ -53,7 +53,6 @@ void HistogramSnapshot::merge(const HistogramSnapshot& other) {
 void MetricsSnapshot::merge(const MetricsSnapshot& other) {
   runs += other.runs;
   for (const auto& [name, v] : other.counters) counters[name] += v;
-  for (const auto& [name, v] : other.gauges) gauges[name] += v;
   for (const auto& [name, h] : other.histograms) histograms[name].merge(h);
 }
 
@@ -63,11 +62,8 @@ void MetricsSnapshot::write_json(JsonWriter& w) const {
   w.key("counters").begin_object();
   for (const auto& [name, v] : counters) w.kv(name, v);
   w.end_object();
-  w.key("gauges").begin_object();
-  for (const auto& [name, v] : gauges) {
-    w.kv(name, runs > 0 ? v / static_cast<double>(runs) : v);
-  }
-  w.end_object();
+  // Always empty: the photodtn-metrics/1 document keeps the key.
+  w.key("gauges").begin_object().end_object();
   w.key("histograms").begin_object();
   for (const auto& [name, h] : histograms) {
     w.key(name).begin_object();
@@ -93,12 +89,6 @@ MetricsRegistry::Counter MetricsRegistry::counter(std::string_view name) {
   const std::uint32_t idx = find_or_add(counter_names_, name);
   if (idx == counter_values_.size()) counter_values_.push_back(0);
   return Counter{idx};
-}
-
-MetricsRegistry::Gauge MetricsRegistry::gauge(std::string_view name) {
-  const std::uint32_t idx = find_or_add(gauge_names_, name);
-  if (idx == gauge_values_.size()) gauge_values_.push_back(0.0);
-  return Gauge{idx};
 }
 
 MetricsRegistry::Histogram MetricsRegistry::histogram(
@@ -157,9 +147,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   for (std::size_t i = 0; i < counter_names_.size(); ++i) {
     s.counters.emplace(counter_names_[i], counter_values_[i]);
   }
-  for (std::size_t i = 0; i < gauge_names_.size(); ++i) {
-    s.gauges.emplace(gauge_names_[i], gauge_values_[i]);
-  }
   for (std::size_t i = 0; i < histogram_names_.size(); ++i) {
     const HistogramState& st = histograms_[i];
     HistogramSnapshot h;
@@ -186,10 +173,8 @@ void MetricsRegistry::audit() const {
     }
   };
   unique_names(counter_names_);
-  unique_names(gauge_names_);
   unique_names(histogram_names_);
   check(counter_names_.size() == counter_values_.size(), "counter arrays misaligned");
-  check(gauge_names_.size() == gauge_values_.size(), "gauge arrays misaligned");
   check(histogram_names_.size() == histograms_.size(), "histogram arrays misaligned");
   for (const HistogramState& st : histograms_) {
     check(!st.bounds.empty(), "histogram with no bounds");

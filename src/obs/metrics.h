@@ -1,15 +1,12 @@
-// Lock-cheap in-sim metrics registry: named counters, gauges, and
-// fixed-bucket histograms behind typed index handles. Registration returns a
-// handle once (typically at init/ctor time); the hot-path record calls are a
+// Lock-cheap in-sim metrics registry: named counters and fixed-bucket
+// histograms behind typed index handles. Registration returns a handle once
+// (typically at init/ctor time); the hot-path record calls are a
 // bounds-checked array add — no hashing, no locking, no allocation.
 //
 // Determinism: counters and histograms are integer-valued (std::uint64_t),
 // so merging snapshots is commutative and associative bit-for-bit —
 // experiment runs merged in seed order produce the same JSON regardless of
 // how many pool workers computed them (PHOTODTN_THREADS=1/4 byte-identity).
-// Gauges are double-valued and merged by summation; the JSON sink divides by
-// the run count, which is order-sensitive in the last ulp — gauges are for
-// advisory readings, never for golden-compared output.
 //
 // A registry belongs to one simulation run (like SelectionEnvironment:
 // thread-compatible, not thread-safe). Cross-run aggregation happens on
@@ -52,18 +49,18 @@ struct HistogramSnapshot {
 struct MetricsSnapshot {
   std::uint64_t runs = 0;  // registries merged in (1 for a fresh snapshot)
   std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, double> gauges;  // summed; sink divides by runs
   std::map<std::string, HistogramSnapshot> histograms;
 
   bool empty() const noexcept {
-    return runs == 0 && counters.empty() && gauges.empty() && histograms.empty();
+    return runs == 0 && counters.empty() && histograms.empty();
   }
 
   /// Accumulates `other` (same-name entries add; new names insert).
   void merge(const MetricsSnapshot& other);
 
-  /// Emits {"runs":N,"counters":{...},"gauges":{...},"histograms":{...}}
+  /// Emits {"runs":N,"counters":{...},"gauges":{},"histograms":{...}}
   /// with keys in sorted (map) order — deterministic given equal contents.
+  /// "gauges" is always empty; the photodtn-metrics/1 schema keeps the key.
   void write_json(JsonWriter& w) const;
 };
 
@@ -75,10 +72,6 @@ class MetricsRegistry {
     std::uint32_t idx = kInvalidIndex;
     bool valid() const noexcept { return idx != kInvalidIndex; }
   };
-  struct Gauge {
-    std::uint32_t idx = kInvalidIndex;
-    bool valid() const noexcept { return idx != kInvalidIndex; }
-  };
   struct Histogram {
     std::uint32_t idx = kInvalidIndex;
     bool valid() const noexcept { return idx != kInvalidIndex; }
@@ -86,7 +79,6 @@ class MetricsRegistry {
 
   /// Find-or-create by name; re-registering a name returns the same handle.
   Counter counter(std::string_view name);
-  Gauge gauge(std::string_view name);
   /// `bounds` must be non-empty and strictly increasing; re-registering a
   /// histogram name must pass identical bounds.
   Histogram histogram(std::string_view name, std::vector<std::uint64_t> bounds);
@@ -105,19 +97,9 @@ class MetricsRegistry {
     return counter_values_[c.idx];
   }
 
-  void set(Gauge g, double v) {
-    PHOTODTN_DCHECK_MSG(g.idx < gauge_values_.size(), "invalid gauge handle");
-    gauge_values_[g.idx] = v;
-  }
-  double value(Gauge g) const {
-    PHOTODTN_DCHECK_MSG(g.idx < gauge_values_.size(), "invalid gauge handle");
-    return gauge_values_[g.idx];
-  }
-
   void record(Histogram h, std::uint64_t v);
 
   std::size_t counter_count() const noexcept { return counter_names_.size(); }
-  std::size_t gauge_count() const noexcept { return gauge_names_.size(); }
   std::size_t histogram_count() const noexcept { return histogram_names_.size(); }
 
   /// Copies the current values out (snapshot.runs == 1).
@@ -146,8 +128,6 @@ class MetricsRegistry {
 
   std::vector<std::string> counter_names_;
   std::vector<std::uint64_t> counter_values_;
-  std::vector<std::string> gauge_names_;
-  std::vector<double> gauge_values_;
   std::vector<std::string> histogram_names_;
   std::vector<HistogramState> histograms_;
 };

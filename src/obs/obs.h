@@ -1,6 +1,6 @@
-// Observability bundle: one MetricsRegistry + one TraceRecorder + one
-// ProvenanceRecorder per simulation run, switched by ObsConfig and nothing
-// else (no build option or environment variable reaches it).
+// Observability bundle: one MetricsRegistry + one EventLog per simulation
+// run, switched by ObsConfig and nothing else (no build option or
+// environment variable reaches it).
 //
 // Cost tiers:
 //   * Always-on: the simulator's own counters (SimCounters) live on the
@@ -8,21 +8,20 @@
 //     struct increment cost, and golden outputs depend on them.
 //   * ObsConfig::metrics (set by a --metrics-out or --trace-out sink):
 //     scheme/selection metrics, histograms, and the metrics JSON sink.
-//   * ObsConfig::trace (set by a --trace-out sink): simulation-time
-//     span/instant events.
-//   * ObsConfig::provenance (set by a --provenance-out sink): per-photo
-//     causal lifecycle events (obs/provenance.h).
-// An off tier costs one branch per instrumentation site: trace() and prov()
-// hand out their recorder only while that tier is on, so a hook site is
-//   if (obs::TraceRecorder* tr = obs.trace()) tr->instant(...);
-// and cannot record into an off tier.
+//   * ObsConfig::trace (set by a --trace-out sink): the events the Chrome
+//     trace shows (obs/event_log.h).
+//   * ObsConfig::provenance (set by a --provenance-out sink): the per-photo
+//     causal lifecycle events the provenance JSONL shows.
+// The trace and provenance tiers share the one event log; each filters what
+// it keeps at record time. With both off, log() is nullptr, so a hook site
+//   if (obs::EventLog* log = obs.log()) log->record({...});
+// costs one branch.
 #pragma once
 
 #include <vector>
 
+#include "obs/event_log.h"
 #include "obs/metrics.h"
-#include "obs/provenance.h"
-#include "obs/trace_recorder.h"
 #include "persist/fwd.h"
 
 namespace photodtn::obs {
@@ -33,44 +32,46 @@ struct ObsConfig {
   bool provenance = false;  // per-photo causal lifecycle events
 };
 
-/// What a run hands back: a metrics snapshot (empty when metrics were off),
-/// the deterministically merged trace events (empty when tracing off), and
-/// the merged provenance events (empty when provenance was off).
+/// What a run hands back: a metrics snapshot (empty when metrics were off)
+/// and the log's two views, each empty while its tier was off.
 struct ObsReport {
   MetricsSnapshot metrics;
-  std::vector<TraceEvent> trace_events;
-  std::vector<ProvEvent> prov_events;
+  std::vector<Event> trace_events;
+  std::vector<Event> prov_events;
 };
 
 class Obs {
  public:
-  Obs() = default;
-  explicit Obs(ObsConfig cfg) : cfg_(cfg) {}
+  Obs() : Obs(ObsConfig{}) {}
+  explicit Obs(ObsConfig cfg) : cfg_(cfg), log_(cfg.trace, cfg.provenance) {}
 
   bool metrics_on() const noexcept { return cfg_.metrics; }
 
   MetricsRegistry& registry() noexcept { return registry_; }
   const MetricsRegistry& registry() const noexcept { return registry_; }
-  /// The trace recorder, or nullptr when tracing is off.
-  TraceRecorder* trace() noexcept { return cfg_.trace ? &trace_ : nullptr; }
-  /// The provenance recorder, or nullptr when provenance is off.
-  ProvenanceRecorder* prov() noexcept { return cfg_.provenance ? &prov_ : nullptr; }
+  /// The event log, or nullptr while both the trace and provenance tiers
+  /// are off.
+  EventLog* log() noexcept { return cfg_.trace || cfg_.provenance ? &log_ : nullptr; }
+
+  /// The run's trace and provenance views, each empty while its tier is off.
+  void fill_views(ObsReport& report) const {
+    if (cfg_.trace) report.trace_events = log_.view(View::kTrace);
+    if (cfg_.provenance) report.prov_events = log_.view(View::kProvenance);
+  }
 
   void audit() const {
     registry_.audit();
-    trace_.audit();
-    prov_.audit();
+    log_.audit();
   }
 
  private:
-  // The TRCE and PROV snapshot sections read and restore both recorders
-  // whatever the config says, so their bytes never depend on it.
+  // The EVNT snapshot section reads and restores the log whatever the
+  // config says, so its bytes never depend on it.
   friend struct persist::StateAccess;
 
   ObsConfig cfg_;
   MetricsRegistry registry_;
-  TraceRecorder trace_;
-  ProvenanceRecorder prov_;
+  EventLog log_;
 };
 
 }  // namespace photodtn::obs

@@ -23,8 +23,7 @@ constexpr std::uint32_t kMeta = fourcc('M', 'E', 'T', 'A');
 constexpr std::uint32_t kSim = fourcc('S', 'I', 'M', ' ');
 constexpr std::uint32_t kNode = fourcc('N', 'O', 'D', 'E');
 constexpr std::uint32_t kObs = fourcc('O', 'B', 'S', ' ');
-constexpr std::uint32_t kTrce = fourcc('T', 'R', 'C', 'E');
-constexpr std::uint32_t kProv = fourcc('P', 'R', 'O', 'V');
+constexpr std::uint32_t kEvnt = fourcc('E', 'V', 'N', 'T');
 constexpr std::uint32_t kSchm = fourcc('S', 'C', 'H', 'M');
 constexpr std::uint32_t kEnd = fourcc('E', 'N', 'D', ' ');
 
@@ -33,13 +32,12 @@ struct SectionSpec {
   const char* name;
 };
 
-constexpr std::array<SectionSpec, 8> kSections{{
+constexpr std::array<SectionSpec, 7> kSections{{
     {kMeta, "META"},
     {kSim, "SIM"},
     {kNode, "NODE"},
     {kObs, "OBS"},
-    {kTrce, "TRCE"},
-    {kProv, "PROV"},
+    {kEvnt, "EVNT"},
     {kSchm, "SCHM"},
     {kEnd, "END"},
 }};
@@ -133,10 +131,8 @@ std::string checkpoint(Simulator& sim, const Scheme& scheme) {
   StateAccess::save_nodes(node_w, sim);
   StateWriter obs_w;
   StateAccess::save_obs(obs_w, sim);
-  StateWriter trce_w;
-  StateAccess::save_trace(trce_w, sim);
-  StateWriter prov_w;
-  StateAccess::save_prov(prov_w, sim);
+  StateWriter evnt_w;
+  StateAccess::save_events(evnt_w, sim);
   StateWriter schm_w;
   scheme.save_persist_state(schm_w);
 
@@ -147,8 +143,7 @@ std::string checkpoint(Simulator& sim, const Scheme& scheme) {
   append_section(out, kSim, sim_w.bytes());
   append_section(out, kNode, node_w.bytes());
   append_section(out, kObs, obs_w.bytes());
-  append_section(out, kTrce, trce_w.bytes());
-  append_section(out, kProv, prov_w.bytes());
+  append_section(out, kEvnt, evnt_w.bytes());
   append_section(out, kSchm, schm_w.bytes());
   append_section(out, kEnd, {});
   return out.take();
@@ -195,15 +190,11 @@ void restore(Simulator& sim, Scheme& scheme, std::string_view data) {
     StateAccess::load_obs(obs_r, sim);
     obs_r.expect_end();
 
-    StateReader trce_r(parsed.payloads[4], "snapshot TRCE section");
-    StateAccess::load_trace(trce_r, sim);
-    trce_r.expect_end();
+    StateReader evnt_r(parsed.payloads[4], "snapshot EVNT section");
+    StateAccess::load_events(evnt_r, sim);
+    evnt_r.expect_end();
 
-    StateReader prov_r(parsed.payloads[5], "snapshot PROV section");
-    StateAccess::load_prov(prov_r, sim);
-    prov_r.expect_end();
-
-    StateReader schm_r(parsed.payloads[6], "snapshot SCHM section");
+    StateReader schm_r(parsed.payloads[5], "snapshot SCHM section");
     scheme.load_persist_state(schm_r, sim);
     schm_r.expect_end();
 

@@ -2,8 +2,10 @@
 //
 // Format (all little-endian):
 //   magic "PDTNSNP1" (8 bytes)
-//   u32 version (currently 2; version 2 added the PROV section)
-//   sections, in this fixed order: META SIM NODE OBS TRCE PROV SCHM END
+//   u32 version (currently 3; version 3 replaced the TRCE and PROV sections
+//   with the one EVNT section of fixed-width event records, and dropped
+//   metric gauges from OBS; older versions are rejected)
+//   sections, in this fixed order: META SIM NODE OBS EVNT SCHM END
 //     each: u32 fourcc | u64 payload length | u32 CRC-32 of payload | payload
 //   (END has an empty payload; nothing may follow it)
 //
@@ -37,7 +39,7 @@ class Simulator;
 namespace photodtn::persist {
 
 inline constexpr std::string_view kSnapshotMagic = "PDTNSNP1";
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 /// The snapshot's self-description (META section).
 struct SnapshotMeta {

@@ -28,6 +28,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -37,9 +38,8 @@
 
 #include "dtn/simulator.h"
 #include "geometry/arc_set.h"
+#include "obs/event_log.h"
 #include "obs/metrics.h"
-#include "obs/provenance.h"
-#include "obs/trace_recorder.h"
 #include "persist/codec.h"
 #include "routing/prophet.h"
 #include "routing/rate_estimator.h"
@@ -103,16 +103,23 @@ struct StateAccess {
     w.f64(m.quality);
   }
   static void load(StateReader& r, PhotoMeta& m) {
+    // Every real field must be finite: the stores order photos by taken_at,
+    // and no audit would catch a NaN in a one-photo store.
+    const auto finite = [&](const char* field) {
+      const double v = r.f64();
+      if (!std::isfinite(v)) r.fail(std::string("non-finite photo ") + field);
+      return v;
+    };
     m.id = r.u64();
     m.taken_by = r.i32();
-    m.location.x = r.f64();
-    m.location.y = r.f64();
-    m.range = r.f64();
-    m.fov = r.f64();
-    m.orientation = r.f64();
+    m.location.x = finite("location.x");
+    m.location.y = finite("location.y");
+    m.range = finite("range");
+    m.fov = finite("fov");
+    m.orientation = finite("orientation");
     m.size_bytes = r.u64();
-    m.taken_at = r.f64();
-    m.quality = r.f64();
+    m.taken_at = finite("taken_at");
+    m.quality = finite("quality");
   }
 
   // Capacity is reconstruction state (node config), not snapshot state: only
@@ -385,12 +392,6 @@ struct StateAccess {
       w.str(reg.counter_names_[i]);
       w.u64(reg.counter_values_[i]);
     }
-    const auto gidx = sorted_index(reg.gauge_names_);
-    w.u64(gidx.size());
-    for (const std::size_t i : gidx) {
-      w.str(reg.gauge_names_[i]);
-      w.f64(reg.gauge_values_[i]);
-    }
     const auto hidx = sorted_index(reg.histogram_names_);
     w.u64(hidx.size());
     for (const std::size_t i : hidx) {
@@ -416,13 +417,6 @@ struct StateAccess {
       if (name.empty()) r.fail("empty counter name");
       const std::uint64_t value = r.u64();
       reg.counter_values_[reg.counter(name).idx] = value;
-    }
-    const std::size_t gauges = r.count(12);
-    for (std::size_t i = 0; i < gauges; ++i) {
-      const std::string name = r.str();
-      if (name.empty()) r.fail("empty gauge name");
-      const double value = r.f64();
-      reg.set(reg.gauge(name), value);
     }
     const std::size_t histograms = r.count(28);
     for (std::size_t i = 0; i < histograms; ++i) {
@@ -451,61 +445,10 @@ struct StateAccess {
     reg.audit();
   }
 
-  static void save(StateWriter& w, const obs::TraceRecorder& rec) {
-    w.u64(rec.next_seq_);
-    const std::vector<obs::TraceEvent> events = rec.merged();
-    w.u64(events.size());
-    for (const obs::TraceEvent& ev : events) {
-      w.u8(static_cast<std::uint8_t>(ev.phase));
-      w.str(ev.name);
-      w.str(ev.cat);
-      w.f64(ev.ts_s);
-      w.f64(ev.dur_s);
-      w.i32(ev.tid);
-      w.u64(ev.seq);
-      w.u32(ev.nargs);
-      for (std::uint32_t i = 0; i < ev.nargs && i < obs::TraceEvent::kMaxArgs; ++i) {
-        w.str(ev.args[i].first);
-        w.f64(ev.args[i].second);
-      }
-    }
-  }
-  static void load(StateReader& r, obs::TraceRecorder& rec) {
-    const std::uint64_t next_seq = r.u64();
-    const std::size_t n = r.count(41);
-    std::vector<obs::TraceEvent> events;
-    events.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      obs::TraceEvent ev;
-      const std::uint8_t phase = r.u8();
-      if (phase != 'X' && phase != 'i' && phase != 'C') {
-        r.fail("unknown trace event phase");
-      }
-      ev.phase = static_cast<obs::TraceEvent::Phase>(phase);
-      ev.name = obs::TraceRecorder::intern(r.str());
-      ev.cat = obs::TraceRecorder::intern(r.str());
-      ev.ts_s = r.f64();
-      ev.dur_s = r.f64();
-      ev.tid = r.i32();
-      ev.seq = r.u64();
-      if (ev.seq >= next_seq) r.fail("trace sequence stamp beyond the clock");
-      ev.nargs = r.u32();
-      if (ev.nargs > obs::TraceEvent::kMaxArgs) r.fail("trace arg count out of range");
-      for (std::uint32_t k = 0; k < ev.nargs; ++k) {
-        ev.args[k].first = obs::TraceRecorder::intern(r.str());
-        ev.args[k].second = r.f64();
-      }
-      events.push_back(ev);
-    }
-    rec.restore_events(std::move(events), next_seq);
-    rec.audit();
-  }
-
-  static void save(StateWriter& w, const obs::ProvenanceRecorder& rec) {
-    w.u64(rec.next_seq_);
-    const std::vector<obs::ProvEvent> events = rec.merged();
-    w.u64(events.size());
-    for (const obs::ProvEvent& ev : events) {
+  // One fixed-width record per event, in emission order.
+  static void save(StateWriter& w, const obs::EventLog& log) {
+    w.u64(log.events_.size());
+    for (const obs::Event& ev : log.events_) {
       w.u8(static_cast<std::uint8_t>(ev.kind));
       w.u8(static_cast<std::uint8_t>(ev.outcome));
       w.f64(ev.ts_s);
@@ -515,24 +458,20 @@ struct StateAccess {
       w.u64(ev.bytes);
       w.f64(ev.value);
       w.f64(ev.aux);
-      w.u64(ev.seq);
     }
   }
-  static void load(StateReader& r, obs::ProvenanceRecorder& rec) {
-    const std::uint64_t next_seq = r.u64();
-    const std::size_t n = r.count(55);
-    std::vector<obs::ProvEvent> events;
+  static void load(StateReader& r, obs::EventLog& log) {
+    const std::size_t n = r.count(50);
+    std::vector<obs::Event> events;
     events.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      obs::ProvEvent ev;
+      obs::Event ev;
       const std::uint8_t kind = r.u8();
-      if (kind > obs::ProvEvent::kMaxKind) r.fail("unknown provenance kind");
-      ev.kind = static_cast<obs::ProvEvent::Kind>(kind);
+      if (kind > obs::Event::kMaxKind) r.fail("event kind out of range");
+      ev.kind = static_cast<obs::Event::Kind>(kind);
       const std::uint8_t outcome = r.u8();
-      if (outcome > obs::ProvEvent::kMaxOutcome) {
-        r.fail("unknown provenance outcome");
-      }
-      ev.outcome = static_cast<obs::ProvEvent::Outcome>(outcome);
+      if (outcome > obs::Event::kMaxOutcome) r.fail("event outcome out of range");
+      ev.outcome = static_cast<obs::Event::Outcome>(outcome);
       ev.ts_s = r.f64();
       ev.photo = r.u64();
       ev.node = r.i32();
@@ -540,12 +479,14 @@ struct StateAccess {
       ev.bytes = r.u64();
       ev.value = r.f64();
       ev.aux = r.f64();
-      ev.seq = r.u64();
-      if (ev.seq >= next_seq) r.fail("provenance sequence stamp beyond the clock");
+      if (!std::isfinite(ev.ts_s) || !std::isfinite(ev.value) || !std::isfinite(ev.aux))
+        r.fail("non-finite event payload");
+      if (!events.empty() && ev.ts_s < events.back().ts_s) r.fail("event timestamps decrease");
+      if (!log.keeps(ev)) r.fail("event shown by no tier this run records");
       events.push_back(ev);
     }
-    rec.restore_events(std::move(events), next_seq);
-    rec.audit();
+    log.events_ = std::move(events);
+    log.audit();
   }
 
   // ----------------------------------------------------------- simulator
@@ -632,17 +573,15 @@ struct StateAccess {
   static void load_obs(StateReader& r, Simulator& sim) {
     load(r, sim.obs_.registry());
   }
-  static void save_trace(StateWriter& w, Simulator& sim) {
-    save(w, sim.obs_.trace_);
+  static void save_events(StateWriter& w, Simulator& sim) {
+    save(w, sim.obs_.log_);
   }
-  static void load_trace(StateReader& r, Simulator& sim) {
-    load(r, sim.obs_.trace_);
-  }
-  static void save_prov(StateWriter& w, Simulator& sim) {
-    save(w, sim.obs_.prov_);
-  }
-  static void load_prov(StateReader& r, Simulator& sim) {
-    load(r, sim.obs_.prov_);
+  static void load_events(StateReader& r, Simulator& sim) {
+    load(r, sim.obs_.log_);
+    // The resumed run records from now_ on, so nothing may come later.
+    const std::span<const obs::Event> events = sim.obs_.log_.events();
+    if (!events.empty() && events.back().ts_s > sim.now_)
+      r.fail("event log runs past the simulation clock");
   }
 
   /// Replays the delivered-id list against the restored command-center store
@@ -685,9 +624,9 @@ struct StateAccess {
     w.u64(sim.config_.metadata_bytes_per_photo);
     w.f64(sim.config_.sample_interval_s);
     w.u64(sim.model_->pois().size());
-    w.boolean(sim.obs_.metrics_on());
-    w.boolean(sim.obs_.trace() != nullptr);
-    w.boolean(sim.obs_.prov() != nullptr);
+    w.boolean(sim.obs_.cfg_.metrics);
+    w.boolean(sim.obs_.cfg_.trace);
+    w.boolean(sim.obs_.cfg_.provenance);
   }
 };
 

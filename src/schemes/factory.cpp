@@ -36,6 +36,13 @@ std::unique_ptr<Scheme> make_scheme(const std::string& name,
   throw std::invalid_argument("unknown scheme: " + name);
 }
 
+const std::vector<std::string>& factory_scheme_names() {
+  static const std::vector<std::string> names = {
+      "OurScheme", "NoMetadata",   "Spray&Wait", "ModifiedSpray",
+      "PhotoNet",  "BestPossible", "Epidemic",   "PROPHET"};
+  return names;
+}
+
 std::vector<std::string> simulation_scheme_names() {
   return {"BestPossible", "OurScheme", "NoMetadata", "ModifiedSpray", "Spray&Wait"};
 }

@@ -18,12 +18,15 @@ struct SchemeOptions {
   std::uint32_t spray_copies = 4;
 };
 
-/// Names: "OurScheme", "NoMetadata", "Spray&Wait", "ModifiedSpray",
-/// "PhotoNet", "BestPossible", plus the extra content-agnostic baselines
-/// "Epidemic" and "PROPHET". Throws std::invalid_argument on an unknown
-/// name.
+/// One of factory_scheme_names(). Throws std::invalid_argument on an
+/// unknown name.
 std::unique_ptr<Scheme> make_scheme(const std::string& name,
                                     const SchemeOptions& options = {});
+
+/// Every name make_scheme builds: "OurScheme", "NoMetadata", "Spray&Wait",
+/// "ModifiedSpray", "PhotoNet", "BestPossible", plus the extra
+/// content-agnostic baselines "Epidemic" and "PROPHET".
+const std::vector<std::string>& factory_scheme_names();
 
 /// The five schemes of the Section V comparison, in the paper's order.
 std::vector<std::string> simulation_scheme_names();

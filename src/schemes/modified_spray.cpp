@@ -88,7 +88,7 @@ void ModifiedSprayScheme::spray_direction(SimContext& ctx, ContactSession& sessi
                                           NodeId src, NodeId dst) {
   SprayCounter& src_counter = counter(src);
   obs::Obs* o = ctx.obs();
-  obs::ProvenanceRecorder* prov = o != nullptr ? o->prov() : nullptr;
+  obs::EventLog* log = o != nullptr ? o->log() : nullptr;
   for (const Ranked& r : by_value_desc(ctx.model(), ctx.node(src).store())) {
     if (!src_counter.can_spray(r.id)) continue;
     if (ctx.node(dst).store().contains(r.id)) continue;
@@ -97,14 +97,14 @@ void ModifiedSprayScheme::spray_direction(SimContext& ctx, ContactSession& sessi
     if (!session.transfer(r.id, src, dst, /*keep_source=*/true)) break;
     const std::uint32_t granted = src_counter.spray(r.id);
     counter(dst).on_receive(r.id, granted);
-    if (prov != nullptr) {
-      prov->record({.kind = obs::ProvEvent::Kind::kSprayDecrement,
-                    .ts_s = ctx.now(),
-                    .photo = static_cast<std::uint64_t>(r.id),
-                    .node = static_cast<std::int32_t>(src),
-                    .peer = static_cast<std::int32_t>(dst),
-                    .value = static_cast<double>(granted),
-                    .aux = static_cast<double>(src_counter.copies(r.id))});
+    if (log != nullptr) {
+      log->record({.kind = obs::Event::Kind::kSprayDecrement,
+                   .ts_s = ctx.now(),
+                   .photo = r.id,
+                   .node = src,
+                   .peer = dst,
+                   .value = static_cast<double>(granted),
+                   .aux = static_cast<double>(src_counter.copies(r.id))});
     }
   }
 }

@@ -35,12 +35,12 @@ void OurScheme::init(SimContext& ctx) {
   hooks_ = ObsHooks{};
   last_totals_ = SelectionStats{};
   obs::Obs* o = ctx.obs();
-  // Trace and provenance are independent of the metrics tier: resolve them
-  // before the metrics early-return. The commit log stays off (zero
-  // per-commit cost) unless provenance wants marginal gains.
-  trace_ = o != nullptr ? o->trace() : nullptr;
-  prov_ = o != nullptr ? o->prov() : nullptr;
-  selector_.enable_commit_log(prov_ != nullptr);
+  // The event log is independent of the metrics tier: resolve it before the
+  // metrics early-return. The commit log stays off (zero per-commit cost)
+  // unless the log keeps select commits (the provenance tier is on).
+  log_ = o != nullptr ? o->log() : nullptr;
+  selector_.enable_commit_log(
+      log_ != nullptr && log_->keeps({.kind = obs::Event::Kind::kSelectCommit}));
   if (o == nullptr || !o->metrics_on()) return;
   hooks_.obs = o;
   obs::MetricsRegistry& reg = o->registry();
@@ -81,17 +81,21 @@ void OurScheme::record_selection_delta() {
   last_totals_ = t;
 }
 
+void OurScheme::record_select_commit(double now, NodeId node, NodeId peer,
+                                     const SelectCommit& c) {
+  log_->record({.kind = obs::Event::Kind::kSelectCommit,
+                .ts_s = now,
+                .photo = c.id,
+                .node = node,
+                .peer = peer,
+                .value = c.gain.point,
+                .aux = c.gain.aspect});
+}
+
 void OurScheme::emit_select_commits(double now, NodeId node, NodeId peer) {
-  if (prov_ == nullptr) return;
-  for (const SelectCommit& c : selector_.take_commit_log()) {
-    prov_->record({.kind = obs::ProvEvent::Kind::kSelectCommit,
-                   .ts_s = now,
-                   .photo = static_cast<std::uint64_t>(c.id),
-                   .node = static_cast<std::int32_t>(node),
-                   .peer = static_cast<std::int32_t>(peer),
-                   .value = c.gain.point,
-                   .aux = c.gain.aspect});
-  }
+  if (log_ == nullptr) return;
+  for (const SelectCommit& c : selector_.take_commit_log())
+    record_select_commit(now, node, peer, c);
 }
 
 MetadataCache& OurScheme::cache(NodeId node) {
@@ -176,23 +180,23 @@ void OurScheme::exchange_metadata(SimContext& ctx, NodeId a, NodeId b, double no
   if (b_to_a) {
     const std::size_t acc = ca.merge_from(cb, a);
     accepted += acc;
-    if (prov_ != nullptr) {
-      prov_->record({.kind = obs::ProvEvent::Kind::kGossip,
-                     .ts_s = now,
-                     .node = static_cast<std::int32_t>(a),
-                     .peer = static_cast<std::int32_t>(b),
-                     .value = static_cast<double>(acc)});
+    if (log_ != nullptr) {
+      log_->record({.kind = obs::Event::Kind::kGossip,
+                    .ts_s = now,
+                    .node = a,
+                    .peer = b,
+                    .value = static_cast<double>(acc)});
     }
   }
   if (a_to_b) {
     const std::size_t acc = cb.merge_from(ca, b);
     accepted += acc;
-    if (prov_ != nullptr) {
-      prov_->record({.kind = obs::ProvEvent::Kind::kGossip,
-                     .ts_s = now,
-                     .node = static_cast<std::int32_t>(b),
-                     .peer = static_cast<std::int32_t>(a),
-                     .value = static_cast<double>(acc)});
+    if (log_ != nullptr) {
+      log_->record({.kind = obs::Event::Kind::kGossip,
+                    .ts_s = now,
+                    .node = b,
+                    .peer = a,
+                    .value = static_cast<double>(acc)});
     }
   }
   const std::size_t invalidated = ca.prune(now) + cb.prune(now);
@@ -378,10 +382,13 @@ void OurScheme::contact_with_center(SimContext& ctx, ContactSession& session) {
   }
   senv.remove_collection(kCommandCenter);
   record_engine_rebuilds(part);
-  if (trace_ != nullptr) {
-    trace_->instant("select", "selection", now, static_cast<std::int32_t>(part),
-                    {{"pool", static_cast<double>(pool.size())},
-                     {"delivered", static_cast<double>(delivered.size())}});
+  if (log_ != nullptr) {
+    log_->record({.kind = obs::Event::Kind::kSelect,
+                  .ts_s = now,
+                  .node = part,
+                  .peer = kCommandCenter,
+                  .value = static_cast<double>(pool.size()),
+                  .aux = static_cast<double>(delivered.size())});
   }
 }
 
@@ -405,32 +412,23 @@ void OurScheme::contact_between_participants(SimContext& ctx, ContactSession& se
       model, pool, a, pa, na.store().capacity_bytes(), b, pb,
       nb.store().capacity_bytes(), env);
   record_engine_rebuilds(a);
-  if (prov_ != nullptr) {
+  if (log_ != nullptr) {
     // The commit log holds both phases back to back: the first
     // first_target.size() entries are the first node's commits.
     const std::vector<SelectCommit> commits = selector_.take_commit_log();
     const std::size_t nfirst = plan.first_target.size();
     for (std::size_t i = 0; i < commits.size(); ++i) {
-      const SelectCommit& c = commits[i];
       const bool in_first = i < nfirst;
-      prov_->record({.kind = obs::ProvEvent::Kind::kSelectCommit,
-                     .ts_s = now,
-                     .photo = static_cast<std::uint64_t>(c.id),
-                     .node = static_cast<std::int32_t>(in_first ? plan.first
-                                                                : plan.second),
-                     .peer = static_cast<std::int32_t>(in_first ? plan.second
-                                                                : plan.first),
-                     .value = c.gain.point,
-                     .aux = c.gain.aspect});
+      record_select_commit(now, in_first ? plan.first : plan.second,
+                           in_first ? plan.second : plan.first, commits[i]);
     }
-  }
-  if (trace_ != nullptr) {
-    trace_->instant(
-        "reallocate", "selection", now, static_cast<std::int32_t>(a),
-        {{"pool", static_cast<double>(pool.size())},
-         {"peer", static_cast<double>(b)},
-         {"first_target", static_cast<double>(plan.first_target.size())},
-         {"second_target", static_cast<double>(plan.second_target.size())}});
+    log_->record({.kind = obs::Event::Kind::kReallocate,
+                  .ts_s = now,
+                  .node = a,
+                  .peer = b,
+                  .bytes = plan.second_target.size(),
+                  .value = static_cast<double>(pool.size()),
+                  .aux = static_cast<double>(plan.first_target.size())});
   }
 
   // The pool and both targets sorted by id, for the lookups below.

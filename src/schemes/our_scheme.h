@@ -131,9 +131,11 @@ class OurScheme : public Scheme {
   void record_engine_rebuilds(NodeId viewer);
   /// Accounts selector work since the last reading (diff of totals()).
   void record_selection_delta();
-  /// Drains the selector's commit log into kSelectCommit provenance events
-  /// attributed to `node` (peer = the contact counterpart). No-op unless
-  /// init() saw provenance enabled.
+  /// Records one kSelectCommit event attributed to `node` (peer = the
+  /// contact counterpart). Requires log_.
+  void record_select_commit(double now, NodeId node, NodeId peer, const SelectCommit& c);
+  /// Drains the selector's commit log into kSelectCommit events. The log
+  /// is empty unless init() saw the provenance tier on.
   void emit_select_commits(double now, NodeId node, NodeId peer);
 
   OurSchemeConfig cfg_;
@@ -145,10 +147,9 @@ class OurScheme : public Scheme {
   std::vector<const MetadataEntry*> valid_scratch_;
   std::vector<std::pair<NodeId, std::uint64_t>> revs_scratch_;
   ObsHooks hooks_;
-  /// The run's recorders, set by init(); nullptr while that tier is off.
-  /// prov_ also gates the selector's commit log.
-  obs::TraceRecorder* trace_ = nullptr;
-  obs::ProvenanceRecorder* prov_ = nullptr;
+  /// The run's event log, set by init(); nullptr while the trace and
+  /// provenance tiers are both off.
+  obs::EventLog* log_ = nullptr;
   SelectionStats last_totals_;
 };
 

@@ -39,7 +39,7 @@ void SprayAndWaitScheme::spray_direction(SimContext& ctx, ContactSession& sessio
   SprayCounter& src_counter = counter(src);
   SprayCounter& dst_counter = counter(dst);
   obs::Obs* o = ctx.obs();
-  obs::ProvenanceRecorder* prov = o != nullptr ? o->prov() : nullptr;
+  obs::EventLog* log = o != nullptr ? o->log() : nullptr;
   // Only the receiver's store changes (the sender keeps its copy), so the
   // sender's live order is walked.
   const PhotoStore& to = ctx.node(dst).store();
@@ -52,14 +52,14 @@ void SprayAndWaitScheme::spray_direction(SimContext& ctx, ContactSession& sessio
     if (!session.transfer(id, src, dst, /*keep_source=*/true)) break;
     const std::uint32_t granted = src_counter.spray(id);
     dst_counter.on_receive(id, granted);
-    if (prov != nullptr) {
-      prov->record({.kind = obs::ProvEvent::Kind::kSprayDecrement,
-                    .ts_s = ctx.now(),
-                    .photo = static_cast<std::uint64_t>(id),
-                    .node = static_cast<std::int32_t>(src),
-                    .peer = static_cast<std::int32_t>(dst),
-                    .value = static_cast<double>(granted),
-                    .aux = static_cast<double>(src_counter.copies(id))});
+    if (log != nullptr) {
+      log->record({.kind = obs::Event::Kind::kSprayDecrement,
+                   .ts_s = ctx.now(),
+                   .photo = id,
+                   .node = src,
+                   .peer = dst,
+                   .value = static_cast<double>(granted),
+                   .aux = static_cast<double>(src_counter.copies(id))});
     }
   }
 }

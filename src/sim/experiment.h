@@ -79,10 +79,10 @@ struct ExperimentResult {
   // snapshots merged in seed order (integer-valued, so byte-identical for
   // any pool size); trace_events are run 0's, the run a trace file depicts.
   obs::MetricsSnapshot metrics;
-  std::vector<obs::TraceEvent> trace_events;
+  std::vector<obs::Event> trace_events;
   // Provenance events are run 0's too (the run --provenance-out depicts);
   // empty unless spec.scenario.sim.obs.provenance is set.
-  std::vector<obs::ProvEvent> prov_events;
+  std::vector<obs::Event> prov_events;
 };
 
 /// One full simulation run; exposed so tests can drive single runs.

@@ -93,29 +93,39 @@ bool write_metrics_json(const std::string& path,
 
 namespace {
 
-const char* prov_kind_name(obs::ProvEvent::Kind k) {
+const char* kind_name(obs::Event::Kind k) {
+  using Kind = obs::Event::Kind;
   switch (k) {
-    case obs::ProvEvent::Kind::kCapture: return "capture";
-    case obs::ProvEvent::Kind::kGossip: return "gossip";
-    case obs::ProvEvent::Kind::kTransfer: return "transfer";
-    case obs::ProvEvent::Kind::kMetadataBytes: return "metadata_bytes";
-    case obs::ProvEvent::Kind::kDrop: return "drop";
-    case obs::ProvEvent::Kind::kSprayDecrement: return "spray_decrement";
-    case obs::ProvEvent::Kind::kDelivery: return "delivery";
-    case obs::ProvEvent::Kind::kSelectCommit: return "select_commit";
-    case obs::ProvEvent::Kind::kCrashWipe: return "crash_wipe";
+    case Kind::kCapture: return "capture";
+    case Kind::kGossip: return "gossip";
+    case Kind::kTransfer: return "transfer";
+    case Kind::kMetadataBytes: return "metadata_bytes";
+    case Kind::kDrop: return "drop";
+    case Kind::kSprayDecrement: return "spray_decrement";
+    case Kind::kDelivery: return "delivery";
+    case Kind::kSelectCommit: return "select_commit";
+    case Kind::kCrashWipe: return "crash_wipe";
+    // Never in the provenance view; named for completeness.
+    case Kind::kCrash: return "crash";
+    case Kind::kReboot: return "reboot";
+    case Kind::kLinkCut: return "linkcut";
+    case Kind::kContact: return "contact";
+    case Kind::kSample: return "sample";
+    case Kind::kSelect: return "select";
+    case Kind::kReallocate: return "reallocate";
   }
   return "unknown";
 }
 
-const char* prov_outcome_name(obs::ProvEvent::Outcome o) {
+const char* outcome_name(obs::Event::Outcome o) {
+  using Outcome = obs::Event::Outcome;
   switch (o) {
-    case obs::ProvEvent::Outcome::kOk: return "ok";
-    case obs::ProvEvent::Outcome::kInterrupted: return "interrupted";
-    case obs::ProvEvent::Outcome::kNoBudget: return "no_budget";
-    case obs::ProvEvent::Outcome::kNoSpace: return "no_space";
-    case obs::ProvEvent::Outcome::kDuplicate: return "duplicate";
-    case obs::ProvEvent::Outcome::kMissing: return "missing";
+    case Outcome::kOk: return "ok";
+    case Outcome::kInterrupted: return "interrupted";
+    case Outcome::kNoBudget: return "no_budget";
+    case Outcome::kNoSpace: return "no_space";
+    case Outcome::kDuplicate: return "duplicate";
+    case Outcome::kMissing: return "missing";
   }
   return "unknown";
 }
@@ -141,10 +151,11 @@ std::string provenance_to_jsonl(const ExperimentResult& result) {
   w.kv("delivered", result.final_delivered.mean());
   w.kv("events", static_cast<std::uint64_t>(result.prov_events.size()));
   w.end_object().end_record();
-  for (const obs::ProvEvent& ev : result.prov_events) {
+  std::uint64_t seq = 0;  // the event's index in the provenance view
+  for (const obs::Event& ev : result.prov_events) {
     w.begin_object();
-    w.kv("kind", prov_kind_name(ev.kind));
-    w.kv("outcome", prov_outcome_name(ev.outcome));
+    w.kv("kind", kind_name(ev.kind));
+    w.kv("outcome", outcome_name(ev.outcome));
     w.kv("ts", ev.ts_s);
     w.kv("photo", ev.photo);
     w.kv("node", static_cast<std::int64_t>(ev.node));
@@ -152,7 +163,7 @@ std::string provenance_to_jsonl(const ExperimentResult& result) {
     w.kv("bytes", ev.bytes);
     w.kv("value", ev.value);
     w.kv("aux", ev.aux);
-    w.kv("seq", ev.seq);
+    w.kv("seq", seq++);
     w.end_object().end_record();
   }
   return std::move(w).str();

@@ -30,11 +30,12 @@ bool write_metrics_json(const std::string& path,
 
 /// Provenance export (JSONL): one header object
 /// {"schema":"photodtn-provenance/1",scheme,runs,final_point,final_aspect,
-/// delivered,events} then one compact object per ProvEvent in merged
-/// (ts, seq) order — kind/outcome as strings, the numeric payload verbatim.
-/// Line-oriented so the analyzer (tools/obs/provenance_report.py) and the
-/// validator (tools/obs/check_trace.py validate-provenance) can stream it,
-/// and byte-identical across PHOTODTN_THREADS (the recorder merge is).
+/// delivered,events} then one compact object per event of the provenance
+/// view, in emission order — kind/outcome as strings, the numeric payload
+/// verbatim, and the event's index in the view as "seq". Line-oriented so
+/// the analyzer (tools/obs/provenance_report.py) and the validator
+/// (tools/obs/check_trace.py validate-provenance) can stream it, and
+/// byte-identical across PHOTODTN_THREADS (the log's order is).
 std::string provenance_to_jsonl(const ExperimentResult& result);
 bool write_provenance_jsonl(const std::string& path,
                             const ExperimentResult& result);

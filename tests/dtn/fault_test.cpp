@@ -187,9 +187,8 @@ TEST(SimulatorFaults, DownNodeMissesContactsAndCaptures) {
   const ContactTrace trace{{{30.0, 50.0, 0, 1}, {80.0, 50.0, 0, 1}}, 2, 400.0};
   SimConfig cfg = small_config();
   cfg.faults.scripted_downtime = {{1, 15.0, 60.0}};
-  std::vector<SimEvent> events;
+  cfg.obs.trace = true;
   Simulator sim(model, trace, {ev(10.0, 1, 1), ev(20.0, 1, 2), ev(70.0, 1, 3)}, cfg);
-  sim.set_event_listener([&](const SimEvent& e) { events.push_back(e); });
   FloodScheme scheme;
   const SimResult r = sim.run(scheme);
 
@@ -205,17 +204,18 @@ TEST(SimulatorFaults, DownNodeMissesContactsAndCaptures) {
   ASSERT_EQ(r.delivered_ids.size(), 1u);
   EXPECT_EQ(r.delivered_ids[0], 3u);
 
-  // Down/up events bracket the outage, in order.
-  std::vector<SimEvent> churn;
-  for (const SimEvent& e : events)
-    if (e.type == SimEvent::Type::kNodeDown || e.type == SimEvent::Type::kNodeUp)
+  // Crash/reboot events bracket the outage, in order.
+  std::vector<obs::Event> churn;
+  for (const obs::Event& e : r.obs.trace_events)
+    if (e.kind == obs::Event::Kind::kCrashWipe || e.kind == obs::Event::Kind::kReboot)
       churn.push_back(e);
   ASSERT_EQ(churn.size(), 2u);
-  EXPECT_EQ(churn[0].type, SimEvent::Type::kNodeDown);
-  EXPECT_DOUBLE_EQ(churn[0].time, 15.0);
-  EXPECT_EQ(churn[0].a, 1);
-  EXPECT_EQ(churn[1].type, SimEvent::Type::kNodeUp);
-  EXPECT_DOUBLE_EQ(churn[1].time, 60.0);
+  EXPECT_EQ(churn[0].kind, obs::Event::Kind::kCrashWipe);
+  EXPECT_DOUBLE_EQ(churn[0].ts_s, 15.0);
+  EXPECT_EQ(churn[0].node, 1);
+  EXPECT_EQ(churn[0].value, 1.0);  // photo 1 was wiped
+  EXPECT_EQ(churn[1].kind, obs::Event::Kind::kReboot);
+  EXPECT_DOUBLE_EQ(churn[1].ts_s, 60.0);
 }
 
 TEST(SimulatorFaults, CrashWithoutWipeKeepsTheBuffer) {
@@ -224,11 +224,18 @@ TEST(SimulatorFaults, CrashWithoutWipeKeepsTheBuffer) {
   SimConfig cfg = small_config();
   cfg.faults.scripted_downtime = {{1, 15.0, 60.0}};
   cfg.faults.crash_wipes_storage = false;
+  cfg.obs.trace = true;
+  cfg.obs.provenance = true;
   Simulator sim(model, trace, {ev(10.0, 1, 1)}, cfg);
   FloodScheme scheme;
   const SimResult r = sim.run(scheme);
   EXPECT_EQ(r.counters.photos_lost_to_crash, 0u);
   EXPECT_EQ(r.delivered_photos, 1u);  // the pre-crash photo survived the outage
+  // A crash that keeps the buffer is a trace event only: provenance records
+  // the wipes that lose photos.
+  EXPECT_EQ(test::photos_of(r, obs::Event::Kind::kCrash).size(), 1u);
+  for (const obs::Event& e : r.obs.prov_events)
+    EXPECT_NE(e.kind, obs::Event::Kind::kCrashWipe);
 }
 
 TEST(SimulatorFaults, InterruptedTransferBurnsWireBytesWithoutMaterializing) {
@@ -240,9 +247,8 @@ TEST(SimulatorFaults, InterruptedTransferBurnsWireBytesWithoutMaterializing) {
   cfg.faults.contact_interrupt_prob = 1.0;
   cfg.faults.interrupt_fraction_min = 0.5;
   cfg.faults.interrupt_fraction_max = 0.5;
-  std::vector<SimEvent> events;
+  cfg.obs.trace = true;
   Simulator sim(model, trace, {ev(1.0, 1, 1), ev(2.0, 1, 2), ev(3.0, 1, 3)}, cfg);
-  sim.set_event_listener([&](const SimEvent& e) { events.push_back(e); });
   FloodScheme scheme;
   const SimResult r = sim.run(scheme);
 
@@ -253,13 +259,8 @@ TEST(SimulatorFaults, InterruptedTransferBurnsWireBytesWithoutMaterializing) {
   EXPECT_EQ(r.counters.partial_bytes, 25u);
   EXPECT_GE(r.counters.failed_transfers, 2u);  // the cut one + the dead-link one
 
-  std::size_t cuts = 0;
-  for (const SimEvent& e : events)
-    if (e.type == SimEvent::Type::kContactInterrupted) {
-      ++cuts;
-      EXPECT_EQ(e.photo, 2u) << "the cut must name the in-flight photo";
-    }
-  EXPECT_EQ(cuts, 1u);
+  EXPECT_EQ(test::photos_of(r, obs::Event::Kind::kLinkCut), (std::vector<PhotoId>{2}))
+      << "the cut must name the in-flight photo";
 }
 
 TEST(SimulatorFaults, SetupSwallowingContactMovesNothing) {

@@ -1,6 +1,6 @@
 // Tests for the obs layer: metrics registry semantics, snapshot merge
-// determinism, the deterministic trace recorder, the Chrome trace sink, and
-// the end-to-end guarantees the rest of the repo relies on — obs on/off
+// determinism, the Chrome trace sink over the event log, and the end-to-end
+// guarantees the rest of the repo relies on — obs on/off
 // never changes simulation results, and metrics/traces are byte-identical
 // across thread-pool sizes.
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include "obs/chrome_trace.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
-#include "obs/trace_recorder.h"
 #include "sim/experiment.h"
 #include "sim/result_io.h"
 #include "util/json.h"
@@ -21,10 +20,9 @@
 namespace photodtn {
 namespace {
 
+using obs::Event;
 using obs::MetricsRegistry;
 using obs::MetricsSnapshot;
-using obs::TraceEvent;
-using obs::TraceRecorder;
 
 std::string snapshot_json(const MetricsSnapshot& s) {
   JsonWriter w;
@@ -32,7 +30,7 @@ std::string snapshot_json(const MetricsSnapshot& s) {
   return w.str();
 }
 
-TEST(MetricsRegistry, CountersGaugesAndHandleReuse) {
+TEST(MetricsRegistry, CountersAndHandleReuse) {
   MetricsRegistry reg;
   const auto c = reg.counter("sim.contacts");
   ASSERT_TRUE(c.valid());
@@ -44,12 +42,7 @@ TEST(MetricsRegistry, CountersGaugesAndHandleReuse) {
   EXPECT_EQ(c2.idx, c.idx);
   EXPECT_EQ(reg.value(c2), 42u);
 
-  const auto g = reg.gauge("pool.load");
-  reg.set(g, 0.75);
-  EXPECT_DOUBLE_EQ(reg.value(g), 0.75);
-
   EXPECT_EQ(reg.counter_count(), 1u);
-  EXPECT_EQ(reg.gauge_count(), 1u);
   reg.audit();
 }
 
@@ -94,23 +87,20 @@ TEST(MetricsSnapshot, MergeIsOrderInvariant) {
   MetricsRegistry ra, rb;
   for (MetricsRegistry* r : {&ra, &rb}) {
     r->counter("c");
-    r->gauge("g");
     r->histogram("h", {2, 8, 32});
   }
   ra.add(ra.counter("c"), 7);
-  ra.set(ra.gauge("g"), 1.5);
   ra.record(ra.histogram("h", {2, 8, 32}), 3);
   rb.add(rb.counter("c"), 5);
   rb.add(rb.counter("only_b"), 1);
-  rb.set(rb.gauge("g"), 2.5);
   rb.record(rb.histogram("h", {2, 8, 32}), 100);
 
   MetricsSnapshot ab = ra.snapshot();
   ab.merge(rb.snapshot());
   MetricsSnapshot ba = rb.snapshot();
   ba.merge(ra.snapshot());
-  // Counters and histograms are integer-valued, gauges sum: both merge
-  // orders must serialize identically, byte for byte.
+  // Counters and histograms are integer-valued: both merge orders must
+  // serialize identically, byte for byte.
   EXPECT_EQ(snapshot_json(ab), snapshot_json(ba));
   EXPECT_EQ(ab.runs, 2u);
   EXPECT_EQ(ab.counters.at("c"), 12u);
@@ -124,48 +114,49 @@ TEST(MetricsSnapshot, MergeIsOrderInvariant) {
   EXPECT_EQ(snapshot_json(empty), snapshot_json(ab));
 }
 
-TEST(TraceRecorder, MergeSortsByTimestampThenSeq) {
-  TraceRecorder rec;
-  rec.instant("late", "t", 5.0, 1);
-  rec.complete("early", "t", 1.0, 0.5, 2, {{"bytes", 128.0}});
-  rec.instant("tie_a", "t", 3.0, 3);
-  rec.instant("tie_b", "t", 3.0, 4);
-  const std::vector<TraceEvent> ev = rec.merged();
-  ASSERT_EQ(ev.size(), 4u);
-  EXPECT_STREQ(ev[0].name, "early");
-  EXPECT_STREQ(ev[1].name, "tie_a");  // same ts: emission (seq) order
-  EXPECT_STREQ(ev[2].name, "tie_b");
-  EXPECT_STREQ(ev[3].name, "late");
-  EXPECT_EQ(ev[0].phase, TraceEvent::Phase::kComplete);
-  EXPECT_EQ(ev[0].nargs, 1u);
-  EXPECT_DOUBLE_EQ(ev[0].args[0].second, 128.0);
-  rec.audit();
-}
-
 TEST(ChromeTrace, DocumentShapeAndDeterminism) {
-  TraceRecorder rec;
-  rec.instant("capture", "photo", 10.0, 3, {{"photo", 7.0}});
-  rec.complete("contact", "contact", 20.0, 4.0, 1, {{"peer", 2.0}});
-  rec.counter("delivered", 30.0, 5.0);
+  const std::vector<Event> events{
+      {.kind = Event::Kind::kCapture, .ts_s = 10.0, .photo = 7, .node = 3},
+      // Provenance only: the trace skips it.
+      {.kind = Event::Kind::kGossip, .ts_s = 20.0, .node = 1, .peer = 2, .value = 4.0},
+      {.kind = Event::Kind::kContact,
+       .ts_s = 20.0,
+       .node = 1,
+       .peer = 2,
+       .bytes = 64,
+       .value = -1.0,
+       .aux = 4.0},
+      {.kind = Event::Kind::kSample, .ts_s = 30.0, .photo = 5, .bytes = 9, .value = 0.5},
+      {.kind = Event::Kind::kCrashWipe, .ts_s = 40.0, .node = 2, .value = 3.0}};
   MetricsRegistry reg;
   reg.add(reg.counter("sim.contacts"), 3);
   const MetricsSnapshot snap = reg.snapshot();
 
-  const std::string doc = obs::chrome_trace_json(rec.merged(), &snap);
+  const std::string doc = obs::chrome_trace_json(events, &snap);
   for (const char* needle :
        {"\"displayTimeUnit\":\"ms\"", "\"traceEvents\":", "\"ph\":\"M\"",
-        "\"ph\":\"i\"", "\"ph\":\"X\"", "\"ph\":\"C\"", "\"dur\":",
-        "\"photodtnMetrics\":", "\"sim.contacts\":3"}) {
+        "\"ph\":\"i\"", "\"ph\":\"X\"", "\"ph\":\"C\"", "\"dur\":4000000",
+        "\"args\":{\"peer\":2,\"bytes\":64,\"budget\":-1}",
+        "\"name\":\"delivered_photos\"", "\"name\":\"aspect_coverage\"",
+        "\"name\":\"crash\"", "\"args\":{\"wipe\":1}", "\"photodtnMetrics\":",
+        "\"sim.contacts\":3"}) {
     EXPECT_NE(doc.find(needle), std::string::npos) << needle;
   }
+  EXPECT_EQ(doc.find("gossip"), std::string::npos);
+  // A sample renders as four counter tracks.
+  std::size_t counters = 0;
+  for (std::size_t at = doc.find("\"ph\":\"C\""); at != std::string::npos;
+       at = doc.find("\"ph\":\"C\"", at + 1))
+    ++counters;
+  EXPECT_EQ(counters, 4u);
   // No wallPerf unless explicitly passed.
   EXPECT_EQ(doc.find("wallPerf"), std::string::npos);
   // Re-rendering the same inputs is byte-identical.
-  EXPECT_EQ(doc, obs::chrome_trace_json(rec.merged(), &snap));
+  EXPECT_EQ(doc, obs::chrome_trace_json(events, &snap));
 
   obs::WallPerfSection wall;
   wall.lanes.push_back({"worker-0", 4, 1000});
-  const std::string with_wall = obs::chrome_trace_json(rec.merged(), &snap, &wall);
+  const std::string with_wall = obs::chrome_trace_json(events, &snap, &wall);
   EXPECT_NE(with_wall.find("\"wallPerf\":"), std::string::npos);
   EXPECT_NE(with_wall.find("\"worker-0\""), std::string::npos);
 }
@@ -173,16 +164,17 @@ TEST(ChromeTrace, DocumentShapeAndDeterminism) {
 TEST(Obs, ConfigGatesRecording) {
   obs::Obs off;
   EXPECT_FALSE(off.metrics_on());
-  EXPECT_EQ(off.trace(), nullptr);
-  EXPECT_EQ(off.prov(), nullptr);
+  EXPECT_EQ(off.log(), nullptr);
   obs::Obs on(obs::ObsConfig{true, true});
   EXPECT_TRUE(on.metrics_on());
-  ASSERT_NE(on.trace(), nullptr);
-  EXPECT_EQ(on.prov(), nullptr);
+  ASSERT_NE(on.log(), nullptr);
   on.registry().add(on.registry().counter("c"));
-  on.trace()->instant("e", "t", 1.0, 0);
+  // The trace tier keeps trace events and drops provenance-only ones.
+  on.log()->record({.kind = Event::Kind::kReboot, .ts_s = 1.0});
+  on.log()->record({.kind = Event::Kind::kGossip, .ts_s = 1.0});
+  EXPECT_EQ(on.log()->events().size(), 1u);
   on.audit();
-  EXPECT_NE(obs::Obs(obs::ObsConfig{.provenance = true}).prov(), nullptr);
+  EXPECT_NE(obs::Obs(obs::ObsConfig{.provenance = true}).log(), nullptr);
 }
 
 /// Tiny fixed-seed experiment spec shared by the integration tests below.

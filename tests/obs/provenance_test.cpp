@@ -1,10 +1,9 @@
-// Tests for the provenance layer: recorder merge/audit semantics, the
-// persist round trip, and the end-to-end guarantees the attribution
-// pipeline relies on — provenance on/off never changes simulation results,
-// the JSONL export is byte-identical across thread-pool sizes and across
-// checkpoint/restore, and the causal invariants (capture before any use,
-// wire bytes bounded by the captured size) hold for every factory scheme
-// under sampled fault plans.
+// Tests for the provenance view of the event log: the end-to-end guarantees
+// the attribution pipeline relies on — provenance on/off never changes
+// simulation results, the JSONL export is byte-identical across thread-pool
+// sizes and across checkpoint/restore, and the causal invariants (capture
+// before any use, wire bytes bounded by the captured size) hold for every
+// factory scheme under sampled fault plans.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -15,10 +14,7 @@
 #include "dtn/simulator.h"
 #include "geometry/angle.h"
 #include "obs/obs.h"
-#include "obs/provenance.h"
-#include "persist/codec.h"
 #include "persist/snapshot.h"
-#include "persist/state_access.h"
 #include "schemes/factory.h"
 #include "sim/experiment.h"
 #include "sim/result_io.h"
@@ -33,78 +29,8 @@
 namespace photodtn {
 namespace {
 
-using obs::ProvEvent;
-using obs::ProvenanceRecorder;
-
-bool same_event(const ProvEvent& a, const ProvEvent& b) {
-  return a.kind == b.kind && a.outcome == b.outcome && a.ts_s == b.ts_s &&
-         a.photo == b.photo && a.node == b.node && a.peer == b.peer &&
-         a.bytes == b.bytes && a.value == b.value && a.aux == b.aux &&
-         a.seq == b.seq;
-}
-
-void expect_same_events(const std::vector<ProvEvent>& a,
-                        const std::vector<ProvEvent>& b,
-                        const std::string& label) {
-  ASSERT_EQ(a.size(), b.size()) << label;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_TRUE(same_event(a[i], b[i])) << label << " event " << i;
-  }
-}
-
-TEST(ProvenanceRecorder, MergeSortsByTimestampThenSeq) {
-  ProvenanceRecorder rec;
-  rec.record({.kind = ProvEvent::Kind::kDrop, .ts_s = 5.0, .photo = 3});
-  rec.record({.kind = ProvEvent::Kind::kCapture, .ts_s = 1.0, .photo = 3});
-  rec.record({.kind = ProvEvent::Kind::kGossip, .ts_s = 3.0, .node = 1});
-  rec.record({.kind = ProvEvent::Kind::kGossip, .ts_s = 3.0, .node = 2});
-  const std::vector<ProvEvent> ev = rec.merged();
-  ASSERT_EQ(ev.size(), 4u);
-  EXPECT_EQ(ev[0].kind, ProvEvent::Kind::kCapture);
-  EXPECT_EQ(ev[1].node, 1);  // same ts: emission (seq) order
-  EXPECT_EQ(ev[2].node, 2);
-  EXPECT_EQ(ev[3].kind, ProvEvent::Kind::kDrop);
-  // Caller-set seq values are ignored; the recorder assigns unique stamps.
-  EXPECT_LT(ev[1].seq, ev[2].seq);
-  EXPECT_EQ(rec.event_count(), 4u);
-  rec.audit();
-}
-
-TEST(ProvenanceRecorder, PersistRoundTripContinuesTheSequenceClock) {
-  ProvenanceRecorder a;
-  a.record({.kind = ProvEvent::Kind::kCapture, .ts_s = 1.0, .photo = 7,
-            .node = 2, .bytes = 4'000'000});
-  a.record({.kind = ProvEvent::Kind::kTransfer,
-            .outcome = ProvEvent::Outcome::kInterrupted, .ts_s = 2.5,
-            .photo = 7, .node = 2, .peer = 3, .bytes = 1234});
-  persist::StateWriter w;
-  persist::StateAccess::save(w, a);
-
-  ProvenanceRecorder b;
-  persist::StateReader r(w.bytes(), "prov test");
-  persist::StateAccess::load(r, b);
-  r.expect_end();
-  expect_same_events(a.merged(), b.merged(), "round trip");
-
-  // Recording after a restore continues with fresh unique stamps.
-  b.record({.kind = ProvEvent::Kind::kDelivery, .ts_s = 3.0, .photo = 7});
-  b.audit();
-  const std::vector<ProvEvent> ev = b.merged();
-  ASSERT_EQ(ev.size(), 3u);
-  EXPECT_GT(ev[2].seq, ev[1].seq);
-}
-
-TEST(ProvenanceRecorder, LoadRejectsCorruptPayloads) {
-  ProvenanceRecorder a;
-  a.record({.kind = ProvEvent::Kind::kCapture, .ts_s = 1.0, .photo = 1});
-  persist::StateWriter w;
-  persist::StateAccess::save(w, a);
-  std::string bad = w.bytes();
-  bad[16] = '\x63';  // first event's kind byte -> far out of range
-  ProvenanceRecorder b;
-  persist::StateReader r(bad, "prov test");
-  EXPECT_THROW(persist::StateAccess::load(r, b), persist::SnapshotError);
-}
+using obs::Event;
+using test::expect_same_events;
 
 /// Tiny fixed-seed experiment spec (mirrors obs_test.cpp's small_spec but
 /// exercises only the provenance tier).
@@ -208,8 +134,8 @@ TEST(ProvenanceIntegration, ResumeEqualsContinuous) {
   ASSERT_FALSE(snap.empty());
   ASSERT_FALSE(a.obs.prov_events.empty());
 
-  // Restored run: the PROV section re-injects the pre-checkpoint events and
-  // the sequence clock, so the full merged stream must match exactly.
+  // Restored run: the EVNT section re-injects the pre-checkpoint events, so
+  // the full stream must match exactly.
   auto sim_b = rig.make_sim();
   auto scheme_b = make_scheme("OurScheme", SchemeOptions{});
   persist::restore(*sim_b, *scheme_b, snap);
@@ -225,46 +151,46 @@ using test::ChaosScenario;
 using test::random_fault_plan;
 
 /// The causal contract the JSONL validator enforces on exports, checked at
-/// the source: capture precedes any use of a photo, timestamps are merged
-/// non-decreasing, sequence stamps are unique, and transfer/delivery bytes
-/// are bounded by (ok/delivery: equal to) the captured size.
-void check_causal_invariants(const std::vector<ProvEvent>& events,
+/// the source: only provenance kinds, capture precedes any use of a photo,
+/// timestamps are non-decreasing, and transfer/delivery bytes are bounded by
+/// (ok/delivery: equal to) the captured size.
+void check_causal_invariants(const std::vector<Event>& events,
                              const std::string& label) {
   std::map<std::uint64_t, std::uint64_t> captured;  // photo -> size
-  std::set<std::uint64_t> seqs;
   double prev_ts = -1.0;
-  for (const ProvEvent& ev : events) {
+  for (const Event& ev : events) {
+    EXPECT_TRUE(obs::shows(obs::View::kProvenance, ev))
+        << label << " kind " << static_cast<int>(ev.kind);
     EXPECT_GE(ev.ts_s, prev_ts) << label;
     prev_ts = ev.ts_s;
-    EXPECT_TRUE(seqs.insert(ev.seq).second) << label << " seq " << ev.seq;
     switch (ev.kind) {
-      case ProvEvent::Kind::kCapture:
+      case Event::Kind::kCapture:
         EXPECT_EQ(captured.count(ev.photo), 0u)
             << label << " photo " << ev.photo << " captured twice";
         captured[ev.photo] = ev.bytes;
         break;
-      case ProvEvent::Kind::kTransfer: {
+      case Event::Kind::kTransfer: {
         const auto it = captured.find(ev.photo);
         ASSERT_NE(it, captured.end())
             << label << " transfer before capture of " << ev.photo;
         EXPECT_LE(ev.bytes, it->second) << label;
-        if (ev.outcome == ProvEvent::Outcome::kOk) {
+        if (ev.outcome == Event::Outcome::kOk) {
           EXPECT_EQ(ev.bytes, it->second) << label;
-        } else if (ev.outcome != ProvEvent::Outcome::kInterrupted) {
+        } else if (ev.outcome != Event::Outcome::kInterrupted) {
           EXPECT_EQ(ev.bytes, 0u) << label;
         }
         break;
       }
-      case ProvEvent::Kind::kDelivery: {
+      case Event::Kind::kDelivery: {
         const auto it = captured.find(ev.photo);
         ASSERT_NE(it, captured.end())
             << label << " delivery before capture of " << ev.photo;
         EXPECT_EQ(ev.bytes, it->second) << label;
         break;
       }
-      case ProvEvent::Kind::kDrop:
-      case ProvEvent::Kind::kSprayDecrement:
-      case ProvEvent::Kind::kSelectCommit:
+      case Event::Kind::kDrop:
+      case Event::Kind::kSprayDecrement:
+      case Event::Kind::kSelectCommit:
         EXPECT_EQ(captured.count(ev.photo), 1u)
             << label << " use before capture of " << ev.photo;
         break;
@@ -328,12 +254,12 @@ TEST(ProvenanceIntegration, PricedMetadataAndEarlyCutsAreAttributed) {
   const SimResult r = run_single(spec, 11);
   check_causal_invariants(r.obs.prov_events, "priced metadata");
   std::uint64_t metadata_events = 0, metadata_bytes = 0;
-  for (const ProvEvent& ev : r.obs.prov_events) {
-    if (ev.kind != ProvEvent::Kind::kMetadataBytes) continue;
+  for (const Event& ev : r.obs.prov_events) {
+    if (ev.kind != Event::Kind::kMetadataBytes) continue;
     ++metadata_events;
     metadata_bytes += ev.bytes;
     EXPECT_GT(ev.bytes, 0u);
-    EXPECT_EQ(ev.outcome, ProvEvent::Outcome::kOk);
+    EXPECT_EQ(ev.outcome, Event::Outcome::kOk);
   }
   EXPECT_GT(metadata_events, 0u);
   EXPECT_GT(metadata_bytes, 0u);

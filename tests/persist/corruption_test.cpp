@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -34,7 +35,7 @@ struct TinyRig {
     sc.trace.seed = 5 ^ 0x7ace5eedULL;
     sc.sim.sample_interval_s = 2.0 * 3600.0;
     sc.sim.node_storage_bytes = 40'000'000;
-    sc.sim.obs.metrics = true;  // populate the OBS and TRCE sections too
+    sc.sim.obs.metrics = true;  // populate the OBS and EVNT sections too
     sc.sim.obs.trace = true;
     sc.sim.seed = 5 ^ 0x51eedbeefULL;
 
@@ -117,6 +118,15 @@ void write_u32(std::string& data, std::size_t at, std::uint32_t v) {
   std::memcpy(data.data() + at, &v, sizeof v);
 }
 
+/// Recomputes the CRC of the section whose header starts at `hdr`, as an
+/// adversary who edits a payload would.
+void fix_crc(std::string& data, std::size_t hdr) {
+  const std::uint64_t len = read_u64(data, hdr + 4);
+  const std::uint32_t crc = persist::crc32(std::string_view(data).substr(
+      hdr + kSectionHeaderBytes, static_cast<std::size_t>(len)));
+  write_u32(data, hdr + 12, crc);
+}
+
 /// Offsets of each section header in the container, in order.
 std::vector<std::size_t> section_offsets(const std::string& data) {
   std::vector<std::size_t> offsets;
@@ -175,7 +185,7 @@ TEST(PersistCorruption, VersionSkew) {
 TEST(PersistCorruption, CrcFixedSemanticCorruption) {
   const std::string& good = snapshot();
   const std::vector<std::size_t> sections = section_offsets(good);
-  ASSERT_EQ(sections.size(), 8u);  // META SIM NODE OBS TRCE PROV SCHM END
+  ASSERT_EQ(sections.size(), 7u);  // META SIM NODE OBS EVNT SCHM END
 
   // NODE section: smash the leading node-count u64 to a huge value. The
   // allocation-bomb guard must trip before any multi-gigabyte reserve.
@@ -196,7 +206,7 @@ TEST(PersistCorruption, CrcFixedSemanticCorruption) {
   // CRC; the scheme's loader must fail validation, not install garbage.
   {
     std::string bad = good;
-    const std::size_t schm_hdr = sections[6];
+    const std::size_t schm_hdr = sections[5];
     const std::size_t payload = schm_hdr + kSectionHeaderBytes;
     const std::uint64_t len = read_u64(bad, schm_hdr + 4);
     ASSERT_GE(len, 8u);
@@ -207,6 +217,57 @@ TEST(PersistCorruption, CrcFixedSemanticCorruption) {
     write_u32(bad, schm_hdr + 12, crc);
     expect_rejected(bad, "CRC-fixed scheme payload noise");
   }
+}
+
+// The EVNT section: a count, then one 50-byte record per event (kind u8,
+// outcome u8, ts f64, photo u64, node i32, peer i32, bytes u64, value f64,
+// aux f64). Each case edits one record, fixes the CRC, and must be rejected
+// for the reason it plants.
+TEST(PersistCorruption, CrcFixedEventLogCorruption) {
+  const std::string& good = snapshot();
+  const std::size_t hdr = section_offsets(good)[4];
+  const std::size_t first = hdr + kSectionHeaderBytes + 8;
+  const std::uint64_t count = read_u64(good, hdr + kSectionHeaderBytes);
+  ASSERT_GE(count, 2u);
+  const auto planted = [&](std::size_t offset, const void* bytes, std::size_t n,
+                           const std::string& reason) {
+    std::string bad = good;
+    std::memcpy(bad.data() + first + offset, bytes, n);
+    fix_crc(bad, hdr);
+    auto sim = rig().make_sim();
+    auto scheme = rig().make_scheme();
+    try {
+      persist::restore(*sim, *scheme, bad);
+      ADD_FAILURE() << reason << ": accepted";
+    } catch (const persist::SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find(reason), std::string::npos) << e.what();
+    }
+  };
+  const std::uint8_t kind = 0x63;
+  planted(0, &kind, 1, "event kind out of range");
+  // The first event's timestamp far in the future: the second one decreases.
+  const double future = 1e12;
+  planted(2, &future, 8, "event timestamps decrease");
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  planted(34, &nan, 8, "non-finite event payload");
+  // The last event after the checkpoint's clock: the resumed run would
+  // record earlier events after it.
+  planted(50 * (count - 1) + 2, &future, 8, "event log runs past the simulation clock");
+}
+
+TEST(PersistCorruption, VersionTwoSnapshotIsRejectedNamingItsVersion) {
+  // Version 2 kept the trace and provenance events in TRCE and PROV
+  // sections; this build reads only version 3.
+  std::string old = snapshot();
+  write_u32(old, kMagicBytes, 2);
+  try {
+    persist::peek_meta(old);
+    FAIL() << "a version-2 snapshot was accepted";
+  } catch (const persist::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version 2"), std::string::npos)
+        << e.what();
+  }
+  expect_rejected(old, "version 2");
 }
 
 TEST(PersistCorruption, PeekMetaRejectsCorruptInput) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -12,7 +13,9 @@
 #include "dtn/simulator.h"
 #include "obs/chrome_trace.h"
 #include "persist/codec.h"
+#include "persist/state_access.h"
 #include "schemes/factory.h"
+#include "test_util.h"
 #include "workload/photo_gen.h"
 #include "workload/poi_gen.h"
 #include "workload/scenario.h"
@@ -183,23 +186,17 @@ TEST(Snapshot, ResumeEqualsContinuousWithObs) {
   const SimResult resumed = sim->run(*scheme);
   expect_identical(continuous, resumed);
 
-  // The metrics snapshot and merged trace must also agree exactly.
+  // The metrics snapshot and the trace view must also agree exactly.
   EXPECT_EQ(continuous.obs.metrics.counters, resumed.obs.metrics.counters);
-  EXPECT_EQ(continuous.obs.metrics.gauges, resumed.obs.metrics.gauges);
-  ASSERT_EQ(continuous.obs.trace_events.size(), resumed.obs.trace_events.size());
-  for (std::size_t i = 0; i < continuous.obs.trace_events.size(); ++i) {
-    EXPECT_EQ(std::string(continuous.obs.trace_events[i].name),
-              std::string(resumed.obs.trace_events[i].name));
-    EXPECT_EQ(continuous.obs.trace_events[i].ts_s, resumed.obs.trace_events[i].ts_s);
-    EXPECT_EQ(continuous.obs.trace_events[i].seq, resumed.obs.trace_events[i].seq);
-  }
+  test::expect_same_events(continuous.obs.trace_events, resumed.obs.trace_events,
+                           "trace view");
 }
 
 TEST(Snapshot, RestoredTraceOutlivesTheSimulator) {
-  // A resumed run's trace events carry names restored from the snapshot.
-  // They are read after the Simulator is gone, as the CLI does for
-  // `simulate --restore-from --trace-out`; under ASan a name freed with the
-  // simulator's recorder shows up here as a use after free.
+  // A resumed run's trace events include ones restored from the snapshot.
+  // They are rendered after the Simulator is gone, as the CLI does for
+  // `simulate --restore-from --trace-out`; under ASan anything they still
+  // borrowed from the simulator shows up here as a use after free.
   const Rig rig(/*seed=*/13, /*obs_on=*/true);
   std::string snap;
   const SimResult continuous = run_capturing(rig, "OurScheme", 250, &snap);
@@ -266,6 +263,54 @@ TEST(Snapshot, CheckpointBeforeRunCapturesTheStart) {
   scheme->init(*sim);
   const std::string snap = persist::checkpoint(*sim, *scheme);
   EXPECT_EQ(persist::peek_meta(snap).event_index, 0u);
+}
+
+// A snapshot's photo metadata must be finite. A NaN taken_at in a store of
+// two or more photos fails the store's order audit, but one photo passes it
+// and would then break the (taken_at, id) order of every later add.
+TEST(PhotoMetaLoad, NonFiniteTakenAtInAOnePhotoStoreIsRejected) {
+  PhotoMeta p = test::make_photo(0.0, 0.0, 0.0, 200.0, 60.0, /*id=*/7);
+  p.taken_at = std::numeric_limits<double>::quiet_NaN();
+  PhotoStore store;
+  ASSERT_TRUE(store.add(p));
+  persist::StateWriter w;
+  persist::StateAccess::save(w, store);
+
+  PhotoStore fresh;
+  persist::StateReader r(w.bytes(), "photo store");
+  try {
+    persist::StateAccess::load(r, fresh);
+    FAIL() << "a NaN taken_at was restored";
+  } catch (const persist::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("taken_at"), std::string::npos) << e.what();
+  }
+}
+
+TEST(PhotoMetaLoad, InfiniteLocationInACachedEntryIsRejected) {
+  // A metadata-cache entry's photos go through the same loader.
+  PhotoMeta p = test::make_photo(0.0, 0.0, 0.0, 200.0, 60.0, /*id=*/3);
+  p.location.x = std::numeric_limits<double>::infinity();
+  persist::StateWriter w;
+  w.f64(0.8);   // p_thld
+  w.u64(2);     // next revision
+  w.u64(1);     // one entry
+  w.i32(4);     // owner
+  w.f64(10.0);  // observed_at
+  w.f64(0.1);   // lambda
+  w.f64(0.5);   // delivery_prob
+  w.u64(1);     // revision
+  w.u64(1);     // one photo
+  persist::StateAccess::save(w, p);
+
+  const CoverageModel model = test::single_poi_model();
+  MetadataCache cache;
+  persist::StateReader r(w.bytes(), "metadata cache");
+  try {
+    persist::StateAccess::load(r, cache, model);
+    FAIL() << "an infinite location was restored";
+  } catch (const persist::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("location.x"), std::string::npos) << e.what();
+  }
 }
 
 }  // namespace

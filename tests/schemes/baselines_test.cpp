@@ -128,19 +128,19 @@ void expect_wipe_forgets_copies() {
       {{100.0, 60.0, 1, 2}, {400.0, 60.0, 1, 2}, {1000.0, 60.0, 2, 3}}, 4, 2000.0};
   SimConfig cfg = small_config();
   cfg.faults.scripted_downtime = {{2, 200.0, 300.0}};  // wipes by default
+  cfg.obs.trace = true;
   Simulator sim(model, trace,
                 {capture(1.0, 1, photo_viewing(model.pois()[0], 0.0))}, cfg);
-  std::vector<SimEvent> transfers;
-  sim.set_event_listener([&](const SimEvent& e) {
-    if (e.type == SimEvent::Type::kTransfer) transfers.push_back(e);
-  });
   SprayScheme scheme(4);
   const SimResult r = sim.run(scheme);
   EXPECT_EQ(r.counters.photos_lost_to_crash, 1u);
+  std::vector<obs::Event> transfers;
+  for (const obs::Event& e : r.obs.trace_events)
+    if (e.kind == obs::Event::Kind::kTransfer) transfers.push_back(e);
   ASSERT_EQ(transfers.size(), 2u) << "node 2 sprayed past its copy budget";
-  for (const SimEvent& e : transfers) {
-    EXPECT_EQ(e.a, 1);
-    EXPECT_EQ(e.b, 2);
+  for (const obs::Event& e : transfers) {
+    EXPECT_EQ(e.node, 1);
+    EXPECT_EQ(e.peer, 2);
   }
 }
 

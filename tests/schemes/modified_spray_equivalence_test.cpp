@@ -1,6 +1,7 @@
 // ModifiedSpray's memoized ranking and eviction scan against the re-ranking
-// oracle (reference_modified_spray.h): the full SimEvent stream, every
-// SimCounters field and the delivery order must match. Sampled small
+// oracle (reference_modified_spray.h): both views of the event log (spray
+// decrements included), every SimCounters field and the delivery order must
+// match. Sampled small
 // scenarios crossed with sampled fault plans cover the broad surface;
 // hand-built contacts pin each tie rule and the strict eviction test.
 #include <gtest/gtest.h>
@@ -40,13 +41,13 @@ TEST(ModifiedSprayEquivalence, SampledScenariosUnderFaultPlansMatchReference) {
 
     test::ReferenceModifiedSpray oracle;
     ModifiedSprayScheme scheme;
-    const test::RecordedRun want =
+    const SimResult want =
         test::run_recorded(model, sc.trace, sc.events, cfg, oracle);
-    const test::RecordedRun got =
+    const SimResult got =
         test::run_recorded(model, sc.trace, sc.events, cfg, scheme);
     test::expect_same_run(want, got, "plan " + std::to_string(plan));
-    drops += got.result.counters.drops;
-    transfers += got.result.counters.transfers;
+    drops += got.counters.drops;
+    transfers += got.counters.transfers;
   }
   // The matrix must actually spray and evict.
   EXPECT_GT(transfers, 1000u);
@@ -82,7 +83,7 @@ struct Case {
 
 /// Runs `c` under the oracle and the production scheme, requires identical
 /// runs, and returns the production one.
-test::RecordedRun run_both(const Case& c, const std::string& label) {
+SimResult run_both(const Case& c, const std::string& label) {
   const ContactTrace trace{c.contacts, 3, 1000.0};
   SimConfig cfg;
   cfg.node_storage_bytes = c.storage_photos * kPhoto;
@@ -92,20 +93,15 @@ test::RecordedRun run_both(const Case& c, const std::string& label) {
   for (const auto& [p, node] : c.photos) events.push_back(PhotoEvent{p.taken_at, node, p});
   test::ReferenceModifiedSpray oracle;
   ModifiedSprayScheme scheme;
-  const test::RecordedRun want =
+  const SimResult want =
       test::run_recorded(two_poi_model(), trace, events, cfg, oracle);
-  test::RecordedRun got = test::run_recorded(two_poi_model(), trace, events, cfg, scheme);
+  SimResult got = test::run_recorded(two_poi_model(), trace, events, cfg, scheme);
   test::expect_same_run(want, got, label);
   return got;
 }
 
-/// The photo of every `type` event, in stream order.
-std::vector<PhotoId> photos_of(const test::RecordedRun& run, SimEvent::Type type) {
-  std::vector<PhotoId> out;
-  for (const SimEvent& e : run.events)
-    if (e.type == type) out.push_back(e.photo);
-  return out;
-}
+using Kind = obs::Event::Kind;
+using test::photos_of;
 
 TEST(ModifiedSprayEquivalence, PhotoKindsHaveTheIntendedValues) {
   const CoverageModel model = two_poi_model();
@@ -123,8 +119,8 @@ TEST(ModifiedSprayEquivalence, EqualValuesDeliverInTakenAtIdOrder) {
   c.contacts = {{100.0, 10.0, 0, 1}};
   c.storage_photos = 5;
   c.photos = {{low(7, 2.0), 1}, {low(5, 1.0), 1}, {low(3, 2.0), 1}, {high(9, 3.0), 1}};
-  const test::RecordedRun r = run_both(c, "delivery ties");
-  EXPECT_EQ(r.result.delivered_ids, (std::vector<PhotoId>{9, 5, 3, 7}));
+  const SimResult r = run_both(c, "delivery ties");
+  EXPECT_EQ(r.delivered_ids, (std::vector<PhotoId>{9, 5, 3, 7}));
 }
 
 TEST(ModifiedSprayEquivalence, EqualValuesEvictLatestTakenAtThenLargestId) {
@@ -134,9 +130,9 @@ TEST(ModifiedSprayEquivalence, EqualValuesEvictLatestTakenAtThenLargestId) {
   c.contacts = {{100.0, 3.0, 1, 2}};
   c.photos = {{low(5, 1.0), 2}, {low(3, 2.0), 2}, {low(7, 2.0), 2},
               {high(20, 3.0), 1}, {high(21, 4.0), 1}, {high(22, 5.0), 1}};
-  const test::RecordedRun r = run_both(c, "eviction ties");
-  EXPECT_EQ(photos_of(r, SimEvent::Type::kTransfer), (std::vector<PhotoId>{20, 21, 22}));
-  EXPECT_EQ(photos_of(r, SimEvent::Type::kDrop), (std::vector<PhotoId>{7, 3, 5}));
+  const SimResult r = run_both(c, "eviction ties");
+  EXPECT_EQ(photos_of(r, Kind::kTransfer), (std::vector<PhotoId>{20, 21, 22}));
+  EXPECT_EQ(photos_of(r, Kind::kDrop), (std::vector<PhotoId>{7, 3, 5}));
 }
 
 TEST(ModifiedSprayEquivalence, VictimWorthTheIncomingValueIsKept) {
@@ -146,9 +142,9 @@ TEST(ModifiedSprayEquivalence, VictimWorthTheIncomingValueIsKept) {
   Case c;
   c.contacts = {{100.0, 3.0, 1, 2}};
   c.photos = {{low(5, 1.0), 2}, {low(3, 2.0), 2}, {low(7, 2.0), 2}, {low(8, 3.0), 1}};
-  const test::RecordedRun r = run_both(c, "equal value");
-  EXPECT_EQ(photos_of(r, SimEvent::Type::kTransfer), (std::vector<PhotoId>{5, 3}));
-  EXPECT_TRUE(photos_of(r, SimEvent::Type::kDrop).empty());
+  const SimResult r = run_both(c, "equal value");
+  EXPECT_EQ(photos_of(r, Kind::kTransfer), (std::vector<PhotoId>{5, 3}));
+  EXPECT_TRUE(photos_of(r, Kind::kDrop).empty());
 }
 
 TEST(ModifiedSprayEquivalence, LargeIncomingPhotoEvictsSeveralVictims) {
@@ -158,9 +154,9 @@ TEST(ModifiedSprayEquivalence, LargeIncomingPhotoEvictsSeveralVictims) {
   c.contacts = {{100.0, 10.0, 1, 2}};
   c.photos = {{low(5, 1.0), 2}, {low(3, 2.0), 2}, {low(7, 2.0), 2},
               {high(20, 3.0, 2 * kPhoto), 1}};
-  const test::RecordedRun r = run_both(c, "several victims");
-  EXPECT_EQ(photos_of(r, SimEvent::Type::kDrop), (std::vector<PhotoId>{7, 3}));
-  EXPECT_EQ(photos_of(r, SimEvent::Type::kTransfer), (std::vector<PhotoId>{20, 5}));
+  const SimResult r = run_both(c, "several victims");
+  EXPECT_EQ(photos_of(r, Kind::kDrop), (std::vector<PhotoId>{7, 3}));
+  EXPECT_EQ(photos_of(r, Kind::kTransfer), (std::vector<PhotoId>{20, 5}));
 }
 
 TEST(ModifiedSprayEquivalence, EvictionsThatStillLeaveNoRoomStand) {
@@ -171,9 +167,9 @@ TEST(ModifiedSprayEquivalence, EvictionsThatStillLeaveNoRoomStand) {
   c.contacts = {{100.0, 10.0, 1, 2}};
   c.photos = {{low(5, 1.0), 2}, {low(3, 2.0), 2}, {high(9, 2.5), 2},
               {high(20, 3.0, 3 * kPhoto), 1}};
-  const test::RecordedRun r = run_both(c, "partial eviction");
-  EXPECT_EQ(photos_of(r, SimEvent::Type::kDrop), (std::vector<PhotoId>{3, 5}));
-  EXPECT_TRUE(photos_of(r, SimEvent::Type::kTransfer).empty());
+  const SimResult r = run_both(c, "partial eviction");
+  EXPECT_EQ(photos_of(r, Kind::kDrop), (std::vector<PhotoId>{3, 5}));
+  EXPECT_TRUE(photos_of(r, Kind::kTransfer).empty());
 }
 
 }  // namespace

@@ -218,14 +218,12 @@ TEST(OurScheme, CrashPurgesCachedEntryAndRebootGossipRepopulates) {
   Rig rig({{100.0, 600.0, 1, 2}, {450.0, 600.0, 1, 2}}, 3, 1000.0,
           std::move(events), cfg);
   OurScheme scheme;
-  std::vector<SimEvent> events_seen;
-  rig.sim.set_event_listener([&](const SimEvent& e) { events_seen.push_back(e); });
   const SimResult r = rig.sim.run(scheme);
 
   EXPECT_EQ(r.counters.node_crashes, 1u);
   EXPECT_EQ(r.counters.photos_lost_to_crash, 1u);  // the pre-crash photo
 
-  // Snapshot taken during the kNodeDown event: node 2's cached view of node
+  // Snapshot taken during the crash: node 2's cached view of node
   // 1 must already be gone at crash time (we can't observe mid-run state
   // from outside, so assert on the final state plus the crash ordering).
   const MetadataCache& c2 = scheme.cache_of(2);

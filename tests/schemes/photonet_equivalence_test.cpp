@@ -1,6 +1,6 @@
 // PhotoNet's incremental send/evict against the rescanning oracle
-// (reference_photonet.h): the full SimEvent stream, every SimCounters field
-// and the delivery order must match. Sampled small scenarios crossed with
+// (reference_photonet.h): both views of the event log, every SimCounters
+// field and the delivery order must match. Sampled small scenarios crossed with
 // sampled fault plans cover the broad surface; hand-built contacts pin each
 // tie rule, the re-entry of evicted photos, and the command center.
 #include <gtest/gtest.h>
@@ -22,20 +22,25 @@ namespace {
 
 constexpr std::uint64_t kPhoto = 4'000'000;  // test::make_photo's size
 
+using Kind = obs::Event::Kind;
 using test::expect_same_run;
+using test::photos_of;
 using test::run_recorded;
-using Recorded = test::RecordedRun;
 
 /// Transfers into a node of a photo that node dropped earlier in the same
 /// contact: the ping-pong of an evicted photo re-entering the candidates.
-std::size_t count_reentries(const std::vector<SimEvent>& events) {
+/// A contact's events share its start time and end with its kContact
+/// record.
+std::size_t count_reentries(const SimResult& run) {
   std::set<std::pair<NodeId, PhotoId>> dropped;  // within the current contact
   std::size_t reentries = 0;
-  for (const SimEvent& e : events) {
-    if (e.type == SimEvent::Type::kContact) dropped.clear();
-    if (e.type == SimEvent::Type::kDrop) dropped.emplace(e.a, e.photo);
-    if (e.type == SimEvent::Type::kTransfer && dropped.count({e.b, e.photo}) != 0)
-      ++reentries;
+  double now = -1.0;
+  for (const obs::Event& e : run.obs.trace_events) {
+    if (e.ts_s != now) dropped.clear();
+    now = e.ts_s;
+    if (e.kind == Kind::kContact) dropped.clear();
+    if (e.kind == Kind::kDrop) dropped.emplace(e.node, e.photo);
+    if (e.kind == Kind::kTransfer && dropped.count({e.peer, e.photo}) != 0) ++reentries;
   }
   return reentries;
 }
@@ -59,11 +64,11 @@ TEST(PhotoNetOracle, SampledScenariosUnderFaultPlansMatchReference) {
 
     test::ReferencePhotoNet oracle;
     PhotoNetScheme scheme;
-    const Recorded want = run_recorded(model, sc.trace, sc.events, cfg, oracle);
-    const Recorded got = run_recorded(model, sc.trace, sc.events, cfg, scheme);
+    const SimResult want = run_recorded(model, sc.trace, sc.events, cfg, oracle);
+    const SimResult got = run_recorded(model, sc.trace, sc.events, cfg, scheme);
     expect_same_run(want, got, "plan " + std::to_string(plan));
-    drops += got.result.counters.drops;
-    reentries += count_reentries(got.events);
+    drops += got.counters.drops;
+    reentries += count_reentries(got);
   }
   // The matrix must actually reach eviction and re-entry.
   EXPECT_GT(drops, 1000u);
@@ -106,7 +111,7 @@ PhotoMeta photo_at(PhotoId id, double x, double y, double taken_at) {
 
 /// Runs `c` under the oracle and the production scheme, requires identical
 /// runs, and returns the production one.
-Recorded run_both(const Case& c, const std::string& label) {
+SimResult run_both(const Case& c, const std::string& label) {
   const CoverageModel model{{test::make_poi(0.0, 0.0)}, deg_to_rad(30.0)};
   const ContactTrace trace{c.contacts, 3, 1000.0};
   SimConfig cfg;
@@ -123,18 +128,10 @@ Recorded run_both(const Case& c, const std::string& label) {
   PhotoNetScheme scheme;
   Seeded seeded_oracle(oracle, holders);
   Seeded seeded(scheme, holders);
-  const Recorded want = run_recorded(model, trace, events, cfg, seeded_oracle);
-  Recorded got = run_recorded(model, trace, events, cfg, seeded);
+  const SimResult want = run_recorded(model, trace, events, cfg, seeded_oracle);
+  SimResult got = run_recorded(model, trace, events, cfg, seeded);
   expect_same_run(want, got, label);
   return got;
-}
-
-/// The photo of every `type` event, in stream order.
-std::vector<PhotoId> photos_of(const Recorded& run, SimEvent::Type type) {
-  std::vector<PhotoId> out;
-  for (const SimEvent& e : run.events)
-    if (e.type == type) out.push_back(e.photo);
-  return out;
 }
 
 TEST(PhotoNetOracle, EmptyReceiverTakesFirstInTakenAtIdOrder) {
@@ -146,8 +143,8 @@ TEST(PhotoNetOracle, EmptyReceiverTakesFirstInTakenAtIdOrder) {
   c.photos = {{photo_at(7, 0.0, 0.0, 1.0), {1}},
               {photo_at(5, 3000.0, 0.0, 1.0), {1}},
               {photo_at(3, 0.0, 3000.0, 2.0), {1}}};
-  const Recorded r = run_both(c, "empty receiver");
-  EXPECT_EQ(photos_of(r, SimEvent::Type::kTransfer), (std::vector<PhotoId>{5}));
+  const SimResult r = run_both(c, "empty receiver");
+  EXPECT_EQ(photos_of(r, Kind::kTransfer), (std::vector<PhotoId>{5}));
 }
 
 TEST(PhotoNetOracle, MutualNearestNeighbourTieEvictsByTakenAtThenId) {
@@ -163,8 +160,8 @@ TEST(PhotoNetOracle, MutualNearestNeighbourTieEvictsByTakenAtThenId) {
                 {photo_at(10, 5.0, 0.0, taken_at_10), {2}},
                 {photo_at(12, 2000.0, 0.0, 3.0), {2}},
                 {photo_at(20, 0.0, 4000.0, 4.0), {1}}};
-    const Recorded r = run_both(c, "tie, 10 taken at " + std::to_string(taken_at_10));
-    EXPECT_EQ(photos_of(r, SimEvent::Type::kDrop), (std::vector<PhotoId>{victim}));
+    const SimResult r = run_both(c, "tie, 10 taken at " + std::to_string(taken_at_10));
+    EXPECT_EQ(photos_of(r, Kind::kDrop), (std::vector<PhotoId>{victim}));
   }
 }
 
@@ -180,12 +177,12 @@ TEST(PhotoNetOracle, EvictedPhotoReentersAndPingPongsUntilBudgetRunsOut) {
               {photo_at(2, 5.0, 0.0, 2.0), {1, 2}},
               {photo_at(3, 2000.0, 0.0, 3.0), {1}},
               {photo_at(4, 0.0, 5000.0, 4.0), {2}}};
-  const Recorded r = run_both(c, "re-entry");
-  EXPECT_EQ(photos_of(r, SimEvent::Type::kTransfer),
+  const SimResult r = run_both(c, "re-entry");
+  EXPECT_EQ(photos_of(r, Kind::kTransfer),
             (std::vector<PhotoId>{3, 1, 2, 1, 2, 1}));
-  EXPECT_EQ(photos_of(r, SimEvent::Type::kDrop),
+  EXPECT_EQ(photos_of(r, Kind::kDrop),
             (std::vector<PhotoId>{1, 2, 1, 2, 1, 2}));
-  EXPECT_EQ(count_reentries(r.events), 5u);
+  EXPECT_EQ(count_reentries(r), 5u);
 }
 
 TEST(PhotoNetOracle, CandidatesTheReceiverHoldsAreSkipped) {
@@ -197,9 +194,9 @@ TEST(PhotoNetOracle, CandidatesTheReceiverHoldsAreSkipped) {
   c.photos = {{photo_at(1, 5.0, 0.0, 1.0), {1}},
               {photo_at(2, 0.0, 0.0, 2.0), {1, 2}},
               {photo_at(3, 4000.0, 0.0, 3.0), {1}}};
-  const Recorded r = run_both(c, "receiver holds a candidate");
-  EXPECT_EQ(photos_of(r, SimEvent::Type::kTransfer), (std::vector<PhotoId>{3, 1}));
-  EXPECT_EQ(r.result.counters.drops, 0u);
+  const SimResult r = run_both(c, "receiver holds a candidate");
+  EXPECT_EQ(photos_of(r, Kind::kTransfer), (std::vector<PhotoId>{3, 1}));
+  EXPECT_EQ(r.counters.drops, 0u);
 }
 
 TEST(PhotoNetOracle, CommandCenterNeverEvictsAndOnlyGrows) {
@@ -213,13 +210,13 @@ TEST(PhotoNetOracle, CommandCenterNeverEvictsAndOnlyGrows) {
               {photo_at(4, 1.0, 0.0, 4.0), {2}},
               {photo_at(5, 0.0, 4000.0, 5.0), {2}},
               {photo_at(6, 2000.0, 2000.0, 6.0), {2}}};
-  const Recorded r = run_both(c, "command center");
-  EXPECT_EQ(r.result.delivered_photos, 6u);
-  EXPECT_EQ(r.result.counters.drops, 0u);
+  const SimResult r = run_both(c, "command center");
+  EXPECT_EQ(r.delivered_photos, 6u);
+  EXPECT_EQ(r.counters.drops, 0u);
   // Farthest-first into the center: 1 first (every distance +inf), then the
   // far 3 before 1's neighbour 2; then node 2's photos against the center's
   // set {1, 2, 3}: the far 5, then 6, then 4 next to 1.
-  EXPECT_EQ(r.result.delivered_ids, (std::vector<PhotoId>{1, 3, 2, 5, 6, 4}));
+  EXPECT_EQ(r.delivered_ids, (std::vector<PhotoId>{1, 3, 2, 5, 6, 4}));
 }
 
 }  // namespace

@@ -72,7 +72,7 @@ void ReferenceModifiedSpray::spray_direction(SimContext& ctx, ContactSession& se
                                              NodeId src, NodeId dst) {
   SprayCounter& src_counter = counter(src);
   obs::Obs* o = ctx.obs();
-  obs::ProvenanceRecorder* prov = o != nullptr ? o->prov() : nullptr;
+  obs::EventLog* log = o != nullptr ? o->log() : nullptr;
   for (const auto& [value, p] : by_value_desc(ctx.model(), ctx.node(src).store())) {
     if (!src_counter.can_spray(p.id)) continue;
     if (ctx.node(dst).store().contains(p.id)) continue;
@@ -81,14 +81,14 @@ void ReferenceModifiedSpray::spray_direction(SimContext& ctx, ContactSession& se
     if (!session.transfer(p.id, src, dst, /*keep_source=*/true)) break;
     const std::uint32_t granted = src_counter.spray(p.id);
     counter(dst).on_receive(p.id, granted);
-    if (prov != nullptr) {
-      prov->record({.kind = obs::ProvEvent::Kind::kSprayDecrement,
-                    .ts_s = ctx.now(),
-                    .photo = static_cast<std::uint64_t>(p.id),
-                    .node = static_cast<std::int32_t>(src),
-                    .peer = static_cast<std::int32_t>(dst),
-                    .value = static_cast<double>(granted),
-                    .aux = static_cast<double>(src_counter.copies(p.id))});
+    if (log != nullptr) {
+      log->record({.kind = obs::Event::Kind::kSprayDecrement,
+                   .ts_s = ctx.now(),
+                   .photo = p.id,
+                   .node = src,
+                   .peer = dst,
+                   .value = static_cast<double>(granted),
+                   .aux = static_cast<double>(src_counter.copies(p.id))});
     }
   }
 }

@@ -66,15 +66,15 @@ TEST(ResultIo, MetricsBlockRoundTrip) {
   std::string json = experiment_result_to_json(r);
   EXPECT_NE(json.find("\"metrics\":{\"runs\":1,\"counters\":{}"), std::string::npos);
 
-  // Populated snapshot: counters, gauges, and a histogram all serialize.
+  // Populated snapshot: counters and a histogram serialize; the schema's
+  // "gauges" key stays, always empty.
   obs::MetricsRegistry reg;
   reg.add(reg.counter("sim.contacts"), 9);
-  reg.set(reg.gauge("pool.load"), 0.5);
   reg.record(reg.histogram("selection.pool_size", {2, 8}), 3);
   r.metrics = reg.snapshot();
   json = experiment_result_to_json(r);
   for (const char* field :
-       {"\"metrics\":", "\"sim.contacts\":9", "\"pool.load\":0.5",
+       {"\"metrics\":", "\"sim.contacts\":9", "\"gauges\":{}",
         "\"selection.pool_size\":", "\"bounds\":[2,8]", "\"counts\":[0,1,0]"}) {
     EXPECT_NE(json.find(field), std::string::npos) << field;
   }

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "schemes/factory.h"
 #include "trace/synthetic_trace.h"
 #include "workload/photo_gen.h"
 #include "workload/poi_gen.h"
@@ -54,12 +55,7 @@ CoverageModel single_poi_model(double theta_deg, double weight) {
   return CoverageModel{{make_poi(0.0, 0.0, 0, weight)}, deg_to_rad(theta_deg)};
 }
 
-const std::vector<std::string>& all_factory_schemes() {
-  static const std::vector<std::string> names = {
-      "OurScheme", "NoMetadata",   "Spray&Wait", "ModifiedSpray",
-      "PhotoNet",  "BestPossible", "Epidemic",   "PROPHET"};
-  return names;
-}
+const std::vector<std::string>& all_factory_schemes() { return factory_scheme_names(); }
 
 FaultConfig random_fault_plan(Rng& rng, std::uint64_t salt) {
   FaultConfig f;
@@ -113,14 +109,13 @@ GroupingLocaleScope::GroupingLocaleScope()
 
 GroupingLocaleScope::~GroupingLocaleScope() { std::locale::global(previous_); }
 
-RecordedRun run_recorded(const CoverageModel& model, const ContactTrace& trace,
-                         const std::vector<PhotoEvent>& events, const SimConfig& cfg,
-                         Scheme& scheme) {
+SimResult run_recorded(const CoverageModel& model, const ContactTrace& trace,
+                       const std::vector<PhotoEvent>& events, SimConfig cfg,
+                       Scheme& scheme) {
+  cfg.obs.trace = true;
+  cfg.obs.provenance = true;
   Simulator sim(model, trace, events, cfg);
-  RecordedRun run;
-  sim.set_event_listener([&](const SimEvent& e) { run.events.push_back(e); });
-  run.result = sim.run(scheme);
-  return run;
+  return sim.run(scheme);
 }
 
 namespace {
@@ -144,25 +139,41 @@ std::vector<std::pair<const char*, std::uint64_t>> counter_fields(const SimCount
 
 }  // namespace
 
-void expect_same_run(const RecordedRun& want, const RecordedRun& got,
-                     const std::string& label) {
-  const std::size_t n = std::min(want.events.size(), got.events.size());
+void expect_same_events(const std::vector<obs::Event>& want,
+                        const std::vector<obs::Event>& got, const std::string& label) {
+  const std::size_t n = std::min(want.size(), got.size());
   for (std::size_t i = 0; i < n; ++i) {
-    const SimEvent& w = want.events[i];
-    const SimEvent& g = got.events[i];
-    ASSERT_TRUE(w.type == g.type && w.time == g.time && w.a == g.a && w.b == g.b &&
-                w.photo == g.photo)
-        << label << ": event " << i << " differs: want type "
-        << static_cast<int>(w.type) << " t=" << w.time << " a=" << w.a << " b=" << w.b
-        << " photo=" << w.photo << ", got type " << static_cast<int>(g.type)
-        << " t=" << g.time << " a=" << g.a << " b=" << g.b << " photo=" << g.photo;
+    const obs::Event& w = want[i];
+    const obs::Event& g = got[i];
+    ASSERT_TRUE(w.kind == g.kind && w.outcome == g.outcome && w.ts_s == g.ts_s &&
+                w.photo == g.photo && w.node == g.node && w.peer == g.peer &&
+                w.bytes == g.bytes && w.value == g.value && w.aux == g.aux)
+        << label << ": event " << i << " differs: want kind "
+        << static_cast<int>(w.kind) << " outcome " << static_cast<int>(w.outcome)
+        << " t=" << w.ts_s << " node=" << w.node << " peer=" << w.peer
+        << " photo=" << w.photo << ", got kind " << static_cast<int>(g.kind)
+        << " outcome " << static_cast<int>(g.outcome) << " t=" << g.ts_s
+        << " node=" << g.node << " peer=" << g.peer << " photo=" << g.photo;
   }
-  ASSERT_EQ(want.events.size(), got.events.size()) << label;
-  const auto wc = counter_fields(want.result.counters);
-  const auto gc = counter_fields(got.result.counters);
+  ASSERT_EQ(want.size(), got.size()) << label;
+}
+
+void expect_same_run(const SimResult& want, const SimResult& got,
+                     const std::string& label) {
+  expect_same_events(want.obs.trace_events, got.obs.trace_events, label + " (trace)");
+  expect_same_events(want.obs.prov_events, got.obs.prov_events, label + " (provenance)");
+  const auto wc = counter_fields(want.counters);
+  const auto gc = counter_fields(got.counters);
   for (std::size_t i = 0; i < wc.size(); ++i)
     EXPECT_EQ(wc[i].second, gc[i].second) << label << ": counters." << wc[i].first;
-  EXPECT_EQ(want.result.delivered_ids, got.result.delivered_ids) << label;
+  EXPECT_EQ(want.delivered_ids, got.delivered_ids) << label;
+}
+
+std::vector<PhotoId> photos_of(const SimResult& run, obs::Event::Kind kind) {
+  std::vector<PhotoId> out;
+  for (const obs::Event& e : run.obs.trace_events)
+    if (e.kind == kind) out.push_back(e.photo);
+  return out;
 }
 
 }  // namespace photodtn::test

@@ -60,21 +60,24 @@ struct ChaosScenario {
 
 ChaosScenario build_chaos_scenario(std::uint64_t seed);
 
-/// One simulation run with its full SimEvent stream, for comparing a
-/// production scheme against a test-only oracle.
-struct RecordedRun {
-  std::vector<SimEvent> events;
-  SimResult result;
-};
+/// One simulation run with the trace and provenance tiers both on, for
+/// comparing a production scheme against a test-only oracle.
+SimResult run_recorded(const CoverageModel& model, const ContactTrace& trace,
+                       const std::vector<PhotoEvent>& events, SimConfig cfg,
+                       Scheme& scheme);
 
-RecordedRun run_recorded(const CoverageModel& model, const ContactTrace& trace,
-                         const std::vector<PhotoEvent>& events, const SimConfig& cfg,
-                         Scheme& scheme);
+/// Fails the calling test unless `got` holds the same events as `want`,
+/// field by field and in order.
+void expect_same_events(const std::vector<obs::Event>& want,
+                        const std::vector<obs::Event>& got, const std::string& label);
 
-/// Fails the calling test unless `got` is the same run as `want`: the full
-/// SimEvent stream, every SimCounters field and the delivery order.
-void expect_same_run(const RecordedRun& want, const RecordedRun& got,
+/// Fails the calling test unless `got` is the same run as `want`: both
+/// views of the event log, every SimCounters field and the delivery order.
+void expect_same_run(const SimResult& want, const SimResult& got,
                      const std::string& label);
+
+/// The photo of every `kind` event in the run's trace view, in order.
+std::vector<PhotoId> photos_of(const SimResult& run, obs::Event::Kind kind);
 
 /// While alive, the global C++ locale groups thousands with ',' and uses
 /// ',' as the decimal point, so a stream created meanwhile writes 1234.5 as

@@ -195,10 +195,7 @@ int cmd_trace_stats(const Args& args) {
 int cmd_schemes(const Args& args) {
   cli::reject_unknown_options(args);
   cli::reject_stray_positionals(args, 0);
-  for (const char* n :
-       {"OurScheme", "NoMetadata", "Spray&Wait", "ModifiedSpray", "PhotoNet",
-        "BestPossible", "Epidemic", "PROPHET"})
-    std::printf("%s\n", n);
+  for (const std::string& n : factory_scheme_names()) std::printf("%s\n", n.c_str());
   return 0;
 }
 
