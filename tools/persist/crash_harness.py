@@ -48,6 +48,11 @@ def run_to_completion(cmd, label):
                  f"{proc.stderr.strip()}")
 
 
+def same_bytes(a, b):
+    with open(a, "rb") as fa, open(b, "rb") as fb:
+        return fa.read() == fb.read()
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--cli", required=True,
@@ -95,8 +100,11 @@ def main():
     attempts = 0
     # Each round (re)starts the run — from scratch before the first snapshot
     # lands, from the latest snapshot after — and kills it mid-flight. A
-    # round that finishes before the kill timer still counts as an attempt;
-    # the timer then shrinks so later rounds land earlier.
+    # round that finishes before the kill timer still counts as an attempt:
+    # if it had resumed, its result must already match the baseline. Its
+    # final snapshot leaves too little run to kill (a restore from it ends
+    # in tens of milliseconds), so the next round starts from scratch, and
+    # the timer shrinks so later rounds land earlier.
     delay_hi = 0.8
     while kills < args.kills:
         attempts += 1
@@ -119,7 +127,14 @@ def main():
             if proc.returncode != 0:
                 sys.exit(f"crash_harness: interrupted-run candidate exited "
                          f"{proc.returncode} before the kill:\n{stderr}")
-            # Finished before we could kill it; aim earlier next round.
+            if resumed and not same_bytes(base_json, final_json):
+                sys.exit(f"crash_harness: FAIL — a resumed run that finished "
+                         f"before the kill differs from the baseline "
+                         f"({base_json} vs {final_json})")
+            # Finished before we could kill it; start over and aim earlier.
+            for done in (snap, final_json):
+                if os.path.exists(done):
+                    os.remove(done)
             delay_hi = max(0.1, delay_hi * 0.5)
 
     if not os.path.exists(snap):
@@ -128,11 +143,7 @@ def main():
 
     run_to_completion(interrupted_cmd(), "recovery run")
 
-    with open(base_json, "rb") as f:
-        want = f.read()
-    with open(final_json, "rb") as f:
-        got = f.read()
-    if want != got:
+    if not same_bytes(base_json, final_json):
         sys.exit(f"crash_harness: FAIL — recovered result differs from the "
                  f"baseline ({base_json} vs {final_json})")
     print(f"crash_harness: OK — {kills} kill(s), {attempts} attempt(s), "
