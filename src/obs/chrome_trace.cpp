@@ -7,7 +7,6 @@
 
 #include "persist/file_io.h"
 #include "util/json.h"
-#include "util/thread_pool.h"
 
 namespace photodtn::obs {
 
@@ -97,50 +96,10 @@ void write_event(JsonWriter& w, const Event& ev) {
   }
 }
 
-void write_wall_perf(JsonWriter& w, const WallPerfSection& wall) {
-  w.begin_object();
-  w.key("lanes").begin_array();
-  for (const WallPerfSection::Lane& lane : wall.lanes) {
-    w.begin_object();
-    w.kv("name", lane.name);
-    w.kv("chunks", lane.chunks);
-    w.kv("busy_ns", lane.busy_ns);
-    w.end_object();
-  }
-  w.end_array();
-  w.key("taskLatencyNs").begin_object();
-  w.key("bounds").begin_array();
-  for (std::uint64_t b : wall.task_latency_bounds_ns) w.value(b);
-  w.end_array();
-  w.key("counts").begin_array();
-  for (std::uint64_t c : wall.task_latency_counts) w.value(c);
-  w.end_array();
-  w.end_object();
-  w.end_object();
-}
-
 }  // namespace
 
-WallPerfSection wall_section_from_pool(const ThreadPoolStats& stats) {
-  WallPerfSection out;
-  out.lanes.reserve(stats.lanes.size());
-  for (std::size_t i = 0; i < stats.lanes.size(); ++i) {
-    WallPerfSection::Lane lane;
-    // The last lane aggregates the calling threads (see util/thread_pool.h).
-    lane.name = i + 1 == stats.lanes.size() ? "callers"
-                                            : "worker-" + std::to_string(i);
-    lane.chunks = stats.lanes[i].chunks;
-    lane.busy_ns = stats.lanes[i].busy_ns;
-    out.lanes.push_back(std::move(lane));
-  }
-  out.task_latency_bounds_ns = stats.task_latency_bounds_ns;
-  out.task_latency_counts = stats.task_latency_counts;
-  return out;
-}
-
 std::string chrome_trace_json(std::span<const Event> events,
-                              const MetricsSnapshot* metrics,
-                              const WallPerfSection* wall) {
+                              const MetricsSnapshot* metrics) {
   JsonWriter w;
   w.begin_object();
   w.kv("displayTimeUnit", "ms");
@@ -160,18 +119,13 @@ std::string chrome_trace_json(std::span<const Event> events,
     w.key("photodtnMetrics");
     metrics->write_json(w);
   }
-  if (wall != nullptr) {
-    w.key("wallPerf");
-    write_wall_perf(w, *wall);
-  }
   w.end_object();
   return std::move(w).str();
 }
 
 bool write_chrome_trace(const std::string& path, std::span<const Event> events,
-                        const MetricsSnapshot* metrics, const WallPerfSection* wall) {
-  return persist::checked_write_file(path,
-                                     chrome_trace_json(events, metrics, wall) + "\n");
+                        const MetricsSnapshot* metrics) {
+  return persist::checked_write_file(path, chrome_trace_json(events, metrics) + "\n");
 }
 
 }  // namespace photodtn::obs

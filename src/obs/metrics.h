@@ -6,7 +6,7 @@
 // Determinism: counters and histograms are integer-valued (std::uint64_t),
 // so merging snapshots is commutative and associative bit-for-bit —
 // experiment runs merged in seed order produce the same JSON regardless of
-// how many pool workers computed them (PHOTODTN_THREADS=1/4 byte-identity).
+// how many pool lanes computed them (PHOTODTN_THREADS=1/4 byte-identity).
 //
 // A registry belongs to one simulation run (like SelectionEnvironment:
 // thread-compatible, not thread-safe). Cross-run aggregation happens on

@@ -1,9 +1,10 @@
 // Experiment runner: (scenario x scheme x seeds) -> averaged metric curves.
 // Each run builds its own PoI list, trace, workload, and simulator from the
-// run seed, so runs are independent and reproducible; runs execute on the
-// shared thread pool (util/thread_pool.h) — bounded oversubscription instead
-// of one OS thread per seed — and merge in seed order, so the aggregate is
-// byte-identical for any worker count (PHOTODTN_THREADS=1 included).
+// run seed, so runs are independent and reproducible; runs fan out over the
+// shared pool's lanes (util/thread_pool.h) — at most PHOTODTN_THREADS at
+// once instead of one OS thread per seed — and merge in seed order, so the
+// aggregate is byte-identical for any lane count (PHOTODTN_THREADS=1
+// included).
 #pragma once
 
 #include <optional>

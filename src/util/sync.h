@@ -1,18 +1,16 @@
-// Annotated synchronization primitives: std::mutex / std::condition_variable
-// with Clang thread-safety capability attributes attached (see
-// util/thread_annotations.h). libstdc++'s std::mutex carries no capability
-// attributes, so code that wants the static analysis must hold its state
-// behind these wrappers; under PHOTODTN_ANALYSIS=ON (Clang) any access to a
-// PHOTODTN_GUARDED_BY field without the lock held is a compile error.
+// Annotated synchronization primitives: std::mutex with Clang thread-safety
+// capability attributes attached (see util/thread_annotations.h). libstdc++'s
+// std::mutex carries no capability attributes, so code that wants the static
+// analysis must hold its state behind these wrappers; under
+// PHOTODTN_ANALYSIS=ON (Clang) any access to a PHOTODTN_GUARDED_BY field
+// without the lock held is a compile error.
 //
 // Zero-overhead by construction: Mutex is exactly a std::mutex, MutexLock is
-// exactly a lock_guard-shaped RAII scope. CondVar uses
-// std::condition_variable_any so it can wait on the annotated Mutex directly
-// (the predicate-free wait keeps guarded-field reads in the caller's scope,
-// where the analysis can see the lock is held — see ThreadPool::worker_loop).
+// exactly a lock_guard-shaped RAII scope. The run fan-out's chunk claims and
+// lane loan (util/thread_pool.{h,cpp}) are the only guarded state in the
+// library.
 #pragma once
 
-#include <condition_variable>
 #include <mutex>
 
 #include "util/thread_annotations.h"
@@ -31,7 +29,6 @@ class PHOTODTN_CAPABILITY("mutex") Mutex {
   bool try_lock() PHOTODTN_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
-  friend class CondVar;
   std::mutex mu_;
 };
 
@@ -45,38 +42,6 @@ class PHOTODTN_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-/// Condition variable paired with Mutex. wait() atomically releases and
-/// re-acquires the mutex, so callers annotate nothing beyond holding the
-/// lock: the capability is held on entry and on return, which is exactly
-/// PHOTODTN_REQUIRES. Use the predicate-free form in a caller-side loop so
-/// the guarded predicate reads stay visible to the analysis.
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  /// Blocks until notified; `mu` must be held (released while blocked,
-  /// re-acquired before returning). Spurious wakeups possible — always call
-  /// from a `while (!predicate)` loop.
-  void wait(Mutex& mu) PHOTODTN_REQUIRES(mu) {
-    // Adopt the already-held native mutex for the duration of the wait and
-    // release ownership again before returning, so the caller's MutexLock
-    // remains the sole unlocker.
-    std::unique_lock<std::mutex> lk(mu.mu_, std::adopt_lock);
-    cv_.wait(lk);
-    lk.release();
-  }
-
-  void notify_one() noexcept { cv_.notify_one(); }
-  void notify_all() noexcept { cv_.notify_all(); }
-
- private:
-  // condition_variable (not _any): wait() adapts the annotated Mutex's inner
-  // std::mutex, keeping the fast native-handle path.
-  std::condition_variable cv_;
 };
 
 }  // namespace photodtn

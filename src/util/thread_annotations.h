@@ -11,7 +11,7 @@
 // code.
 //
 // The annotated primitives that go with these macros live in util/sync.h
-// (Mutex, MutexLock, CondVar); std::mutex itself carries no capability
+// (Mutex, MutexLock); std::mutex itself carries no capability
 // attributes under libstdc++, so annotated code must use those wrappers.
 // CONTRIBUTING.md ("Annotating a new mutex") shows the recipe.
 #pragma once

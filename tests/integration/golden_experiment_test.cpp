@@ -231,13 +231,8 @@ std::string fnv1a_hex(std::string_view bytes) {
 
 /// FNV-1a of every sink document for each golden run, clean and faulted,
 /// with every obs tier on; each result is built the way run_experiment
-/// builds one. The trace carries a fixed wallPerf section so that block's
-/// bytes are locked too.
+/// builds one.
 Lines compute_sink_digests() {
-  obs::WallPerfSection wall;
-  wall.lanes = {{"worker-0", 3, 1'234'567}, {"callers", 1, 89}};
-  wall.task_latency_bounds_ns = {1'000, 1'000'000};
-  wall.task_latency_counts = {2, 1, 1};
   Lines lines;
   for (const bool faulted : {false, true}) {
   for (const std::string& scheme : golden_schemes()) {
@@ -251,7 +246,7 @@ Lines compute_sink_digests() {
     const std::string prefix = (faulted ? scheme + "@faults" : scheme) + ".";
     lines.emplace_back(prefix + "metrics", fnv1a_hex(metrics_to_json(one)));
     lines.emplace_back(prefix + "trace",
-                       fnv1a_hex(obs::chrome_trace_json(r.trace_events, &r.metrics, &wall)));
+                       fnv1a_hex(obs::chrome_trace_json(r.trace_events, &r.metrics)));
     lines.emplace_back(prefix + "provenance", fnv1a_hex(provenance_to_jsonl(r)));
     lines.emplace_back(prefix + "comparison", fnv1a_hex(comparison_to_json(one)));
   }

@@ -149,16 +149,10 @@ TEST(ChromeTrace, DocumentShapeAndDeterminism) {
        at = doc.find("\"ph\":\"C\"", at + 1))
     ++counters;
   EXPECT_EQ(counters, 4u);
-  // No wallPerf unless explicitly passed.
+  // No wall-clock section.
   EXPECT_EQ(doc.find("wallPerf"), std::string::npos);
   // Re-rendering the same inputs is byte-identical.
   EXPECT_EQ(doc, obs::chrome_trace_json(events, &snap));
-
-  obs::WallPerfSection wall;
-  wall.lanes.push_back({"worker-0", 4, 1000});
-  const std::string with_wall = obs::chrome_trace_json(events, &snap, &wall);
-  EXPECT_NE(with_wall.find("\"wallPerf\":"), std::string::npos);
-  EXPECT_NE(with_wall.find("\"worker-0\""), std::string::npos);
 }
 
 TEST(Obs, ConfigGatesRecording) {

@@ -1,15 +1,15 @@
-// Tests for the deterministic shared thread pool: chunk coverage (each
-// chunk exactly once), inline edge cases, nesting, exception propagation,
-// per-slot writes, and the ordered reduction contract that the experiment
-// layer builds its bit-identity on.
+// Tests for the deterministic run fan-out: chunk coverage (each chunk
+// exactly once), inline edge cases, nesting, the concurrency bound,
+// exception propagation, per-slot writes, and the PHOTODTN_THREADS parse.
 #include "util/thread_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
+#include <chrono>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace photodtn {
@@ -46,20 +46,6 @@ TEST(ThreadPool, SingleChunkRunsInline) {
   EXPECT_EQ(ran_on, caller);
 }
 
-TEST(ThreadPool, OrderedReduceFoldsInChunkOrder) {
-  // String concatenation is non-commutative: any fold-order deviation under
-  // concurrency changes the result.
-  ThreadPool serial(1), wide(4);
-  auto run = [](ThreadPool& pool) {
-    return pool.parallel_reduce(
-        26, std::string{},
-        [](std::size_t c) { return std::string(1, static_cast<char>('a' + c)); },
-        [](std::string acc, std::string part) { return acc + part; });
-  };
-  EXPECT_EQ(run(serial), "abcdefghijklmnopqrstuvwxyz");
-  EXPECT_EQ(run(wide), "abcdefghijklmnopqrstuvwxyz");
-}
-
 TEST(ThreadPool, NestedParallelChunksMakesProgress) {
   // A chunk body may re-enter the same pool; the caller drains its own job,
   // so this must not deadlock even when every worker is busy with outer
@@ -82,6 +68,54 @@ TEST(ThreadPool, FirstChunkExceptionPropagatesAndPoolSurvives) {
   std::atomic<int> hits{0};
   pool.parallel_chunks(16, [&](std::size_t) { hits.fetch_add(1); });
   EXPECT_EQ(hits.load(), 16);
+}
+
+TEST(ThreadPool, RethrowsTheLowestIndexedFailingChunk) {
+  // Chunk 3 throws at once; with more than one lane, chunk 1 throws only
+  // after chunk 3 has. Whichever threw first, the fan-out rethrows chunk 1's
+  // error, which is what the inline path throws.
+  for (std::size_t conc : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    ThreadPool pool(conc);
+    std::atomic<bool> three_threw{false};
+    const auto body = [&](std::size_t c) {
+      if (c == 3) {
+        three_threw.store(true);
+        throw std::runtime_error("chunk 3 failed");
+      }
+      if (c == 1) {
+        if (pool.concurrency() > 1) {
+          while (!three_threw.load()) std::this_thread::yield();
+          // Let chunk 3's failure reach the fan-out before this one does.
+          std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        }
+        throw std::runtime_error("chunk 1 failed");
+      }
+    };
+    try {
+      pool.parallel_chunks(8, body);
+      ADD_FAILURE() << "no exception at concurrency " << conc;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "chunk 1 failed") << "concurrency " << conc;
+    }
+  }
+}
+
+TEST(ThreadPool, RunsAtMostConcurrencyChunksAtOnce) {
+  for (std::size_t conc : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                           std::size_t{4}}) {
+    ThreadPool pool(conc);
+    std::atomic<std::size_t> running{0}, peak{0};
+    pool.parallel_chunks(32, [&](std::size_t) {
+      const std::size_t now = running.fetch_add(1) + 1;
+      std::size_t seen = peak.load();
+      while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+      running.fetch_sub(1);
+    });
+    EXPECT_GE(peak.load(), 1u);
+    EXPECT_LE(peak.load(), conc) << "concurrency " << conc;
+  }
 }
 
 TEST(ThreadPool, PerSlotWritesAreIdenticalAcrossPoolSizes) {
@@ -108,6 +142,25 @@ TEST(ThreadPool, SharedPoolIsASingletonWithPositiveConcurrency) {
   ThreadPool& b = ThreadPool::shared();
   EXPECT_EQ(&a, &b);
   EXPECT_GE(a.concurrency(), 1u);
+}
+
+TEST(ThreadPool, ConcurrencyFromEnvIsAnIntegerFromOneTo256) {
+  const std::size_t hardware = ThreadPool::concurrency_from_env(nullptr);
+  EXPECT_GE(hardware, 1u);
+  EXPECT_EQ(ThreadPool::concurrency_from_env(""), hardware);
+  EXPECT_EQ(ThreadPool::concurrency_from_env("1"), 1u);
+  EXPECT_EQ(ThreadPool::concurrency_from_env("4"), 4u);
+  EXPECT_EQ(ThreadPool::concurrency_from_env("256"), 256u);
+  for (const char* bad : {"abc", "4x", "0", "-3", "257", "100000", " 4", "+4", "2.5",
+                          "99999999999999999999999"}) {
+    try {
+      ThreadPool::concurrency_from_env(bad);
+      ADD_FAILURE() << "accepted PHOTODTN_THREADS=" << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("PHOTODTN_THREADS=") + bad + " is not an integer in [1, 256]");
+    }
+  }
 }
 
 }  // namespace

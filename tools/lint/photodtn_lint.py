@@ -10,9 +10,8 @@ that have bitten floating-point/simulation codebases like this one:
                       simulation time is explicit, wall clock is not allowed
                       in library code.
   banned-wallclock    std::chrono::*_clock::now() outside src/obs/ and bench/ —
-                      wall-clock reads flow through obs/wall_clock.h so traces
-                      and metrics stay deterministic (sim-time-keyed) and the
-                      opt-in wallPerf section is the only wall-clock consumer.
+                      simulation code reads no wall clock, so traces and
+                      metrics stay deterministic (sim-time-keyed).
   angle-compare       direct ==/!= on angle-ish floating-point identifiers
                       (angle/heading/theta/azimuth/bearing) — use the angle::
                       helpers (normalize_angle, angle_distance) instead.
@@ -44,7 +43,7 @@ suppression REQUIRES a justification, see below):
                       address order, different every run under ASLR.
   atomic-float        std::atomic<float/double> — concurrent FP accumulation
                       commits rounding in scheduling order; keep sums integer
-                      or reduce deterministically (ThreadPool::parallel_reduce).
+                      or fold per-chunk slots in chunk order after the fan-out.
   unordered-reduce    std::reduce (unspecified evaluation order), or
                       std::accumulate over an unordered container's range —
                       fold results depend on an order nobody pinned down.
@@ -104,9 +103,8 @@ LINE_RULES = [
         "banned-wallclock",
         re.compile(r"(?<![\w.])(?:std::chrono::)?"
                    r"(?:steady|system|high_resolution)_clock\s*::\s*now\s*\("),
-        "direct chrono clock read; go through obs/wall_clock.h (wall-clock is "
-        "allowed only under src/obs/ and bench/ — traces and metrics must stay "
-        "deterministic)",
+        "direct chrono clock read; wall-clock is allowed only under src/obs/ "
+        "and bench/ — traces and metrics must stay deterministic",
         True,
         ("src/obs/", "bench/"),
     ),
@@ -149,7 +147,7 @@ LINE_RULES = [
         re.compile(r"std::atomic\s*<\s*(?:float|double|long\s+double)\s*>"),
         "atomic floating-point accumulation commits rounding in scheduling "
         "order; keep concurrent sums integer-valued or fold per-chunk partials "
-        "in chunk order (ThreadPool::parallel_reduce)",
+        "in chunk order after the fan-out returns",
         False,
         (),
     ),
@@ -157,7 +155,7 @@ LINE_RULES = [
         "unordered-reduce",
         re.compile(r"(?<![\w:])std::reduce\s*\("),
         "std::reduce folds in unspecified order; use std::accumulate over a "
-        "canonically ordered range or ThreadPool::parallel_reduce",
+        "canonically ordered range",
         False,
         (),
     ),

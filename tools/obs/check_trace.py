@@ -28,9 +28,9 @@
 
   check_trace.py compare A B [--ignore-metrics]
       Byte-level JSON equality of two documents; --ignore-metrics strips
-      the observability-only keys ("metrics", "photodtnMetrics",
-      "wallPerf") everywhere first, so a run with obs on can be compared
-      against its obs-off golden twin.
+      the observability-only keys ("metrics", "photodtnMetrics")
+      everywhere first, so a run with obs on can be compared against its
+      obs-off golden twin.
 
 Exit status: 0 ok, 1 check failed, 2 usage/IO error.
 """
@@ -43,7 +43,7 @@ import math
 import sys
 
 KNOWN_PHASES = {"X", "i", "C", "M"}
-OBS_ONLY_KEYS = {"metrics", "photodtnMetrics", "wallPerf"}
+OBS_ONLY_KEYS = {"metrics", "photodtnMetrics"}
 
 PROV_SCHEMA = "photodtn-provenance/1"
 PROV_KINDS = {"capture", "gossip", "transfer", "metadata_bytes", "drop",
@@ -158,8 +158,7 @@ def cmd_validate(path: str) -> int:
     n_meta = sum(1 for e in events if e.get("ph") == "M")
     print(f"check_trace: {path} ok — {len(events) - n_meta} events, "
           f"{n_meta} metadata record(s)"
-          + (", metrics block present" if "photodtnMetrics" in doc else "")
-          + (", wallPerf present" if "wallPerf" in doc else ""))
+          + (", metrics block present" if "photodtnMetrics" in doc else ""))
     return 0
 
 
@@ -337,7 +336,7 @@ def main() -> int:
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--ignore-metrics", action="store_true",
-                   help="strip metrics/photodtnMetrics/wallPerf keys first")
+                   help="strip metrics/photodtnMetrics keys first")
     args = parser.parse_args()
     if args.cmd == "validate":
         return cmd_validate(args.trace)

@@ -18,8 +18,7 @@
 //       --trace-out writes run 0 of the first scheme as a Chrome trace
 //       (chrome://tracing / Perfetto). Either flag switches the metrics tier
 //       on for the run (and --trace-out the trace tier); the sinks are the
-//       only switches. PHOTODTN_OBS_WALL=1 appends the non-deterministic
-//       wall-clock "wallPerf" section to the trace.
+//       only switches.
 //       --provenance-out writes run 0 of the first scheme as a per-photo
 //       causal provenance JSONL (photodtn-provenance/1) for
 //       tools/obs/provenance_report.py; it switches only the provenance
@@ -34,6 +33,9 @@
 //
 //   photodtn_cli schemes
 //       List the available scheme names.
+//
+//   PHOTODTN_THREADS=N sets how many runs execute at once: an integer in
+//   [1, 256], default the hardware concurrency. Any other value fails.
 #include <cstdio>
 #include <exception>
 #include <iostream>
@@ -48,7 +50,6 @@
 #include "trace/trace_analysis.h"
 #include "trace/trace_io.h"
 #include "util/args.h"
-#include "util/env.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
 
@@ -76,6 +77,9 @@ int cmd_simulate(const Args& args) {
       cli::persistence_from(args, spec.runs, schemes.size());
   cli::reject_unknown_options(args);
   cli::reject_stray_positionals(args, 0);
+  // Sizes the run fan-out now, so a bad PHOTODTN_THREADS fails every
+  // simulate, the single checkpointed run that never fans out included.
+  ThreadPool::shared();
   if (!metrics_out.empty()) spec.scenario.sim.obs.metrics = true;
   if (!trace_out.empty()) {
     spec.scenario.sim.obs.metrics = true;
@@ -124,14 +128,9 @@ int cmd_simulate(const Args& args) {
   }
   if (!trace_out.empty()) {
     // Run 0 of the first scheme; the trace is keyed by simulation time and
-    // stays byte-identical across thread counts unless the wall-clock
-    // section is explicitly requested.
+    // stays byte-identical across thread counts.
     const ExperimentResult& first = results.front();
-    const obs::WallPerfSection wall =
-        obs::wall_section_from_pool(ThreadPool::shared().stats());
-    const bool with_wall = env_int("PHOTODTN_OBS_WALL", 0) != 0;
-    if (!obs::write_chrome_trace(trace_out, first.trace_events, &first.metrics,
-                                 with_wall ? &wall : nullptr))
+    if (!obs::write_chrome_trace(trace_out, first.trace_events, &first.metrics))
       throw std::runtime_error("cannot write trace to " + trace_out);
     std::printf("trace written to %s (%zu events)\n", trace_out.c_str(),
                 first.trace_events.size());
