@@ -110,34 +110,6 @@ struct SimResult {
 
 class Simulator;
 
-/// The services a Scheme may use. Implemented by Simulator; split out so
-/// schemes can be unit-tested against a mock.
-class SimContext {
- public:
-  virtual ~SimContext() = default;
-
-  virtual double now() const = 0;
-  virtual const CoverageModel& model() const = 0;
-  virtual Node& node(NodeId id) = 0;
-  virtual NodeId num_nodes() const = 0;
-  virtual const SimConfig& config() const = 0;
-  virtual Rng& rng() = 0;
-
-  /// Stores a photo at a node if it fits (no eviction); counts storage-full
-  /// rejections. Used from on_photo_taken.
-  virtual bool store_photo(NodeId node, const PhotoMeta& photo) = 0;
-
-  /// Drops a photo from a node's buffer. The command center never drops
-  /// (returns false).
-  virtual bool drop_photo(NodeId node, PhotoId photo) = 0;
-
-  /// The run's observability bundle, or nullptr when the context has none
-  /// (the default keeps scheme unit-test mocks source-compatible). Schemes
-  /// must check metrics_on(), or take the log() pointer, before paying any
-  /// instrumentation cost beyond the null test.
-  virtual obs::Obs* obs() { return nullptr; }
-};
-
 /// A live contact: byte budget plus transfer primitive. When the fault
 /// layer interrupts the contact, the link carries `cut_after_bytes` of
 /// traffic (payload + metadata) and then dies: the transfer in flight at
@@ -213,7 +185,7 @@ class ContactSession {
   bool gossip_lost_ba_;
 };
 
-class Simulator : public SimContext {
+class Simulator {
  public:
   /// `model` and `trace` must outlive the simulator. Throws
   /// std::logic_error when config.sample_interval_s is not finite and
@@ -242,16 +214,26 @@ class Simulator : public SimContext {
   /// a checkpoint position.
   std::uint64_t event_index() const noexcept { return event_index_; }
 
-  // SimContext interface.
-  double now() const override { return now_; }
-  const CoverageModel& model() const override { return *model_; }
-  Node& node(NodeId id) override;
-  NodeId num_nodes() const override { return static_cast<NodeId>(nodes_.size()); }
-  const SimConfig& config() const override { return config_; }
-  Rng& rng() override { return rng_; }
-  bool store_photo(NodeId node, const PhotoMeta& photo) override;
-  bool drop_photo(NodeId node, PhotoId photo) override;
-  obs::Obs* obs() override { return &obs_; }
+  // The services a Scheme may use (dtn/scheme.h names them SimContext).
+  double now() const { return now_; }
+  const CoverageModel& model() const { return *model_; }
+  Node& node(NodeId id);
+  NodeId num_nodes() const { return static_cast<NodeId>(nodes_.size()); }
+  const SimConfig& config() const { return config_; }
+  Rng& rng() { return rng_; }
+
+  /// Stores a photo at a node if it fits (no eviction); counts storage-full
+  /// rejections. Used from on_photo_taken.
+  bool store_photo(NodeId node, const PhotoMeta& photo);
+
+  /// Drops a photo from a node's buffer. The command center never drops
+  /// (returns false).
+  bool drop_photo(NodeId node, PhotoId photo);
+
+  /// The run's observability bundle; never null. Schemes must check
+  /// metrics_on(), or take the log() pointer, before paying any
+  /// instrumentation cost.
+  obs::Obs* obs() { return &obs_; }
 
   /// Coverage achieved by the command center so far (read-only; schemes
   /// must not consult this — they only see metadata acknowledgments).

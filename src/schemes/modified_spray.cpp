@@ -87,8 +87,7 @@ void ModifiedSprayScheme::deliver_by_value(SimContext& ctx, ContactSession& sess
 void ModifiedSprayScheme::spray_direction(SimContext& ctx, ContactSession& session,
                                           NodeId src, NodeId dst) {
   SprayCounter& src_counter = counter(src);
-  obs::Obs* o = ctx.obs();
-  obs::EventLog* log = o != nullptr ? o->log() : nullptr;
+  obs::EventLog* log = ctx.obs()->log();
   for (const Ranked& r : by_value_desc(ctx.model(), ctx.node(src).store())) {
     if (!src_counter.can_spray(r.id)) continue;
     if (ctx.node(dst).store().contains(r.id)) continue;

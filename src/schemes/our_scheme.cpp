@@ -38,10 +38,10 @@ void OurScheme::init(SimContext& ctx) {
   // The event log is independent of the metrics tier: resolve it before the
   // metrics early-return. The commit log stays off (zero per-commit cost)
   // unless the log keeps select commits (the provenance tier is on).
-  log_ = o != nullptr ? o->log() : nullptr;
+  log_ = o->log();
   selector_.enable_commit_log(
       log_ != nullptr && log_->keeps({.kind = obs::Event::Kind::kSelectCommit}));
-  if (o == nullptr || !o->metrics_on()) return;
+  if (!o->metrics_on()) return;
   hooks_.obs = o;
   obs::MetricsRegistry& reg = o->registry();
   hooks_.gossip_records = reg.counter("scheme.gossip_records");

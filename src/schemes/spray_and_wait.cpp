@@ -38,8 +38,7 @@ void SprayAndWaitScheme::spray_direction(SimContext& ctx, ContactSession& sessio
                                          NodeId src, NodeId dst) {
   SprayCounter& src_counter = counter(src);
   SprayCounter& dst_counter = counter(dst);
-  obs::Obs* o = ctx.obs();
-  obs::EventLog* log = o != nullptr ? o->log() : nullptr;
+  obs::EventLog* log = ctx.obs()->log();
   // Only the receiver's store changes (the sender keeps its copy), so the
   // sender's live order is walked.
   const PhotoStore& to = ctx.node(dst).store();
