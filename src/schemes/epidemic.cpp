@@ -12,16 +12,26 @@ void EpidemicScheme::on_photo_taken(SimContext& ctx, NodeId node,
 
 void EpidemicScheme::flood(SimContext& ctx, ContactSession& session, NodeId src,
                            NodeId dst) {
-  const bool to_center = dst == kCommandCenter;
-  for (const PhotoMeta& p : sorted_photos(ctx.node(src).store())) {
-    if (ctx.node(dst).store().contains(p.id)) {
-      if (to_center) ctx.drop_photo(src, p.id);  // immunity: already delivered
-      continue;
+  const PhotoStore& to = ctx.node(dst).store();
+  if (dst == kCommandCenter) {
+    // Delivery drops photos and hands custody off, so it walks a copy.
+    for (const PhotoMeta& p : sorted_photos(ctx.node(src).store())) {
+      if (to.contains(p.id)) {
+        ctx.drop_photo(src, p.id);  // immunity: already delivered
+        continue;
+      }
+      if (!session.can_transfer(p.size_bytes)) break;
+      if (!session.transfer(p.id, src, dst, /*keep_source=*/false)) break;
     }
-    if (!session.can_transfer(p.size_bytes)) break;
-    if (!to_center && !ctx.node(dst).store().can_fit(p.size_bytes)) break;
-    // Delivery transfers custody (immunity list); relays keep their copy.
-    if (!session.transfer(p.id, src, dst, /*keep_source=*/!to_center)) break;
+    return;
+  }
+  // A relay keeps its copy: only the receiver's store changes, so the
+  // sender's live order is walked.
+  for (const PhotoMeta* p : ctx.node(src).store().ordered()) {
+    if (to.contains(p->id)) continue;
+    if (!session.can_transfer(p->size_bytes)) break;
+    if (!to.can_fit(p->size_bytes)) break;
+    if (!session.transfer(p->id, src, dst, /*keep_source=*/true)) break;
   }
 }
 
