@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdint>
 #include <fstream>
-#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -19,6 +18,10 @@
 namespace photodtn {
 
 namespace {
+
+/// The most nodes a trace may declare: 1000x the paper's 97. The simulator
+/// sizes its per-node state by this count before it reads a contact.
+constexpr std::int64_t kMaxTraceNodes = 100'000;
 
 /// The CSV text: the horizon at 6 significant digits ("%g"), times at 17
 /// ("%.17g"), formatted locale-free so the file reads back under any
@@ -98,9 +101,9 @@ ContactTrace read_trace(std::istream& is) {
     while (header >> tok) {
       if (tok.rfind("nodes=", 0) == 0) {
         const std::string v = tok.substr(6);
-        if (!parse_whole(v, nodes) || nodes < 2 ||
-            nodes > std::numeric_limits<NodeId>::max())
-          malformed("nodes=" + v + " is not an integer in [2, 2147483647]");
+        if (!parse_whole(v, nodes) || nodes < 2 || nodes > kMaxTraceNodes)
+          malformed("nodes=" + v + " is not an integer in [2, " +
+                    std::to_string(kMaxTraceNodes) + "]");
       }
       if (tok.rfind("horizon=", 0) == 0) {
         const std::string v = tok.substr(8);

@@ -17,7 +17,8 @@ namespace photodtn {
 void write_trace(std::ostream& os, const ContactTrace& trace);
 bool write_trace_file(const std::string& path, const ContactTrace& trace);
 
-/// Throws std::runtime_error on malformed input.
+/// Throws std::runtime_error on malformed input, including a nodes= count
+/// outside [2, 100000].
 ContactTrace read_trace(std::istream& is);
 ContactTrace read_trace_file(const std::string& path);
 

@@ -78,16 +78,18 @@ TEST(TraceIo, RejectsHorizonThatIsNotFiniteAndNonNegative) {
   }
 }
 
-TEST(TraceIo, RejectsNodeCountOutsideTwoToInt32Max) {
+TEST(TraceIo, RejectsNodeCountOutsideTwoToOneHundredThousand) {
   // 4294967298 used to wrap to 2; abc used to die with a bare stol error.
-  for (const char* n : {"4294967298", "2147483648", "99999999999999999999", "1", "0",
-                        "-3", "abc", "12x", "2.5", ""}) {
+  // 2147483647 used to load and then size the simulator's per-node state
+  // by that count.
+  for (const char* n : {"100001", "2147483647", "4294967298", "2147483648",
+                        "99999999999999999999", "1", "0", "-3", "abc", "12x", "2.5", ""}) {
     const std::string err = read_error(with_header(std::string("nodes=") + n));
     EXPECT_NE(err.find("malformed trace file: nodes="), std::string::npos)
         << "nodes=" << n << ": " << err;
   }
-  std::stringstream ss(with_header("nodes=2147483647 horizon=10"));
-  EXPECT_EQ(read_trace(ss).num_nodes(), 2147483647);
+  std::stringstream ss(with_header("nodes=100000 horizon=10"));
+  EXPECT_EQ(read_trace(ss).num_nodes(), 100000);
 }
 
 TEST(TraceIo, RejectsMalformedRow) {
