@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 
 #include "geometry/angle.h"
 #include "util/env.h"
@@ -11,10 +13,17 @@ namespace photodtn::bench {
 
 BenchOptions options() {
   BenchOptions o;
-  o.runs = static_cast<std::size_t>(std::max<std::int64_t>(1, env_int("PHOTODTN_BENCH_RUNS", 3)));
-  o.scale = std::clamp(env_double("PHOTODTN_BENCH_SCALE", 0.3), 0.01, 1.0);
+  try {
+    o.runs = static_cast<std::size_t>(env_int(
+        "PHOTODTN_BENCH_RUNS", 3, 1, static_cast<std::int64_t>(kMaxExperimentRuns)));
+    o.scale = env_double("PHOTODTN_BENCH_SCALE", 0.3, 0.01, 1.0);
+    o.calibrated = env_int("PHOTODTN_BENCH_CALIBRATED", 0, 0, 1) != 0;
+  } catch (const std::invalid_argument& e) {
+    // A mistyped knob must not quietly run a different experiment.
+    std::cerr << e.what() << '\n';
+    std::exit(2);
+  }
   if (const char* dir = std::getenv("PHOTODTN_BENCH_CSV"); dir != nullptr) o.csv_dir = dir;
-  o.calibrated = env_int("PHOTODTN_BENCH_CALIBRATED", 0) != 0;
   return o;
 }
 

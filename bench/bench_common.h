@@ -5,11 +5,13 @@
 // (97 nodes x 300 h x 50 runs per point) is a cluster-day of compute, the
 // default configuration is a scaled-down scenario with the same *shape*;
 // environment knobs restore fidelity:
-//   PHOTODTN_BENCH_RUNS   — runs averaged per data point (default 3)
-//   PHOTODTN_BENCH_SCALE  — scenario scale factor in (0, 1] (default 0.3):
+//   PHOTODTN_BENCH_RUNS   — runs averaged per data point, an integer in
+//                           [1, 5000] (default 3)
+//   PHOTODTN_BENCH_SCALE  — scenario scale factor in [0.01, 1] (default 0.3):
 //                           participants, trace duration, and photo rate all
 //                           scale linearly; 1.0 reproduces Table I exactly
 //   PHOTODTN_BENCH_CSV    — directory to mirror each table as CSV (optional)
+//   PHOTODTN_BENCH_CALIBRATED — 0 or 1 (default 0), see BenchOptions
 #pragma once
 
 #include <cstdint>
@@ -30,7 +32,8 @@ struct BenchOptions {
   bool calibrated = false;
 };
 
-/// Reads the environment knobs.
+/// Reads the environment knobs. A value outside its range, or one that does
+/// not parse, prints a message naming it to stderr and exits with status 2.
 BenchOptions options();
 
 /// Table I scenario (MIT or Cambridge column) scaled by opts.scale.

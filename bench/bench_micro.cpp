@@ -1,20 +1,16 @@
 // Micro-benchmarks (google-benchmark) for the algorithmic kernels: arc-set
 // operations, footprint computation, expected-coverage evaluation (exact
 // breakpoint integration vs literal 2^m enumeration vs Monte Carlo), the
-// greedy selector (lazy vs plain), and PROPHET updates.
+// CELF greedy selector and its engine, and PROPHET updates. An ad-hoc tool:
+// end-to-end performance is measured by perfbench/ (BENCHMARK.json).
 #include <benchmark/benchmark.h>
-
-#include <optional>
 
 #include "geometry/arc_set.h"
 #include "routing/prophet.h"
-#include "selection/exact_solver.h"
 #include "selection/expected_coverage.h"
 #include "selection/greedy_selector.h"
 #include "selection/selection_env.h"
-#include "sim/experiment.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 #include "workload/photo_gen.h"
 #include "workload/poi_gen.h"
 
@@ -120,37 +116,11 @@ void BM_ExpectedCoverageMonteCarlo(benchmark::State& state) {
 }
 BENCHMARK(BM_ExpectedCoverageMonteCarlo)->Arg(100)->Arg(1000);
 
-// ------------------------------------------------------- exact vs greedy
-
-void BM_ExactReallocate(benchmark::State& state) {
-  Workbench wb(10, static_cast<std::size_t>(state.range(0)), 7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(exact_reallocate(wb.model, wb.pool, 1, 0.7,
-                                              4ULL * 4'000'000, 2, 0.3,
-                                              4ULL * 4'000'000, {}));
-  }
-}
-BENCHMARK(BM_ExactReallocate)->Arg(4)->Arg(6)->Arg(8);
-
-void BM_GreedyReallocateTiny(benchmark::State& state) {
-  Workbench wb(10, static_cast<std::size_t>(state.range(0)), 7);
-  const GreedySelector sel;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sel.reallocate(wb.model, wb.pool, 1, 0.7,
-                                            4ULL * 4'000'000, 2, 0.3,
-                                            4ULL * 4'000'000, {}));
-  }
-}
-BENCHMARK(BM_GreedyReallocateTiny)->Arg(4)->Arg(6)->Arg(8);
-
 // ------------------------------------------------------------------ greedy
 
 void BM_GreedySelect(benchmark::State& state) {
-  const bool lazy = state.range(1) != 0;
   Workbench wb(250, static_cast<std::size_t>(state.range(0)));
-  GreedyParams params;
-  params.lazy = lazy;
-  const GreedySelector sel(params);
+  const GreedySelector sel;
   for (auto _ : state) {
     SelectionEnvironment env(wb.model, {});
     GreedyPhase phase(env, 0.7);
@@ -158,12 +128,7 @@ void BM_GreedySelect(benchmark::State& state) {
         sel.select(wb.model, wb.pool, 150ULL * 4'000'000, phase));
   }
 }
-BENCHMARK(BM_GreedySelect)
-    ->Args({50, 0})
-    ->Args({50, 1})
-    ->Args({200, 0})
-    ->Args({200, 1})
-    ->Args({400, 1});
+BENCHMARK(BM_GreedySelect)->Arg(50)->Arg(200)->Arg(400);
 
 void BM_Reallocate(benchmark::State& state) {
   Workbench wb(250, 300);
@@ -177,12 +142,11 @@ void BM_Reallocate(benchmark::State& state) {
 }
 BENCHMARK(BM_Reallocate);
 
-// ------------------------------------------------- incremental engine (perf
-// pipeline: tools/bench/bench_report.py consumes these by name)
+// ------------------------------------------------------ incremental engine
 
 /// Dense setting for the engine benches: PoIs packed into a small region so
-/// every PoI is covered by many environment arcs — the regime where the
-/// prefix-sum integration pays off over the per-segment scan.
+/// every PoI is covered by many environment arcs, giving its miss function
+/// many segments.
 struct DenseBench {
   DenseBench(std::size_t pois, std::size_t candidates, std::uint64_t seed = 42)
       : rng(seed),
@@ -221,35 +185,6 @@ struct DenseBench {
   std::vector<const PhotoFootprint*> cands;
 };
 
-/// GreedyPhase::gain with a switchable integral routine: the production
-/// prefix-sum path or the legacy per-segment scan kept as the recorded
-/// baseline. Mirrors GreedyPhase::gain exactly (audited by the differential
-/// tests via PiecewiseMiss::integrate_excluding_scan).
-CoverageValue gain_via(const SelectionEnvironment& env, const GreedyPhase& phase,
-                       const PhotoFootprint& fp, double p, bool scan) {
-  CoverageValue g;
-  for (const PoiArc& pa : fp.arcs) {
-    const PointOfInterest& poi = env.model().pois()[pa.poi_index];
-    const ArcSet& own = phase.own_arcs(pa.poi_index);
-    if (own.empty()) g.point += poi.weight * env.point_miss(pa.poi_index) * p;
-    const double start = normalize_angle(pa.arc.start);
-    const double end = start + std::min(pa.arc.length, kTwoPi);
-    const PiecewiseMiss& pm = env.aspect_miss(pa.poi_index);
-    auto integ = [&](double lo, double hi) {
-      return scan ? pm.integrate_excluding_scan(lo, hi, own)
-                  : pm.integrate_excluding(lo, hi, own);
-    };
-    double integral = 0.0;
-    if (end <= kTwoPi) {
-      integral = integ(start, end);
-    } else {
-      integral = integ(start, kTwoPi) + integ(0.0, end - kTwoPi);
-    }
-    g.aspect += poi.weight * p * integral;
-  }
-  return g;
-}
-
 /// One marginal-gain sweep over every candidate against a committed
 /// selection — the greedy inner loop. range = {pois, candidates}.
 void BM_GreedyGain(benchmark::State& state) {
@@ -265,7 +200,7 @@ void BM_GreedyGain(benchmark::State& state) {
     benchmark::DoNotOptimize(sum);
   }
   // Density of the setting, so regressions in the workload generator that
-  // would hollow out the bench show up in the report.
+  // would hollow out the bench show up in its counters.
   std::size_t segs = 0, arcs = 0;
   for (std::size_t p = 0; p < db.model.pois().size(); ++p)
     segs += env.aspect_miss(p).segment_count();
@@ -277,24 +212,6 @@ void BM_GreedyGain(benchmark::State& state) {
                        : static_cast<double>(arcs) / static_cast<double>(db.cands.size());
 }
 BENCHMARK(BM_GreedyGain)->Args({64, 256})->Args({250, 256});
-
-/// The same sweep through the legacy full-scan integration — the perf
-/// baseline the JSON report derives the speedup against.
-void BM_GreedyGainScan(benchmark::State& state) {
-  DenseBench db(static_cast<std::size_t>(state.range(0)),
-                static_cast<std::size_t>(state.range(1)));
-  SelectionEnvironment env(db.model, db.collections);
-  GreedyPhase phase(env, 0.7);
-  for (std::size_t i = 0; i < 8 && i < db.cands.size(); ++i)
-    phase.commit(*db.cands[i]);
-  for (auto _ : state) {
-    CoverageValue sum;
-    for (const PhotoFootprint* fp : db.cands)
-      sum += gain_via(env, phase, *fp, 0.7, /*scan=*/true);
-    benchmark::DoNotOptimize(sum);
-  }
-}
-BENCHMARK(BM_GreedyGainScan)->Args({64, 256})->Args({250, 256});
 
 /// The batched SoA sweep (GreedyPhase::gains_batch): all candidates in one
 /// PoI-major pass. range = {pois, candidates}. Bit-identical to the
@@ -322,9 +239,7 @@ void BM_GreedyGainCelf(benchmark::State& state) {
                 static_cast<std::size_t>(state.range(1)));
   std::vector<PhotoMeta> pool(db.pool.end() - static_cast<std::ptrdiff_t>(db.cands.size()),
                               db.pool.end());
-  GreedyParams params;
-  params.lazy = true;
-  const GreedySelector sel(params);
+  const GreedySelector sel;
   for (auto _ : state) {
     SelectionEnvironment env(db.model, db.collections);
     GreedyPhase phase(env, 0.7);
@@ -381,105 +296,6 @@ void BM_GreedySelectEnv(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GreedySelectEnv)->Arg(64)->Arg(256);
-
-/// The fixed-seed tiny scenario shared by the e2e benches.
-ExperimentSpec e2e_spec() {
-  ExperimentSpec spec;
-  spec.scenario = ScenarioConfig::mit(1);
-  spec.scenario.num_pois = 40;
-  spec.scenario.photo_rate_per_hour = 60.0;
-  spec.scenario.trace.num_participants = 12;
-  spec.scenario.trace.duration_s = 20.0 * 3600.0;
-  spec.scenario.trace.base_pair_rate_per_hour = 0.3;
-  spec.scenario.sim.node_storage_bytes = 40'000'000;
-  spec.scheme = "OurScheme";
-  return spec;
-}
-
-/// End-to-end: one tiny fixed-seed OurScheme run through the full simulator
-/// (trace, workload, contacts, persistent engines). Tracked in
-/// BENCH_e2e.json for trend regressions. With default (inert) faults this is
-/// also the baseline for the fault-layer overhead check in BENCH_faults.json.
-void BM_OurSchemeE2E(benchmark::State& state) {
-  const ExperimentSpec spec = e2e_spec();
-  for (auto _ : state) benchmark::DoNotOptimize(run_single(spec, 42));
-}
-BENCHMARK(BM_OurSchemeE2E);
-
-/// The same scenario under an active fault plan (every class on:
-/// interruptions, churn, jitter, gossip loss). The faulted/clean pair in
-/// BENCH_faults.json separates "what disruption costs the mission" from
-/// "what the fault layer costs the simulator".
-void BM_OurSchemeE2E_Faults(benchmark::State& state) {
-  ExperimentSpec spec = e2e_spec();
-  FaultConfig& f = spec.scenario.sim.faults;
-  f.contact_interrupt_prob = 0.25;
-  f.interrupt_fraction_min = 0.2;
-  f.interrupt_fraction_max = 0.9;
-  f.crash_rate_per_hour = 0.05;
-  f.mean_downtime_s = 2.0 * 3600.0;
-  f.bandwidth_jitter = 0.3;
-  f.gossip_loss_prob = 0.15;
-  for (auto _ : state) benchmark::DoNotOptimize(run_single(spec, 42));
-}
-BENCHMARK(BM_OurSchemeE2E_Faults);
-
-/// The same clean scenario with the obs layer fully on (metrics registry +
-/// span recording). Paired with BM_OurSchemeE2E in BENCH_obs.json: the
-/// enabled cost is advisory; the *disabled* cost is the gate — with obs off
-/// (the plain BM_OurSchemeE2E, every record site a null/branch test),
-/// BENCH_obs.json tracks the clean e2e median against its pre-obs prior.
-void BM_OurSchemeE2E_Obs(benchmark::State& state) {
-  ExperimentSpec spec = e2e_spec();
-  spec.scenario.sim.obs.metrics = true;
-  spec.scenario.sim.obs.trace = true;
-  for (auto _ : state) benchmark::DoNotOptimize(run_single(spec, 42));
-}
-BENCHMARK(BM_OurSchemeE2E_Obs);
-
-/// The same clean scenario with only the provenance tier on (per-photo
-/// causal event log, no metrics/trace). Paired with BM_OurSchemeE2E in
-/// BENCH_obs.json: the enabled cost is advisory (every capture, transfer
-/// attempt, drop, and delivery appends one POD event); the *disabled* cost
-/// rides the same clean-run gate as the obs pair — provenance off is one
-/// null test of the recorder pointer per hook site.
-void BM_OurSchemeE2E_Prov(benchmark::State& state) {
-  ExperimentSpec spec = e2e_spec();
-  spec.scenario.sim.obs.provenance = true;
-  for (auto _ : state) benchmark::DoNotOptimize(run_single(spec, 42));
-}
-BENCHMARK(BM_OurSchemeE2E_Prov);
-
-/// The same clean scenario with checkpointing enabled (a crash-safe
-/// snapshot to disk every 500 events). Paired with BM_OurSchemeE2E in
-/// BENCH_persist.json: the enabled cost is advisory (serialization + an
-/// atomic file replace per checkpoint); the *disabled* cost — the plain
-/// BM_OurSchemeE2E, where persistence is one unset-hook test per event —
-/// is the gate against the pre-persist clean median.
-void BM_OurSchemeE2E_Ckpt(benchmark::State& state) {
-  const ExperimentSpec spec = e2e_spec();
-  RunPersistence persistence;
-  persistence.checkpoint_every = 500;
-  persistence.checkpoint_path = "bench_ckpt.snap";
-  for (auto _ : state)
-    benchmark::DoNotOptimize(run_single(spec, 42, persistence));
-}
-BENCHMARK(BM_OurSchemeE2E_Ckpt);
-
-/// Multi-seed experiment sweep on an explicit pool — the run_experiment hot
-/// path that used to spawn one std::async thread per seed. range = pool
-/// threads (0 = the shared pool). The aggregate is byte-identical across
-/// thread counts; only wall-clock time moves.
-void BM_ExperimentSweep(benchmark::State& state) {
-  ExperimentSpec spec = e2e_spec();
-  spec.runs = 4;
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  std::optional<ThreadPool> pool;
-  if (threads > 0) pool.emplace(threads);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(run_experiment(spec, pool ? &*pool : nullptr));
-}
-BENCHMARK(BM_ExperimentSweep)->Arg(1)->Arg(4);
 
 // ----------------------------------------------------------------- routing
 

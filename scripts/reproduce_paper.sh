@@ -17,7 +17,8 @@ export PHOTODTN_BENCH_SCALE=1.0
 export PHOTODTN_BENCH_RUNS=${PHOTODTN_BENCH_RUNS:-50}
 export PHOTODTN_BENCH_CSV="$OUT"
 
-for b in "$BUILD"/bench/*; do
+# The figure benches and the ablation; bench_micro is not a paper figure.
+for b in "$BUILD"/bench/bench_fig* "$BUILD"/bench/bench_ablation; do
   name=$(basename "$b")
   echo "=== $name (scale=1.0, runs=$PHOTODTN_BENCH_RUNS) ==="
   "$b" | tee "$OUT/$name.txt"

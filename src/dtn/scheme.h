@@ -15,6 +15,8 @@ class ContactSession;
 
 /// The run a scheme acts on. Schemes use only its scheme-facing accessors:
 /// now, model, node, num_nodes, config, rng, store_photo, drop_photo, obs.
+/// The lint rule scheme-run-control rejects a call of its run-control
+/// members from src/schemes/.
 using SimContext = Simulator;
 
 class Scheme {

@@ -40,61 +40,6 @@ std::vector<PhotoId> GreedySelector::select(const CoverageModel& model,
   // candidates many times).
   model.footprints_cached(pool, fps_);
   stats_ = SelectionStats{};
-  std::vector<PhotoId> chosen =
-      params_.lazy ? select_lazy(pool, fps_, capacity_bytes, phase)
-                   : select_plain(pool, fps_, capacity_bytes, phase);
-  totals_.gain_evals += stats_.gain_evals;
-  totals_.reevals += stats_.reevals;
-  totals_.commits += stats_.commits;
-  return chosen;
-}
-
-std::vector<PhotoId> GreedySelector::select_plain(
-    std::span<const PhotoMeta> pool, std::span<const PhotoFootprint* const> fps,
-    std::uint64_t capacity_bytes, GreedyPhase& phase) const {
-  std::vector<PhotoId> chosen;
-  std::vector<char> taken(pool.size(), 0);
-  std::vector<std::size_t> active;
-  std::vector<const PhotoFootprint*> afps;
-  std::vector<CoverageValue> gains;
-  std::uint64_t used = 0;
-  for (;;) {
-    // One batched sweep over the still-eligible candidates per round, then
-    // an ordered argmax in pool order. Exact ties go to the lower PhotoId
-    // (see the header's determinism note); ids are unique within a pool, so
-    // the winner is unambiguous and identical to the per-candidate scan.
-    active.clear();
-    afps.clear();
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      if (taken[i] || used + pool[i].size_bytes > capacity_bytes) continue;
-      active.push_back(i);
-      afps.push_back(fps[i]);
-    }
-    if (active.empty()) break;
-    gains.resize(active.size());
-    phase.gains_batch(afps, gains);
-    stats_.gain_evals += active.size();
-    std::size_t best = 0;
-    for (std::size_t k = 1; k < active.size(); ++k) {
-      if (gains[k] > gains[best] ||
-          (gains[k] == gains[best] && pool[active[k]].id < pool[active[best]].id))
-        best = k;
-    }
-    if (!gain_worth_taking(gains[best], params_.eps)) break;
-    const std::size_t idx = active[best];
-    taken[idx] = 1;
-    used += pool[idx].size_bytes;
-    phase.commit(*fps[idx]);
-    chosen.push_back(pool[idx].id);
-    if (log_commits_) commit_log_.push_back({pool[idx].id, gains[best]});
-    ++stats_.commits;
-  }
-  return chosen;
-}
-
-std::vector<PhotoId> GreedySelector::select_lazy(
-    std::span<const PhotoMeta> pool, std::span<const PhotoFootprint* const> fps,
-    std::uint64_t capacity_bytes, GreedyPhase& phase) const {
   // A max-heap in heap_, kept by std::push_heap/pop_heap: the operations a
   // std::priority_queue runs on its vector, so the pops are the same.
   const auto less = [](const Cand& x, const Cand& y) {
@@ -113,7 +58,7 @@ std::vector<PhotoId> GreedySelector::select_lazy(
   // push order as per-candidate seeding, so the heap state is identical.
   std::vector<CoverageValue>& gains = gains_;
   gains.resize(pool.size());
-  phase.gains_batch(fps, gains);
+  phase.gains_batch(fps_, gains);
   stats_.gain_evals += pool.size();
   for (std::size_t i = 0; i < pool.size(); ++i) {
     if (gain_worth_taking(gains[i], params_.eps)) push({gains[i], pool[i].id, i, 0});
@@ -130,20 +75,23 @@ std::vector<PhotoId> GreedySelector::select_lazy(
       // Stale: re-evaluate against the current selection. Submodularity
       // guarantees the fresh gain is <= the cached one, so reinsertion keeps
       // the heap order consistent with plain greedy.
-      top.gain = phase.gain(*fps[top.idx]);
+      top.gain = phase.gain(*fps_[top.idx]);
       top.stamp = commit_stamp;
       ++stats_.gain_evals;
       ++stats_.reevals;
       if (gain_worth_taking(top.gain, params_.eps)) push(top);
       continue;
     }
-    phase.commit(*fps[top.idx]);
+    phase.commit(*fps_[top.idx]);
     used += pool[top.idx].size_bytes;
     chosen.push_back(top.id);
     if (log_commits_) commit_log_.push_back({top.id, top.gain});
     ++commit_stamp;
     ++stats_.commits;
   }
+  totals_.gain_evals += stats_.gain_evals;
+  totals_.reevals += stats_.reevals;
+  totals_.commits += stats_.commits;
   return chosen;
 }
 

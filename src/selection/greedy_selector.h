@@ -12,12 +12,12 @@
 // use CELF lazy evaluation (Minoux): a max-heap of cached stale upper
 // bounds, re-evaluated only when a candidate tops the heap with an outdated
 // stamp. The heap is seeded by one batched gain sweep (GreedyPhase::
-// gains_batch), and the plain path evaluates each round through the same
-// batched kernel with an ordered argmax — both produce selections
-// bit-identical to the candidate-at-a-time scan.
+// gains_batch). The selection is bit-identical to plain greedy's, which
+// re-evaluates every candidate each round; the tests keep plain greedy as
+// an oracle (tests/selection/reference_selection.h).
 //
 // Determinism: candidates whose gains tie exactly are taken in PhotoId
-// order (lowest id first). Pool order, the plain/lazy switch and the
+// order (lowest id first). Pool order, the plain-greedy oracle and the
 // incremental-engine path therefore all produce the same selection — ties
 // are common in practice (identical burst photos, symmetric scenes), and
 // index-based tie-breaking would let two evaluation paths diverge on them.
@@ -46,22 +46,20 @@ struct GreedyParams {
   /// taken, so a pool whose gains all sit at the boundary terminates
   /// immediately instead of stalling on tie-churn.
   double eps = 1e-9;
-  /// Use lazy greedy re-evaluation (exact same output as the plain greedy;
-  /// exposed so tests can compare both paths).
-  bool lazy = true;
 };
 
 /// Evaluation counters of the most recent select() call, for benches and
-/// the perf pipeline (the CELF re-evaluation rate is reeval / gain_evals).
+/// the selection.* metrics (the CELF re-evaluation rate is reevals /
+/// gain_evals).
 struct SelectionStats {
   std::uint64_t gain_evals = 0;  // all gain evaluations, batched or single
-  std::uint64_t reevals = 0;     // lazy-path stale re-evaluations (subset)
+  std::uint64_t reevals = 0;     // CELF stale re-evaluations (subset)
   std::uint64_t commits = 0;     // photos selected
 };
 
 /// One committed selection decision: the photo and its marginal gain *at
-/// commit time* (the CELF-fresh value, identical between the plain and lazy
-/// paths). Consumed by the provenance layer for kSelectCommit events.
+/// commit time* (the CELF-fresh value, identical to plain greedy's).
+/// Consumed by the provenance layer for kSelectCommit events.
 struct SelectCommit {
   PhotoId id = 0;
   CoverageValue gain;
@@ -146,15 +144,6 @@ class GreedySelector {
   // Restore must set both counter sets: consumers diff totals() against a
   // saved copy, and a zeroed side would make that diff wrap.
   friend struct persist::StateAccess;
-
-  std::vector<PhotoId> select_plain(std::span<const PhotoMeta> pool,
-                                    std::span<const PhotoFootprint* const> fps,
-                                    std::uint64_t capacity_bytes,
-                                    GreedyPhase& phase) const;
-  std::vector<PhotoId> select_lazy(std::span<const PhotoMeta> pool,
-                                   std::span<const PhotoFootprint* const> fps,
-                                   std::uint64_t capacity_bytes,
-                                   GreedyPhase& phase) const;
 
   /// A CELF heap entry: a candidate's cached gain and the commit count it
   /// was computed at.

@@ -45,8 +45,6 @@ void PiecewiseMiss::rebuild(std::span<const CoverView> covers,
     weights_.clear();
     rates_.clear();
     prefix_.clear();
-    lut_.clear();
-    lut_scale_ = 0.0;
     return;
   }
   constant_ = 1.0;
@@ -124,51 +122,14 @@ void PiecewiseMiss::rebuild(std::span<const CoverView> covers,
     rates_[k] = vals_[k] * (weighted ? weights_[k] : 1.0);
     prefix_[k + 1] = prefix_[k] + rates_[k] * (hi - lo);
   }
-
-  // Bucketized segment finder. lut_[b] is the highest segment whose cut
-  // falls in an earlier bucket: for any angle a in bucket b this gives
-  // cuts_[lut_[b]] < a (monotone multiply by the shared scale), so
-  // segment_of starts there and only advances forward. One bucket per
-  // segment keeps the advance to ~1 step on average. Sparse functions
-  // skip the table: below kLutMinSegments a binary search is already cheap,
-  // and the simulator rebuilds thousands of such small functions per run —
-  // the table's build cost would dominate its lookups. (Bucket count and
-  // threshold are a rebuild-vs-query tradeoff: the greedy sweeps probe each
-  // dense function hundreds of times per rebuild, the simulator's sparse
-  // ones often zero times.)
-  if (n < kLutMinSegments) {
-    lut_.clear();
-    lut_scale_ = 0.0;
-    return;
-  }
-  const std::size_t buckets = std::min<std::size_t>(4096, 2 * n);
-  lut_scale_ = static_cast<double>(buckets) / kTwoPi;
-  lut_.resize(buckets);
-  std::size_t seg = 0;
-  for (std::size_t b = 0; b < buckets; ++b) {
-    while (seg + 1 < n && static_cast<std::size_t>(cuts_[seg + 1] * lut_scale_) < b)
-      ++seg;
-    lut_[b] = static_cast<std::uint32_t>(seg);
-  }
 }
 
 std::size_t PiecewiseMiss::segment_of(double a) const noexcept {
-  // Same result as upper_bound(cuts_, a) - 1 (cuts_[0] == 0 <= a): dense
-  // functions use a table lookup plus a short forward walk instead of
-  // ~log B data-dependent probes; sparse ones (no LUT built) just binary
-  // search. a == 2*pi (an integral's hi end) clamps to the last bucket /
-  // lands in the final segment.
-  if (lut_.empty()) {
-    return static_cast<std::size_t>(
-               std::upper_bound(cuts_.begin(), cuts_.end(), a) - cuts_.begin()) -
-           1;
-  }
-  std::size_t b = static_cast<std::size_t>(a * lut_scale_);
-  if (b >= lut_.size()) b = lut_.size() - 1;
-  std::size_t s = lut_[b];
-  const std::size_t n = cuts_.size();
-  while (s + 1 < n && cuts_[s + 1] <= a) ++s;
-  return s;
+  // cuts_[0] == 0 <= a, so the segment is the last cut at or below a; a ==
+  // 2*pi (an integral's hi end) lands in the final segment.
+  return static_cast<std::size_t>(
+             std::upper_bound(cuts_.begin(), cuts_.end(), a) - cuts_.begin()) -
+         1;
 }
 
 double PiecewiseMiss::value_at(double angle) const noexcept {
@@ -207,27 +168,6 @@ double PiecewiseMiss::integrate_excluding(double lo, double hi,
   return std::max(0.0, total);
 }
 
-double PiecewiseMiss::integrate_excluding_scan(double lo, double hi,
-                                               const ArcSet& exclude) const {
-  PHOTODTN_CHECK(lo >= -1e-12 && hi <= kTwoPi + 1e-12 && lo <= hi + 1e-12);
-  lo = std::max(lo, 0.0);
-  hi = std::min(hi, kTwoPi);
-  if (hi <= lo) return 0.0;
-  auto piece = [&](double l, double h, double val) {
-    if (h <= l || val == 0.0) return 0.0;
-    const double len = (h - l) - exclude.overlap_linear(l, h);
-    return val * std::max(0.0, len);
-  };
-  if (cuts_.empty()) return piece(lo, hi, constant_);
-  double total = 0.0;
-  const std::size_t n = cuts_.size();
-  for (std::size_t k = 0; k < n; ++k) {
-    const double seg_hi = (k + 1 < n) ? cuts_[k + 1] : kTwoPi;
-    total += piece(std::max(lo, cuts_[k]), std::min(hi, seg_hi), rate(k));
-  }
-  return total;
-}
-
 double PiecewiseMiss::full_integral() const noexcept {
   if (cuts_.empty()) return constant_ * kTwoPi;
   return prefix_.back();
@@ -238,7 +178,7 @@ void PiecewiseMiss::audit() const {
                      "PiecewiseMiss constant must be a probability");
   if (cuts_.empty()) {
     PHOTODTN_CHECK_MSG(vals_.empty() && weights_.empty() && rates_.empty() &&
-                           prefix_.empty() && lut_.empty(),
+                           prefix_.empty(),
                        "constant PiecewiseMiss must carry no segments");
     return;
   }
@@ -248,21 +188,6 @@ void PiecewiseMiss::audit() const {
                          prefix_.size() == cuts_.size() + 1 &&
                          (weights_.empty() || weights_.size() == cuts_.size()),
                      "PiecewiseMiss parallel arrays must agree in size");
-  PHOTODTN_CHECK_MSG(
-      (cuts_.size() >= kLutMinSegments) == !lut_.empty(),
-      "PiecewiseMiss must carry a LUT exactly when dense enough");
-  PHOTODTN_CHECK_MSG(lut_.empty() == (lut_scale_ == 0.0),
-                     "LUT scale must accompany the LUT");
-  for (std::size_t b = 0; b < lut_.size(); ++b) {
-    const std::size_t s = lut_[b];
-    PHOTODTN_CHECK_MSG(s < cuts_.size(), "LUT segment index out of range");
-    // The walk in segment_of only moves forward, so the table entry must
-    // undershoot (or hit) the true segment of every angle in its bucket.
-    PHOTODTN_CHECK_MSG(
-        s == 0 || static_cast<std::size_t>(cuts_[s] * lut_scale_) < b,
-        "LUT entry overshoots its bucket");
-    PHOTODTN_CHECK_MSG(b == 0 || lut_[b - 1] <= s, "LUT must be monotone");
-  }
   for (std::size_t k = 0; k < cuts_.size(); ++k) {
     PHOTODTN_CHECK_MSG(cuts_[k] >= 0.0 && cuts_[k] < kTwoPi,
                        "PiecewiseMiss cut outside [0, 2*pi)");

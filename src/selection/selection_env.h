@@ -33,8 +33,8 @@
 // over and over, and candidate-at-a-time evaluation streams each PoI's
 // segment arrays through cache once *per candidate*. gains_batch flips the
 // loop PoI-major — all candidate arcs touching a PoI are processed while
-// that PoI's structure-of-arrays state (cuts / fused rates / prefix sums /
-// segment lookup table) is hot. A simulation run is single-threaded, so the
+// that PoI's structure-of-arrays state (cuts / fused rates / prefix sums)
+// is hot. A simulation run is single-threaded, so the
 // sweep runs on the caller's thread and rebuilds dirty PoIs as it reaches
 // them.
 #pragma once
@@ -95,20 +95,14 @@ class PiecewiseMiss {
   /// O((1 + excluded intervals in range) * log B).
   double integrate_excluding(double lo, double hi, const ArcSet& exclude) const;
 
-  /// Reference implementation of integrate_excluding that scans every
-  /// segment (the pre-prefix-sum algorithm). Kept as the recorded perf
-  /// baseline for the bench pipeline and as the audit cross-check; results
-  /// agree with integrate_excluding to floating-point dust.
-  double integrate_excluding_scan(double lo, double hi, const ArcSet& exclude) const;
-
   /// Integral of env(v) * weight(v) over the whole circle. The environment's
   /// expected *uncovered* aspect mass of the PoI; C_ex factors through it.
   double full_integral() const noexcept;
 
   bool is_constant_one() const noexcept { return cuts_.empty() && constant_ == 1.0; }
 
-  /// Number of constant segments (0 for the constant function). The scan
-  /// baseline is O(segment_count()) per integral; the prefix path O(log).
+  /// Number of constant segments (0 for the constant function). A point
+  /// query or an integral binary-searches them: O(log segment_count()).
   std::size_t segment_count() const noexcept { return cuts_.size(); }
 
   /// Deep invariant check (audit builds / tests): cuts sorted, starting at
@@ -130,16 +124,6 @@ class PiecewiseMiss {
   std::vector<double> rates_;    // fused vals * weights (weight 1 if none)
   std::vector<double> prefix_;   // prefix_[k] = integral of env*w on [0, cuts_[k]);
                                  // size cuts_.size() + 1, last = full circle
-  // Bucketized segment finder: lut_[b] is a segment index s with
-  // cuts_[s] <= every angle in bucket b, so segment_of starts there and
-  // advances at most a few cuts instead of binary-searching ~log B probes.
-  // Buckets partition [0, 2*pi) evenly; lut_scale_ = bucket count / 2*pi.
-  // Built only for dense functions (>= kLutMinSegments segments): sparse
-  // ones rebuild far more often than they are probed, so they binary
-  // search and lut_ stays empty with lut_scale_ == 0.
-  static constexpr std::size_t kLutMinSegments = 32;
-  std::vector<std::uint32_t> lut_;
-  double lut_scale_ = 0.0;
   double constant_ = 1.0;        // value when cuts_ is empty
 };
 

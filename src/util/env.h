@@ -1,16 +1,27 @@
-// Environment-variable knobs for the bench harness (run counts, scale).
+// Strict readers for the environment-variable knobs: PHOTODTN_THREADS and
+// the benches' PHOTODTN_BENCH_* settings.
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 namespace photodtn {
 
-/// Reads an integer environment variable, returning `fallback` when unset
-/// or unparsable. Used by benches for PHOTODTN_BENCH_RUNS etc.
-std::int64_t env_int(const std::string& name, std::int64_t fallback);
+/// `text`, the value of environment variable `name`, as a decimal integer
+/// in [lo, hi]. The whole text must parse; otherwise throws
+/// std::invalid_argument "<name>=<text> is not an integer in [<lo>, <hi>]".
+std::int64_t parse_env_int(std::string_view name, std::string_view text,
+                           std::int64_t lo, std::int64_t hi);
 
-/// Reads a double environment variable with the same fallback semantics.
-double env_double(const std::string& name, double fallback);
+/// The integer environment variable `name` holds: `fallback` when it is
+/// unset or empty, otherwise parse_env_int's value or exception.
+std::int64_t env_int(const char* name, std::int64_t fallback, std::int64_t lo,
+                     std::int64_t hi);
+
+/// The number environment variable `name` holds: `fallback` when it is
+/// unset or empty; otherwise the whole text must parse as a number in
+/// [lo, hi], or this throws std::invalid_argument
+/// "<name>=<text> is not a number in [<lo>, <hi>]".
+double env_double(const char* name, double fallback, double lo, double hi);
 
 }  // namespace photodtn

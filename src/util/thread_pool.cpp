@@ -1,22 +1,21 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <charconv>
+#include <cstdint>
 #include <cstdlib>
 #include <exception>
 #include <semaphore>
-#include <stdexcept>
 #include <stop_token>
-#include <string>
-#include <string_view>
 #include <thread>
+
+#include "util/env.h"
 
 namespace photodtn {
 
 namespace {
 
 /// Most lanes PHOTODTN_THREADS may ask for.
-constexpr std::size_t kMaxConcurrency = 256;
+constexpr std::int64_t kMaxConcurrency = 256;
 
 }  // namespace
 
@@ -123,16 +122,8 @@ ThreadPool& ThreadPool::shared() {
 std::size_t ThreadPool::concurrency_from_env(const char* value) {
   if (value == nullptr || *value == '\0')
     return std::max(1u, std::thread::hardware_concurrency());
-  const std::string_view text(value);
-  std::size_t n = 0;
-  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), n);
-  if (ec != std::errc{} || end != text.data() + text.size() || n < 1 ||
-      n > kMaxConcurrency) {
-    throw std::invalid_argument("PHOTODTN_THREADS=" + std::string(text) +
-                                " is not an integer in [1, " +
-                                std::to_string(kMaxConcurrency) + "]");
-  }
-  return n;
+  return static_cast<std::size_t>(
+      parse_env_int("PHOTODTN_THREADS", value, 1, kMaxConcurrency));
 }
 
 bool ThreadPool::lend() {

@@ -76,6 +76,15 @@ void ScenarioConfig::validate(double horizon_s) const {
   if (num_pois > kMaxPois)
     throw std::invalid_argument("num_pois = " + std::to_string(num_pois) +
                                 " is over the limit of " + std::to_string(kMaxPois));
+  // PoI and photo coordinates are drawn in [0, region_m]; the PoI grid
+  // converts them to integer cells.
+  if (!std::isfinite(region_m) || region_m <= 0.0)
+    throw std::invalid_argument("region_m = " + num(region_m) +
+                                " must be finite and positive");
+  // The synthetic trace divides participant ids by the team size.
+  if (trace.team_size < 1)
+    throw std::invalid_argument("trace.team_size = " + std::to_string(trace.team_size) +
+                                " must be at least 1");
 }
 
 }  // namespace photodtn

@@ -37,8 +37,9 @@ struct ScenarioConfig {
   SimConfig sim;
 
   /// Checks the values that size a run before anything is allocated. The
-  /// horizon, the photo rate and the sample interval must be finite (the
-  /// rate non-negative, the others positive). The horizon (<= 30,000 h),
+  /// horizon, the photo rate, the sample interval and region_m must be
+  /// finite (the rate non-negative, the others positive), and
+  /// trace.team_size at least 1. The horizon (<= 30,000 h),
   /// the implied photo count (rate x horizon, <= 1e7), the implied
   /// coverage sample count (horizon / sample interval, <= 1e5) and
   /// num_pois (<= 100,000) are bounded, each at >= 100x a paper-scale run,

@@ -1,8 +1,9 @@
 // CELF / batched-kernel equivalence suite. The optimization contract of the
-// selection layer is *bitwise*: lazy (CELF) and plain greedy pick identical
-// photos in identical order, and gains_batch returns exactly the values the
-// per-candidate gain() would. These tests pin that contract across 1000
-// random scenarios plus adversarial tie and eps-boundary constructions.
+// selection layer is *bitwise*: lazy (CELF) selection and the plain-greedy
+// oracle (reference_selection.h) pick identical photos in identical order,
+// and gains_batch returns exactly the values the per-candidate gain() would.
+// These tests pin that contract across 1000 random scenarios plus
+// adversarial tie and eps-boundary constructions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "selection/greedy_selector.h"
+#include "selection/reference_selection.h"
 #include "selection/selection_env.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -72,14 +74,10 @@ struct Scenario {
   }
 };
 
-std::vector<PhotoId> run_select(const Scenario& sc, bool lazy, std::uint64_t cap,
-                                double eps = 1e-9) {
-  GreedyParams params;
-  params.lazy = lazy;
-  params.eps = eps;
+std::vector<PhotoId> run_select(const Scenario& sc, bool lazy, std::uint64_t cap) {
   SelectionEnvironment env(sc.model, sc.collections);
   GreedyPhase phase(env, 0.7);
-  return GreedySelector(params).select(sc.model, sc.pool, cap, phase);
+  return test::greedy_select(lazy, sc.model, sc.pool, cap, phase);
 }
 
 TEST(CelfEquivalence, ThousandSeedsLazyEqualsPlainIdenticalSetsAndOrder) {
@@ -143,12 +141,10 @@ TEST(CelfEquivalence, AdversarialClonePoolTiesBreakByLowestIdOnBothPaths) {
                     rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
     std::vector<std::vector<PhotoId>> results;
     for (const bool lazy : {false, true}) {
-      GreedyParams params;
-      params.lazy = lazy;
       SelectionEnvironment env(model, {});
       GreedyPhase phase(env, 1.0);
       results.push_back(
-          GreedySelector(params).select(model, shuffled, 2 * kPhotoBytes, phase));
+          test::greedy_select(lazy, model, shuffled, 2 * kPhotoBytes, phase));
     }
     ASSERT_EQ(results[0], results[1]) << "perm " << perm;
     // Two photos fit; each clone group contributes its lowest id.
@@ -173,19 +169,17 @@ TEST(CelfEquivalence, EpsBoundaryIsExclusiveOnBothPaths) {
   const double top = std::max(g.point, g.aspect);
   ASSERT_GT(top, 0.0);
   for (const bool lazy : {false, true}) {
-    GreedyParams params;
-    params.lazy = lazy;
-    params.eps = top;  // both components <= eps -> nothing worth taking
+    // Both components <= eps -> nothing worth taking.
     SelectionEnvironment env(model, {});
     GreedyPhase phase(env, 1.0);
-    EXPECT_TRUE(GreedySelector(params)
-                    .select(model, pool, kPhotoBytes, phase)
-                    .empty())
+    EXPECT_TRUE(test::greedy_select(lazy, model, pool, kPhotoBytes, phase, top).empty())
         << "lazy " << lazy;
-    params.eps = std::nextafter(top, 0.0);  // strictly below -> selects
+    // Strictly below -> selects.
     SelectionEnvironment env2(model, {});
     GreedyPhase phase2(env2, 1.0);
-    EXPECT_EQ(GreedySelector(params).select(model, pool, kPhotoBytes, phase2).size(),
+    EXPECT_EQ(test::greedy_select(lazy, model, pool, kPhotoBytes, phase2,
+                                  std::nextafter(top, 0.0))
+                  .size(),
               1u)
         << "lazy " << lazy;
   }
@@ -195,9 +189,7 @@ TEST(CelfEquivalence, StatsCountCommitsAndReevals) {
   Rng rng(9);
   test::reset_photo_ids();
   const Scenario sc(rng, 5, 40, 2);
-  GreedyParams params;
-  params.lazy = true;
-  const GreedySelector sel(params);
+  const GreedySelector sel;
   SelectionEnvironment env(sc.model, sc.collections);
   GreedyPhase phase(env, 0.7);
   const auto chosen = sel.select(sc.model, sc.pool, 10 * kPhotoBytes, phase);

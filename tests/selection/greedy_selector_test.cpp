@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "selection/reference_selection.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -120,14 +121,11 @@ TEST(GreedySelector, LazyMatchesPlainGreedy) {
     }
     const std::uint64_t cap = static_cast<std::uint64_t>(rng.uniform_int(2, 10)) * 4'000'000;
 
-    GreedyParams lazy_params, plain_params;
-    lazy_params.lazy = true;
-    plain_params.lazy = false;
     SelectionEnvironment env(model, {});
     GreedyPhase phase_lazy(env, 0.7);
     GreedyPhase phase_plain(env, 0.7);
-    const auto a = GreedySelector(lazy_params).select(model, pool, cap, phase_lazy);
-    const auto b = GreedySelector(plain_params).select(model, pool, cap, phase_plain);
+    const auto a = test::greedy_select(/*lazy=*/true, model, pool, cap, phase_lazy);
+    const auto b = test::greedy_select(/*lazy=*/false, model, pool, cap, phase_plain);
     EXPECT_EQ(a, b) << "trial " << trial;
   }
 }
@@ -236,12 +234,10 @@ TEST(GreedySelector, TiesBreakByPhotoIdRegardlessOfPoolOrder) {
     std::vector<PhotoMeta> shuffled;
     for (const std::size_t i : order) shuffled.push_back(pool[i]);
     for (const bool lazy : {false, true}) {
-      GreedyParams params;
-      params.lazy = lazy;
       SelectionEnvironment env(model, {});
       GreedyPhase phase(env, 1.0);
       const auto chosen =
-          GreedySelector(params).select(model, shuffled, 2 * 4'000'000, phase);
+          test::greedy_select(lazy, model, shuffled, 2 * 4'000'000, phase);
       // The pick is always the lowest id; the clones then gain nothing, so
       // selection stops after one.
       EXPECT_EQ(chosen, std::vector<PhotoId>{ids[0]})
@@ -269,12 +265,9 @@ TEST(GreedySelector, TiedDistinctGainsSelectSameSequenceOnBothPaths) {
     std::vector<PhotoMeta> shuffled;
     for (const std::size_t i : order) shuffled.push_back(pool[i]);
     for (const bool lazy : {false, true}) {
-      GreedyParams params;
-      params.lazy = lazy;
       SelectionEnvironment env(model, {});
       GreedyPhase phase(env, 1.0);
-      const auto chosen =
-          GreedySelector(params).select(model, shuffled, kBigCap, phase);
+      const auto chosen = test::greedy_select(lazy, model, shuffled, kBigCap, phase);
       if (reference.empty()) {
         reference = chosen;
         // One pick per pair, each the lower id of its pair (the clone gains
@@ -299,14 +292,11 @@ TEST(GreedySelector, EpsBoundaryGainsTerminateWithoutStalling) {
   std::vector<PhotoMeta> pool{photo_viewing(model.pois()[0], 0.0),
                               photo_viewing(model.pois()[0], 90.0)};
   for (const bool lazy : {false, true}) {
-    GreedyParams params;
-    params.lazy = lazy;
     // Raise eps beyond any attainable gain (point <= 1, aspect <= 2*pi
     // weighted by w = 1): every candidate is at-or-below the boundary.
-    params.eps = 10.0;
     SelectionEnvironment env(model, {});
     GreedyPhase phase(env, 1.0);
-    const auto chosen = GreedySelector(params).select(model, pool, kBigCap, phase);
+    const auto chosen = test::greedy_select(lazy, model, pool, kBigCap, phase, 10.0);
     EXPECT_TRUE(chosen.empty()) << "lazy " << lazy;
   }
 }

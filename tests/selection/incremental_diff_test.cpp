@@ -4,7 +4,7 @@
 //                                 == expected_coverage_enumerate
 // to 1e-12 (relative), including after engine churn (collections added,
 // extended and removed in arbitrary order), and the lazy greedy path picks
-// exactly the same photo sequence as plain greedy.
+// exactly the same photo sequence as the plain-greedy oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +17,7 @@
 #include "geometry/angle.h"
 #include "selection/expected_coverage.h"
 #include "selection/greedy_selector.h"
+#include "selection/reference_selection.h"
 #include "selection/selection_env.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -192,20 +193,15 @@ TEST(IncrementalDiff, LazyAndPlainGreedySelectIdenticalSequences) {
         static_cast<std::uint64_t>(rng.uniform_int(2, 20)) * 1'000'000;
     const double p_self = rng.uniform(0.05, 1.0);
 
-    GreedyParams plain_params;
-    plain_params.lazy = false;
-    GreedyParams lazy_params;
-    lazy_params.lazy = true;
-
     SelectionEnvironment env_plain(inst.model, inst.nodes);
     GreedyPhase phase_plain(env_plain, p_self);
     const auto plain =
-        GreedySelector(plain_params).select(inst.model, pool, capacity, phase_plain);
+        test::greedy_select(/*lazy=*/false, inst.model, pool, capacity, phase_plain);
 
     SelectionEnvironment env_lazy(inst.model, inst.nodes);
     GreedyPhase phase_lazy(env_lazy, p_self);
     const auto lazy =
-        GreedySelector(lazy_params).select(inst.model, pool, capacity, phase_lazy);
+        test::greedy_select(/*lazy=*/true, inst.model, pool, capacity, phase_lazy);
 
     EXPECT_EQ(plain, lazy) << "seed " << seed;
   }

@@ -1,8 +1,10 @@
 // The in-place arc insertion and PoI rebuild against the copying and
 // allocating originals kept in reference_selection.h: every result must be
-// the same bits.
+// the same bits. The prefix-sum integral is held against the reference's
+// per-segment scan to floating-point dust.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -83,9 +85,9 @@ TEST(RebuildOracle, ArcInsertionMatchesCopyingInsertBitwise) {
 
 enum class Kind { kDense, kSparse, kConstant };
 
-/// A random cover list of the given kind. Dense lists carry enough
-/// intervals for the segment lookup table; constant ones have no
-/// boundaries at all (nothing, or full circles only).
+/// A random cover list of the given kind. Dense lists usually reach 32 or
+/// more segments; constant ones have no boundaries at all (nothing, or full
+/// circles only).
 std::vector<NodePoiCover> random_covers(Rng& rng, Kind kind) {
   std::vector<NodePoiCover> covers;
   auto p = [&rng] {
@@ -154,15 +156,35 @@ void expect_same_function(const PiecewiseMiss& got, const ReferencePiecewiseMiss
   }
 }
 
+/// integrate_excluding against the reference's per-segment scan on random
+/// ranges and exclusion sets, to a relative 1e-9.
+void expect_scan_agrees(const PiecewiseMiss& got, const ReferencePiecewiseMiss& want,
+                        Rng& rng, int step) {
+  ArcSet exclude;
+  for (int k = 0; k < rng.uniform_int(0, 3); ++k) {
+    const double start = rng.uniform(0.0, kTwoPi);
+    exclude.add(Arc{start, rng.uniform(0.05, 2.0)});
+  }
+  for (int q = 0; q < 4; ++q) {
+    const double x = rng.uniform(0.0, kTwoPi);
+    const double y = rng.uniform(0.0, kTwoPi);
+    const double lo = std::min(x, y), hi = std::max(x, y);
+    const double fast = got.integrate_excluding(lo, hi, exclude);
+    const double scan = want.integrate_excluding_scan(lo, hi, exclude);
+    EXPECT_NEAR(fast, scan, 1e-9 * std::max(1.0, std::fabs(scan))) << step;
+  }
+}
+
 TEST(RebuildOracle, InPlaceRebuildMatchesFreshBuildBitwise) {
   // One object and one scratch, rebuilt over and over: every step changes
-  // density (dense with its lookup table, sparse, constant) and weighting,
-  // so stale state from the previous shape would show up in the probes.
+  // density (dense, sparse, constant) and weighting, so stale state from
+  // the previous shape would show up in the probes.
   Rng rng(1602);
+  Rng query_rng(1603);  // its own stream: the covers stay the same draws
   PiecewiseMiss pm;
   PiecewiseMiss::Scratch scratch;
   const Kind kinds[] = {Kind::kDense, Kind::kSparse, Kind::kConstant};
-  int dense_with_lut = 0;
+  int dense = 0;
   for (int step = 0; step < 600; ++step) {
     const Kind kind = step < 9 ? kinds[step % 3] : kinds[rng.uniform_int(0, 2)];
     const bool weighted = kind != Kind::kConstant && (step / 3) % 2 == 1;
@@ -176,10 +198,11 @@ TEST(RebuildOracle, InPlaceRebuildMatchesFreshBuildBitwise) {
     const ReferencePiecewiseMiss ref =
         ReferencePiecewiseMiss::build(pairs, profile.get());
     expect_same_function(pm, ref, step);
+    expect_scan_agrees(pm, ref, query_rng, step);
     pm.audit();
-    if (pm.segment_count() >= 32) ++dense_with_lut;
+    if (pm.segment_count() >= 32) ++dense;
   }
-  EXPECT_GT(dense_with_lut, 50);  // the lookup-table path really ran
+  EXPECT_GT(dense, 50);  // the binary search really ran over >= 32 segments
 }
 
 TEST(RebuildOracle, MissSweepSurvivesUnderflowOfManyCovers) {

@@ -147,33 +147,13 @@ ReferencePiecewiseMiss ReferencePiecewiseMiss::build(
     out.prefix_[k + 1] = out.prefix_[k] + out.rates_[k] * (hi - out.cuts_[k]);
   }
 
-  if (n >= kLutMinSegments) {
-    const std::size_t buckets = std::min<std::size_t>(4096, 2 * n);
-    out.lut_scale_ = static_cast<double>(buckets) / kTwoPi;
-    out.lut_.resize(buckets);
-    std::size_t seg = 0;
-    for (std::size_t b = 0; b < buckets; ++b) {
-      while (seg + 1 < n &&
-             static_cast<std::size_t>(out.cuts_[seg + 1] * out.lut_scale_) < b)
-        ++seg;
-      out.lut_[b] = static_cast<std::uint32_t>(seg);
-    }
-  }
   return out;
 }
 
 std::size_t ReferencePiecewiseMiss::segment_of(double a) const noexcept {
-  if (lut_.empty()) {
-    return static_cast<std::size_t>(
-               std::upper_bound(cuts_.begin(), cuts_.end(), a) - cuts_.begin()) -
-           1;
-  }
-  std::size_t b = static_cast<std::size_t>(a * lut_scale_);
-  if (b >= lut_.size()) b = lut_.size() - 1;
-  std::size_t s = lut_[b];
-  const std::size_t n = cuts_.size();
-  while (s + 1 < n && cuts_[s + 1] <= a) ++s;
-  return s;
+  return static_cast<std::size_t>(
+             std::upper_bound(cuts_.begin(), cuts_.end(), a) - cuts_.begin()) -
+         1;
 }
 
 double ReferencePiecewiseMiss::value_at(double angle) const noexcept {
@@ -196,6 +176,72 @@ double ReferencePiecewiseMiss::integral(double lo, double hi) const noexcept {
 double ReferencePiecewiseMiss::full_integral() const noexcept {
   if (cuts_.empty()) return constant_ * kTwoPi;
   return prefix_.back();
+}
+
+double ReferencePiecewiseMiss::integrate_excluding_scan(double lo, double hi,
+                                                        const ArcSet& exclude) const {
+  lo = std::max(lo, 0.0);
+  hi = std::min(hi, kTwoPi);
+  if (hi <= lo) return 0.0;
+  auto piece = [&](double l, double h, double val) {
+    if (h <= l || val == 0.0) return 0.0;
+    const double len = (h - l) - exclude.overlap_linear(l, h);
+    return val * std::max(0.0, len);
+  };
+  if (cuts_.empty()) return piece(lo, hi, constant_);
+  double total = 0.0;
+  const std::size_t n = cuts_.size();
+  for (std::size_t k = 0; k < n; ++k) {
+    const double seg_hi = (k + 1 < n) ? cuts_[k + 1] : kTwoPi;
+    total += piece(std::max(lo, cuts_[k]), std::min(hi, seg_hi), rates_[k]);
+  }
+  return total;
+}
+
+std::vector<PhotoId> plain_greedy_select(const CoverageModel& model,
+                                         std::span<const PhotoMeta> pool,
+                                         std::uint64_t capacity_bytes,
+                                         GreedyPhase& phase, double eps) {
+  std::vector<const PhotoFootprint*> fps;
+  model.footprints_cached(pool, fps);
+  std::vector<PhotoId> chosen;
+  std::vector<char> taken(pool.size(), 0);
+  std::uint64_t used = 0;
+  for (;;) {
+    std::vector<std::size_t> active;
+    std::vector<const PhotoFootprint*> afps;
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      if (taken[i] || used + pool[i].size_bytes > capacity_bytes) continue;
+      active.push_back(i);
+      afps.push_back(fps[i]);
+    }
+    if (active.empty()) break;
+    std::vector<CoverageValue> gains(active.size());
+    phase.gains_batch(afps, gains);
+    std::size_t best = 0;
+    for (std::size_t k = 1; k < active.size(); ++k) {
+      if (gains[k] > gains[best] ||
+          (gains[k] == gains[best] && pool[active[k]].id < pool[active[best]].id))
+        best = k;
+    }
+    if (gains[best].point <= eps && gains[best].aspect <= eps) break;
+    const std::size_t idx = active[best];
+    taken[idx] = 1;
+    used += pool[idx].size_bytes;
+    phase.commit(*fps[idx]);
+    chosen.push_back(pool[idx].id);
+  }
+  return chosen;
+}
+
+std::vector<PhotoId> greedy_select(bool lazy, const CoverageModel& model,
+                                   std::span<const PhotoMeta> pool,
+                                   std::uint64_t capacity_bytes, GreedyPhase& phase,
+                                   double eps) {
+  if (!lazy) return plain_greedy_select(model, pool, capacity_bytes, phase, eps);
+  GreedyParams params;
+  params.eps = eps;
+  return GreedySelector(params).select(model, pool, capacity_bytes, phase);
 }
 
 }  // namespace photodtn::test

@@ -115,30 +115,14 @@ TEST(Submodularity, MarginalGainsNeverIncreaseUnderCommits) {
 TEST(Submodularity, PiecewiseMissAuditsPassOnRandomEnvironments) {
   // Direct deep-audit sweep: every per-PoI miss function an environment can
   // produce (uniform and weighted, dense and empty) must satisfy its
-  // structural invariants, and the prefix-sum path must agree with the
-  // legacy full-scan integration on random queries.
+  // structural invariants. (The prefix-sum integral is held against a
+  // per-segment scan in rebuild_oracle_test.cpp.)
   for (int seed = 0; seed < 200; ++seed) {
     Rng rng(static_cast<std::uint64_t>(seed) + 40'000);
     Scenario s = random_scenario(rng);
     SelectionEnvironment env(s.model, s.others);
-    for (std::size_t poi = 0; poi < s.model.pois().size(); ++poi) {
-      const PiecewiseMiss& pm = env.aspect_miss(poi);
-      ASSERT_NO_THROW(pm.audit()) << "seed " << seed << " poi " << poi;
-      ArcSet exclude;
-      for (int k = 0; k < rng.uniform_int(0, 3); ++k) {
-        const double start = rng.uniform(0.0, kTwoPi);
-        exclude.add(Arc{start, rng.uniform(0.05, 2.0)});
-      }
-      for (int q = 0; q < 4; ++q) {
-        const double x = rng.uniform(0.0, kTwoPi);
-        const double y = rng.uniform(0.0, kTwoPi);
-        const double lo = std::min(x, y), hi = std::max(x, y);
-        const double fast = pm.integrate_excluding(lo, hi, exclude);
-        const double scan = pm.integrate_excluding_scan(lo, hi, exclude);
-        EXPECT_NEAR(fast, scan, 1e-9 * std::max(1.0, std::fabs(scan)))
-            << "seed " << seed << " poi " << poi;
-      }
-    }
+    for (std::size_t poi = 0; poi < s.model.pois().size(); ++poi)
+      ASSERT_NO_THROW(env.aspect_miss(poi).audit()) << "seed " << seed << " poi " << poi;
     ASSERT_NO_THROW(env.audit()) << "seed " << seed;
   }
 }

@@ -210,6 +210,15 @@ TEST(Experiment, RejectsRunSizesBeyondBoundsBeforeAllocating) {
   samples.scenario.sim.sample_interval_s = 0.5;  // 144,000 samples over 20 h
   expect_rejected_naming(samples, "sim.sample_interval_s");
 
+  // A zero team size divided by zero in the synthetic trace (SIGFPE), and an
+  // infinite region ran to the end with infinite PoI and photo coordinates.
+  ExperimentSpec teams = tiny_spec("Epidemic", 1);
+  teams.scenario.trace.team_size = 0;
+  expect_rejected_naming(teams, "trace.team_size");
+  ExperimentSpec region = tiny_spec("Epidemic", 1);
+  region.scenario.region_m = std::numeric_limits<double>::infinity();
+  expect_rejected_naming(region, "region_m");
+
   // A replayed trace is checked against its own horizon, not the config's.
   const std::string path = ::testing::TempDir() + "/photodtn_long_horizon.csv";
   {

@@ -23,8 +23,9 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 FIXTURES = HERE / "fixtures"
 
-# fixture file -> path inside the mini-repo (all under src/demo/ so the
-# paired-header and own-header-first machinery engage).
+# fixture file -> path inside the mini-repo (under src/demo/ so the
+# paired-header and own-header-first machinery engage; the scheme fixture
+# under src/schemes/, the one directory its rule covers).
 MANIFEST = {
     "store.h.fixture": "src/demo/store.h",
     "store.cpp.fixture": "src/demo/store.cpp",
@@ -32,6 +33,8 @@ MANIFEST = {
     "widget_ok.cpp.fixture": "src/demo/widget_ok.cpp",
     "hazards.cpp.fixture": "src/demo/hazards.cpp",
     "allows.cpp.fixture": "src/demo/allows.cpp",
+    "run_control.cpp.fixture": "src/demo/run_control.cpp",
+    "scheme.cpp.fixture": "src/schemes/scheme.cpp",
 }
 
 EXPECT_RE = re.compile(r"//.*?EXPECT\s+([a-z-]+)")

@@ -27,6 +27,13 @@ that have bitten floating-point/simulation codebases like this one:
                       persist::checked_write_file / atomic_write_file
                       (persist/file_io.h) so open/write/flush errors surface
                       instead of silently truncating on ENOSPC.
+  scheme-run-control  a `.` or `->` call of the simulator's run-control
+                      members (command_center_coverage, faults, is_down,
+                      event_index, set_checkpoint_hook) in src/schemes/ —
+                      a scheme sees the simulator as SimContext
+                      (dtn/scheme.h) and acts only through its
+                      scheme-facing accessors; the rest belongs to the
+                      runner, tests and tooling.
 
 Determinism rules (ordering hazards that parallel simulators hit — each
 suppression REQUIRES a justification, see below):
@@ -79,8 +86,10 @@ ALLOW_RE = re.compile(
 JUSTIFIED_RULES = {"unordered-iter", "pointer-key", "atomic-float", "unordered-reduce"}
 
 # Rules that apply line by line:
-# (rule, regex, message, applies_to_tests, exempt_prefixes) — a file whose
-# repo-relative path starts with an exempt prefix skips the rule entirely.
+# (rule, regex, message, applies_to_tests, exempt_prefixes, only_prefixes) —
+# a file whose repo-relative path starts with an exempt prefix skips the rule
+# entirely; a non-empty only_prefixes limits the rule to files under one of
+# them.
 LINE_RULES = [
     (
         "banned-random",
@@ -88,6 +97,7 @@ LINE_RULES = [
         "raw C randomness; use photodtn::Rng (util/rng.h) so runs stay seeded "
         "and reproducible",
         True,
+        (),
         (),
     ),
     (
@@ -98,6 +108,7 @@ LINE_RULES = [
         "entropy comes from util/rng.h",
         True,
         (),
+        (),
     ),
     (
         "banned-wallclock",
@@ -107,6 +118,7 @@ LINE_RULES = [
         "and bench/ — traces and metrics must stay deterministic",
         True,
         ("src/obs/", "bench/"),
+        (),
     ),
     (
         "angle-compare",
@@ -118,6 +130,7 @@ LINE_RULES = [
         "(geometry/angle.h) or an explicit epsilon",
         False,
         (),
+        (),
     ),
     (
         "include-parent",
@@ -126,12 +139,14 @@ LINE_RULES = [
         '(e.g. "geometry/angle.h")',
         True,
         (),
+        (),
     ),
     (
         "include-bits",
         re.compile(r"#\s*include\s*<bits/"),
         "libstdc++ internal header; include the standard header instead",
         True,
+        (),
         (),
     ),
     (
@@ -140,6 +155,7 @@ LINE_RULES = [
         "ordered container keyed by a pointer; iteration order is address "
         "order (different every run under ASLR) — key by a stable id instead",
         False,
+        (),
         (),
     ),
     (
@@ -150,6 +166,7 @@ LINE_RULES = [
         "in chunk order after the fan-out returns",
         False,
         (),
+        (),
     ),
     (
         "unordered-reduce",
@@ -157,6 +174,7 @@ LINE_RULES = [
         "std::reduce folds in unspecified order; use std::accumulate over a "
         "canonically ordered range",
         False,
+        (),
         (),
     ),
     (
@@ -167,6 +185,17 @@ LINE_RULES = [
         "surface instead of silently truncating on ENOSPC",
         False,
         ("src/persist/", "tools/", "bench/", "examples/"),
+        (),
+    ),
+    (
+        "scheme-run-control",
+        re.compile(r"(?:\.|->)\s*(?:command_center_coverage|faults|is_down|"
+                   r"event_index|set_checkpoint_hook)\s*\("),
+        "a scheme calling the simulator's run-control members; schemes act "
+        "only through SimContext's scheme-facing accessors (dtn/scheme.h)",
+        False,
+        (),
+        ("src/schemes/",),
     ),
 ]
 
@@ -339,7 +368,7 @@ def rule_fires(rule: str, code: str, line: str, ctx: FileContext) -> bool:
         if unordered_reduce_hits(code, ctx):
             return True
         # fall through: the std::reduce line-rule shares this name
-    for r, rx, _msg, _tests, _exempt in LINE_RULES:
+    for r, rx, _msg, _tests, _exempt, _only in LINE_RULES:
         if r == rule:
             haystack = line if rule.startswith("include-") else code
             if rx.search(haystack):
@@ -411,10 +440,12 @@ def check_line_rules(path: Path, lines: list[str], root: Path,
         allows = dict(carried) | own_allows
         carried = {}
         findings.extend(check_allows(path, i, raw, code, line, ctx, allows))
-        for rule, rx, msg, applies_to_tests, exempt_prefixes in LINE_RULES:
+        for rule, rx, msg, applies_to_tests, exempt_prefixes, only_prefixes in LINE_RULES:
             if is_test and not applies_to_tests:
                 continue
             if any(rel.startswith(p) for p in exempt_prefixes):
+                continue
+            if only_prefixes and not any(rel.startswith(p) for p in only_prefixes):
                 continue
             if rule in allows:
                 continue
