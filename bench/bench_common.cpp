@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <iostream>
 #include <stdexcept>
 
@@ -23,7 +24,15 @@ BenchOptions options() {
     std::cerr << e.what() << '\n';
     std::exit(2);
   }
-  if (const char* dir = std::getenv("PHOTODTN_BENCH_CSV"); dir != nullptr) o.csv_dir = dir;
+  if (const char* dir = std::getenv("PHOTODTN_BENCH_CSV"); dir != nullptr && *dir != '\0') {
+    // A mistyped directory must not silently lose every CSV of a long run.
+    std::error_code ec;
+    if (!std::filesystem::is_directory(dir, ec)) {
+      std::cerr << "PHOTODTN_BENCH_CSV=" << dir << " is not an existing directory\n";
+      std::exit(2);
+    }
+    o.csv_dir = dir;
+  }
   return o;
 }
 
@@ -93,11 +102,11 @@ void emit(const Table& table, const BenchOptions& opts, const std::string& name)
   table.print(std::cout);
   if (!opts.csv_dir.empty()) {
     const std::string path = opts.csv_dir + "/" + name + ".csv";
-    if (table.write_csv_file(path)) {
-      std::cout << "(csv mirrored to " << path << ")\n";
-    } else {
-      std::cout << "(could not write csv to " << path << ")\n";
+    if (!table.write_csv_file(path)) {
+      std::cerr << "could not write csv to " << path << '\n';
+      std::exit(1);
     }
+    std::cout << "(csv mirrored to " << path << ")\n";
   }
   std::cout << std::endl;
 }

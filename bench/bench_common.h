@@ -10,7 +10,8 @@
 //   PHOTODTN_BENCH_SCALE  — scenario scale factor in [0.01, 1] (default 0.3):
 //                           participants, trace duration, and photo rate all
 //                           scale linearly; 1.0 reproduces Table I exactly
-//   PHOTODTN_BENCH_CSV    — directory to mirror each table as CSV (optional)
+//   PHOTODTN_BENCH_CSV    — an existing directory to mirror each table into
+//                           as CSV (optional; unset or empty writes none)
 //   PHOTODTN_BENCH_CALIBRATED — 0 or 1 (default 0), see BenchOptions
 #pragma once
 
@@ -32,8 +33,9 @@ struct BenchOptions {
   bool calibrated = false;
 };
 
-/// Reads the environment knobs. A value outside its range, or one that does
-/// not parse, prints a message naming it to stderr and exits with status 2.
+/// Reads the environment knobs. A value outside its range, one that does
+/// not parse, or a PHOTODTN_BENCH_CSV that names no existing directory
+/// prints a message naming it to stderr and exits with status 2.
 BenchOptions options();
 
 /// Table I scenario (MIT or Cambridge column) scaled by opts.scale.
@@ -54,6 +56,8 @@ void print_header(const std::string& figure, const std::string& claim,
                   const ScenarioConfig& cfg, const BenchOptions& opts);
 
 /// Prints the table and mirrors it to CSV when PHOTODTN_BENCH_CSV is set.
+/// A CSV that cannot be written prints its path to stderr and exits with
+/// status 1.
 void emit(const Table& table, const BenchOptions& opts, const std::string& name);
 
 }  // namespace photodtn::bench

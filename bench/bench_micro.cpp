@@ -133,10 +133,11 @@ BENCHMARK(BM_GreedySelect)->Arg(50)->Arg(200)->Arg(400);
 void BM_Reallocate(benchmark::State& state) {
   Workbench wb(250, 300);
   const GreedySelector sel;
-  const auto env = make_collections(wb, 4, 30);
+  const auto others = make_collections(wb, 4, 30);  // nodes 1..4
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sel.reallocate(wb.model, wb.pool, 1, 0.6,
-                                            150ULL * 4'000'000, 2, 0.3,
+    SelectionEnvironment env(wb.model, others);
+    benchmark::DoNotOptimize(sel.reallocate(wb.model, wb.pool, 5, 0.6,
+                                            150ULL * 4'000'000, 6, 0.3,
                                             150ULL * 4'000'000, env));
   }
 }
@@ -212,24 +213,6 @@ void BM_GreedyGain(benchmark::State& state) {
                        : static_cast<double>(arcs) / static_cast<double>(db.cands.size());
 }
 BENCHMARK(BM_GreedyGain)->Args({64, 256})->Args({250, 256});
-
-/// The batched SoA sweep (GreedyPhase::gains_batch): all candidates in one
-/// PoI-major pass. range = {pois, candidates}. Bit-identical to the
-/// per-candidate loop of BM_GreedyGain.
-void BM_GainsBatch(benchmark::State& state) {
-  DenseBench db(static_cast<std::size_t>(state.range(0)),
-                static_cast<std::size_t>(state.range(1)));
-  SelectionEnvironment env(db.model, db.collections);
-  GreedyPhase phase(env, 0.7);
-  for (std::size_t i = 0; i < 8 && i < db.cands.size(); ++i)
-    phase.commit(*db.cands[i]);
-  std::vector<CoverageValue> gains(db.cands.size());
-  for (auto _ : state) {
-    phase.gains_batch(db.cands, gains);
-    benchmark::DoNotOptimize(gains.data());
-  }
-}
-BENCHMARK(BM_GainsBatch)->Args({64, 256})->Args({250, 256});
 
 /// Full CELF selection against the dense environment, reporting the lazy
 /// re-evaluation rate (reevals / gain_evals) — the fraction of heap pops

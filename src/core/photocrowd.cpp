@@ -77,9 +77,10 @@ ContactDecision DeviceAgent::plan_contact(std::span<const PhotoMeta> own_photos,
     if (!own_ids.contains(p.id)) pool.push_back(p);
 
   const auto env = environment(self_, peer.id, now);
+  SelectionEnvironment senv(task_->model(), env);
   const ReallocationPlan plan = selector_.reallocate(
       task_->model(), pool, self_, own_delivery_prob, storage_bytes_, peer.id,
-      peer.delivery_prob, peer.storage_bytes, env);
+      peer.delivery_prob, peer.storage_bytes, senv);
 
   ContactDecision d;
   d.keep_in_order = self_ == plan.first ? plan.first_target : plan.second_target;

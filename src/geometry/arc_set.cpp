@@ -18,12 +18,6 @@ Arc Arc::centered(double center, double half_width) noexcept {
   return Arc{center - half_width, 2.0 * half_width};
 }
 
-ArcSet ArcSet::from_arcs(const std::vector<Arc>& arcs) {
-  ArcSet s;
-  for (const Arc& a : arcs) s.add(a);
-  return s;
-}
-
 void audit_arcs(std::span<const ArcInterval> intervals) {
   double total = 0.0;
   for (std::size_t i = 0; i < intervals.size(); ++i) {

@@ -50,9 +50,6 @@ class ArcSet {
  public:
   ArcSet() = default;
 
-  /// Builds the union of the given arcs.
-  static ArcSet from_arcs(const std::vector<Arc>& arcs);
-
   /// Inserts an arc, merging with existing intervals.
   void add(Arc arc);
 

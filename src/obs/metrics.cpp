@@ -96,7 +96,7 @@ MetricsRegistry::Histogram MetricsRegistry::histogram(
   check_bounds(bounds);
   const std::uint32_t idx = find_or_add(histogram_names_, name);
   if (idx == histograms_.size()) {
-    HistogramState st;
+    HistogramSnapshot st;
     st.counts.assign(bounds.size() + 1, 0);
     st.bounds = std::move(bounds);
     histograms_.push_back(std::move(st));
@@ -126,7 +126,7 @@ std::vector<std::uint64_t> MetricsRegistry::exp_bounds(std::uint64_t first,
 
 void MetricsRegistry::record(Histogram h, std::uint64_t v) {
   PHOTODTN_DCHECK_MSG(h.idx < histograms_.size(), "invalid histogram handle");
-  HistogramState& st = histograms_[h.idx];
+  HistogramSnapshot& st = histograms_[h.idx];
   std::size_t bucket = st.bounds.size();  // overflow by default
   for (std::size_t i = 0; i < st.bounds.size(); ++i) {
     if (v <= st.bounds[i]) {
@@ -147,17 +147,8 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   for (std::size_t i = 0; i < counter_names_.size(); ++i) {
     s.counters.emplace(counter_names_[i], counter_values_[i]);
   }
-  for (std::size_t i = 0; i < histogram_names_.size(); ++i) {
-    const HistogramState& st = histograms_[i];
-    HistogramSnapshot h;
-    h.bounds = st.bounds;
-    h.counts = st.counts;
-    h.count = st.count;
-    h.sum = st.sum;
-    h.min = st.min;
-    h.max = st.max;
-    s.histograms.emplace(histogram_names_[i], std::move(h));
-  }
+  for (std::size_t i = 0; i < histogram_names_.size(); ++i)
+    s.histograms.emplace(histogram_names_[i], histograms_[i]);
   return s;
 }
 
@@ -176,7 +167,7 @@ void MetricsRegistry::audit() const {
   unique_names(histogram_names_);
   check(counter_names_.size() == counter_values_.size(), "counter arrays misaligned");
   check(histogram_names_.size() == histograms_.size(), "histogram arrays misaligned");
-  for (const HistogramState& st : histograms_) {
+  for (const HistogramSnapshot& st : histograms_) {
     check(!st.bounds.empty(), "histogram with no bounds");
     check(st.counts.size() == st.bounds.size() + 1, "bucket count mismatch");
     for (std::size_t i = 1; i < st.bounds.size(); ++i) {

@@ -29,9 +29,11 @@ class JsonWriter;
 
 namespace obs {
 
-/// Immutable distribution summary: counts[i] counts recorded values v with
+/// Distribution summary: counts[i] counts recorded values v with
 /// v <= bounds[i] (and > bounds[i-1]); counts.back() is the overflow bucket
-/// (v > bounds.back()). All integer arithmetic, so merge order is invisible.
+/// (v > bounds.back()). A registry records into one per histogram, and its
+/// snapshot() copies them. All integer arithmetic, so merge order is
+/// invisible.
 struct HistogramSnapshot {
   std::vector<std::uint64_t> bounds;
   std::vector<std::uint64_t> counts;  // bounds.size() + 1 entries
@@ -100,7 +102,6 @@ class MetricsRegistry {
   void record(Histogram h, std::uint64_t v);
 
   std::size_t counter_count() const noexcept { return counter_names_.size(); }
-  std::size_t histogram_count() const noexcept { return histogram_names_.size(); }
 
   /// Copies the current values out (snapshot.runs == 1).
   MetricsSnapshot snapshot() const;
@@ -117,19 +118,10 @@ class MetricsRegistry {
   // indices — which depend on registration order — never leak into output.
   friend struct persist::StateAccess;
 
-  struct HistogramState {
-    std::vector<std::uint64_t> bounds;
-    std::vector<std::uint64_t> counts;  // bounds.size() + 1
-    std::uint64_t count = 0;
-    std::uint64_t sum = 0;
-    std::uint64_t min = 0;
-    std::uint64_t max = 0;
-  };
-
   std::vector<std::string> counter_names_;
   std::vector<std::uint64_t> counter_values_;
   std::vector<std::string> histogram_names_;
-  std::vector<HistogramState> histograms_;
+  std::vector<HistogramSnapshot> histograms_;
 };
 
 }  // namespace obs

@@ -428,7 +428,7 @@ struct StateAccess {
       for (std::size_t k = 0; k < nbounds; ++k) bounds.push_back(r.u64());
       const std::size_t ncounts = r.count(8);
       if (ncounts != nbounds + 1) r.fail("histogram bucket count mismatch");
-      obs::MetricsRegistry::HistogramState st;
+      obs::HistogramSnapshot st;
       st.bounds = bounds;
       st.counts.reserve(ncounts);
       for (std::size_t k = 0; k < ncounts; ++k) st.counts.push_back(r.u64());

@@ -7,7 +7,6 @@
 #include "geometry/angle.h"
 #include "geometry/arc_set.h"
 #include "selection/poi_cover.h"
-#include "selection/selection_env.h"
 #include "util/check.h"
 
 namespace photodtn {
@@ -67,14 +66,6 @@ CoverageValue expected_coverage_exact(const CoverageModel& model,
     total.aspect += w * aspect;
   }
   return total;
-}
-
-CoverageValue expected_coverage_incremental(const CoverageModel& model,
-                                            std::span<const NodeCollection> nodes) {
-  SelectionEnvironment env(model);
-  for (const NodeCollection& nc : nodes) env.add_collection(nc);
-  PHOTODTN_AUDIT(env.audit());
-  return env.total();
 }
 
 CoverageValue expected_coverage_enumerate(const CoverageModel& model,

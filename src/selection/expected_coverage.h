@@ -13,6 +13,10 @@
 //  * expected_coverage_monte_carlo — sampling estimator, for validating the
 //    other two and for profiling.
 //
+// The selection engine assembles the same value from its cached per-PoI
+// factors (SelectionEnvironment::total, selection_env.h); the differential
+// tests pin it to expected_coverage_exact.
+//
 // Nodes appearing multiple times (same id) are treated as independent
 // sources — callers should deduplicate.
 #pragma once
@@ -36,14 +40,6 @@ struct NodeCollection {
 
 CoverageValue expected_coverage_exact(const CoverageModel& model,
                                       std::span<const NodeCollection> nodes);
-
-/// C_ex via the incremental per-PoI engine (selection_env.h): collections
-/// are added one at a time through the engine's dirty-tracking path and the
-/// value is assembled from its cached per-PoI factors. Agrees with
-/// expected_coverage_exact to floating-point dust; the differential test
-/// battery pins all three evaluators together.
-CoverageValue expected_coverage_incremental(const CoverageModel& model,
-                                            std::span<const NodeCollection> nodes);
 
 /// Literal Definition 2; requires nodes.size() <= 20.
 CoverageValue expected_coverage_enumerate(const CoverageModel& model,

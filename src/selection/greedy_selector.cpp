@@ -54,14 +54,11 @@ std::vector<PhotoId> GreedySelector::select(const CoverageModel& model,
     heap.push_back(c);
     std::push_heap(heap.begin(), heap.end(), less);
   };
-  // Seed the CELF heap with one batched sweep — same values in the same
-  // push order as per-candidate seeding, so the heap state is identical.
-  std::vector<CoverageValue>& gains = gains_;
-  gains.resize(pool.size());
-  phase.gains_batch(fps_, gains);
+  // Fill the CELF heap with every candidate's first gain, in pool order.
   stats_.gain_evals += pool.size();
   for (std::size_t i = 0; i < pool.size(); ++i) {
-    if (gain_worth_taking(gains[i], params_.eps)) push({gains[i], pool[i].id, i, 0});
+    const CoverageValue g = phase.gain(*fps_[i]);
+    if (gain_worth_taking(g, params_.eps)) push({g, pool[i].id, i, 0});
   }
   std::vector<PhotoId> chosen;
   std::uint64_t used = 0;
@@ -141,14 +138,6 @@ ReallocationPlan GreedySelector::reallocate(
   GreedyPhase phase_second(env, p_second, phase_buffers_);
   plan.second_target = select(model, pool, cap_second, phase_second);
   return plan;
-}
-
-ReallocationPlan GreedySelector::reallocate(
-    const CoverageModel& model, std::span<const PhotoMeta> pool, NodeId node_a,
-    double p_a, std::uint64_t cap_a, NodeId node_b, double p_b, std::uint64_t cap_b,
-    std::span<const NodeCollection> environment) const {
-  SelectionEnvironment env(model, environment);
-  return reallocate(model, pool, node_a, p_a, cap_a, node_b, p_b, cap_b, env);
 }
 
 }  // namespace photodtn

@@ -11,8 +11,8 @@
 // the selected set (coverage is submodular for a fixed environment), so we
 // use CELF lazy evaluation (Minoux): a max-heap of cached stale upper
 // bounds, re-evaluated only when a candidate tops the heap with an outdated
-// stamp. The heap is seeded by one batched gain sweep (GreedyPhase::
-// gains_batch). The selection is bit-identical to plain greedy's, which
+// stamp. The heap is filled by calling GreedyPhase::gain once per candidate,
+// in pool order. The selection is bit-identical to plain greedy's, which
 // re-evaluates every candidate each round; the tests keep plain greedy as
 // an oracle (tests/selection/reference_selection.h).
 //
@@ -52,7 +52,7 @@ struct GreedyParams {
 /// the selection.* metrics (the CELF re-evaluation rate is reevals /
 /// gain_evals).
 struct SelectionStats {
-  std::uint64_t gain_evals = 0;  // all gain evaluations, batched or single
+  std::uint64_t gain_evals = 0;  // all gain evaluations, heap fill included
   std::uint64_t reevals = 0;     // CELF stale re-evaluations (subset)
   std::uint64_t commits = 0;     // photos selected
 };
@@ -97,15 +97,6 @@ class GreedySelector {
                               double p_a, std::uint64_t cap_a, NodeId node_b,
                               double p_b, std::uint64_t cap_b,
                               SelectionEnvironment& env) const;
-
-  /// Convenience overload building a throwaway engine from the collection
-  /// list (the pre-engine call shape; kept for callers and oracles that
-  /// start from plain NodeCollections).
-  ReallocationPlan reallocate(const CoverageModel& model,
-                              std::span<const PhotoMeta> pool, NodeId node_a,
-                              double p_a, std::uint64_t cap_a, NodeId node_b,
-                              double p_b, std::uint64_t cap_b,
-                              std::span<const NodeCollection> environment) const;
 
   const GreedyParams& params() const noexcept { return params_; }
 
@@ -155,11 +146,10 @@ class GreedySelector {
   };
 
   GreedyParams params_;
-  // select()'s working buffers: the pool's footprints, the seeding sweep's
-  // gains and the CELF heap. Scratch like the counters — reused by every
-  // select(), so a warmed selector's phases allocate only their result.
+  // select()'s working buffers: the pool's footprints and the CELF heap.
+  // Scratch like the counters — reused by every select(), so a warmed
+  // selector's phases allocate only their result.
   mutable std::vector<const PhotoFootprint*> fps_;
-  mutable std::vector<CoverageValue> gains_;
   mutable std::vector<Cand> heap_;
   mutable SelectionStats stats_;
   mutable SelectionStats totals_;

@@ -489,73 +489,6 @@ CoverageValue GreedyPhase::gain(const PhotoFootprint& fp) const {
   return g;
 }
 
-void GreedyPhase::gains_batch(std::span<const PhotoFootprint* const> fps,
-                              std::span<CoverageValue> out) const {
-  PHOTODTN_CHECK_MSG(out.size() == fps.size(),
-                     "gains_batch output span must match the candidate span");
-  if (fps.empty()) return;
-  // Small batches skip the counting sort: the PoI-major restructuring only
-  // pays for itself once many candidates share PoIs. gain() computes the
-  // identical sums in the identical order, so the cutover is invisible in
-  // the output bytes — contact-time pools in the simulator are often this
-  // small, the dense benches never are.
-  constexpr std::size_t kSmallBatch = 32;
-  if (fps.size() <= kSmallBatch) {
-    for (std::size_t i = 0; i < fps.size(); ++i) out[i] = gain(*fps[i]);
-    return;
-  }
-
-  // PoI-major sweep. Footprint arcs are sorted by PoI index, so
-  // accumulating bucket-by-bucket adds each candidate's terms in exactly the
-  // order gain() does — the sums are bit-identical. Each PoI is visited
-  // once, so a dirty one is rebuilt once, on first touch.
-  const auto& pois = env_->model().pois();
-  const std::size_t npois = buf_->own_arcs.size();
-  // Counting sort of the candidates' arcs into per-PoI buckets.
-  std::vector<std::uint32_t>& offset = buf_->offset;
-  offset.assign(npois + 1, 0);
-  for (const PhotoFootprint* fp : fps)
-    for (const PoiArc& pa : fp->arcs) ++offset[pa.poi_index + 1];
-  for (std::size_t p = 0; p < npois; ++p) offset[p + 1] += offset[p];
-  std::vector<Buffers::BatchEntry>& entries = buf_->entries;
-  entries.resize(offset[npois]);
-  std::vector<std::uint32_t>& fill = buf_->fill;
-  fill.assign(offset.begin(), offset.end() - 1);
-  for (std::size_t i = 0; i < fps.size(); ++i) {
-    out[i] = CoverageValue{};
-    for (const PoiArc& pa : fps[i]->arcs) {
-      const double lo = normalize_angle(pa.arc.start);
-      entries[fill[pa.poi_index]++] = {static_cast<std::uint32_t>(i), lo,
-                                       lo + std::min(pa.arc.length, kTwoPi)};
-    }
-  }
-  for (std::size_t p = 0; p < npois; ++p) {
-    const std::uint32_t lo_e = offset[p], hi_e = offset[p + 1];
-    if (lo_e == hi_e) continue;
-    // Everything the per-arc loop of gain() would recompute, hoisted once
-    // per PoI: weight, point term, miss function, committed arcs.
-    const PointOfInterest& poi = pois[p];
-    const PiecewiseMiss& env_fn = env_->aspect_miss(p);
-    const ArcSet& own = buf_->own_arcs[p];
-    const bool covered = buf_->own_covered[p] != 0;
-    const double pt_add = covered ? 0.0 : poi.weight * env_->point_miss(p) * p_;
-    const double wp = poi.weight * p_;
-    for (std::uint32_t k = lo_e; k < hi_e; ++k) {
-      const Buffers::BatchEntry& en = entries[k];
-      CoverageValue& g = out[en.cand];
-      if (!covered) g.point += pt_add;
-      double integral = 0.0;
-      if (en.hi <= kTwoPi) {
-        integral = env_fn.integrate_excluding(en.lo, en.hi, own);
-      } else {
-        integral = env_fn.integrate_excluding(en.lo, kTwoPi, own) +
-                   env_fn.integrate_excluding(0.0, en.hi - kTwoPi, own);
-      }
-      g.aspect += wp * integral;
-    }
-  }
-}
-
 void GreedyPhase::commit(const PhotoFootprint& fp) {
   for (const PoiArc& pa : fp.arcs) {
     if (!buf_->own_covered[pa.poi_index]) {

@@ -29,14 +29,10 @@
 // profile baked into the segments), making one marginal-gain integral
 // O(log B) in the number of environment breakpoints instead of O(B).
 //
-// Batched gain kernel: the greedy selector evaluates every candidate's gain
-// over and over, and candidate-at-a-time evaluation streams each PoI's
-// segment arrays through cache once *per candidate*. gains_batch flips the
-// loop PoI-major — all candidate arcs touching a PoI are processed while
-// that PoI's structure-of-arrays state (cuts / fused rates / prefix sums)
-// is hot. A simulation run is single-threaded, so the
-// sweep runs on the caller's thread and rebuilds dirty PoIs as it reaches
-// them.
+// GreedyPhase::gain is the one marginal-gain evaluator: the greedy selector
+// calls it once per candidate to fill its CELF heap and again for each stale
+// re-evaluation. A simulation run is single-threaded, so a dirty PoI is
+// rebuilt on the caller's thread by the first gain that touches it.
 #pragma once
 
 #include <cstdint>
@@ -98,8 +94,6 @@ class PiecewiseMiss {
   /// Integral of env(v) * weight(v) over the whole circle. The environment's
   /// expected *uncovered* aspect mass of the PoI; C_ex factors through it.
   double full_integral() const noexcept;
-
-  bool is_constant_one() const noexcept { return cuts_.empty() && constant_ == 1.0; }
 
   /// Number of constant segments (0 for the constant function). A point
   /// query or an integral binary-searches them: O(log segment_count()).
@@ -216,9 +210,9 @@ class SelectionEnvironment {
   // grown to the largest PoI, rebuilds stop allocating.
   mutable PiecewiseMiss::Scratch rebuild_scratch_;
   // Per-PoI state as parallel arrays (structure-of-arrays): the hot queries
-  // — point_miss reads and the dirty checks of a batched gain sweep — then
-  // stream dense double/char arrays instead of striding over a struct that
-  // drags each PoI's cover list and miss function through cache with it.
+  // — point_miss reads and the dirty checks of every gain — then read dense
+  // double/char arrays instead of striding over a struct that drags each
+  // PoI's cover list and miss function through cache with it.
   // dirty_ starts all-1: the initial rebuild must bake in the PoI profile.
   std::vector<std::vector<CoverView>> covers_;
   mutable std::vector<double> pt_miss_;
@@ -232,22 +226,14 @@ class SelectionEnvironment {
 
 class GreedyPhase {
  public:
-  /// What a phase commits into and its batched sweep works in. The buffers
-  /// outlive the phase, so their capacity carries over from one phase to
-  /// the next; a phase resets only the PoIs it touched, and leaves the
-  /// buffers clean when it ends. One phase at a time may use them.
+  /// What a phase commits into. The buffers outlive the phase, so their
+  /// capacity carries over from one phase to the next; a phase resets only
+  /// the PoIs it touched, and leaves the buffers clean when it ends. One
+  /// phase at a time may use them.
   struct Buffers {
-    /// One candidate arc in gains_batch's per-PoI buckets.
-    struct BatchEntry {
-      std::uint32_t cand;  // candidate index (owns out[cand])
-      double lo, hi;       // normalized span; hi > 2*pi means it wraps
-    };
-    std::vector<ArcSet> own_arcs;       // per PoI: the tentative selection's arcs
-    std::vector<char> own_covered;      // per PoI: the selection point-covers it
-    std::vector<std::size_t> touched;   // PoIs with committed arcs
-    std::vector<std::uint32_t> offset;  // gains_batch counting sort
-    std::vector<std::uint32_t> fill;
-    std::vector<BatchEntry> entries;
+    std::vector<ArcSet> own_arcs;      // per PoI: the tentative selection's arcs
+    std::vector<char> own_covered;     // per PoI: the selection point-covers it
+    std::vector<std::size_t> touched;  // PoIs with committed arcs
     bool in_use = false;
   };
 
@@ -267,13 +253,6 @@ class GreedyPhase {
   /// Expected-coverage gain of adding this footprint to the tentative
   /// selection (lexicographic CoverageValue).
   CoverageValue gain(const PhotoFootprint& fp) const;
-
-  /// Batched gain sweep: out[i] = gain(*fps[i]) for every candidate,
-  /// bit-identical to the one-at-a-time calls (footprint arcs are sorted by
-  /// PoI, so the PoI-major accumulation adds each candidate's terms in the
-  /// same order).
-  void gains_batch(std::span<const PhotoFootprint* const> fps,
-                   std::span<CoverageValue> out) const;
 
   /// Adds the footprint to the tentative selection.
   void commit(const PhotoFootprint& fp);

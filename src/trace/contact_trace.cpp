@@ -58,26 +58,6 @@ TraceStats ContactTrace::stats() const {
   return s;
 }
 
-std::vector<Contact> ContactTrace::contacts_of(NodeId n) const {
-  std::vector<Contact> out;
-  for (const Contact& c : contacts_)
-    if (c.involves(n)) out.push_back(c);
-  return out;
-}
-
-ContactTrace ContactTrace::window(double t0, double t1) const {
-  PHOTODTN_CHECK(t1 >= t0);
-  std::vector<Contact> out;
-  for (const Contact& c : contacts_) {
-    if (c.start >= t0 && c.start < t1) {
-      Contact shifted = c;
-      shifted.start -= t0;
-      out.push_back(shifted);
-    }
-  }
-  return ContactTrace{std::move(out), num_nodes_, t1 - t0};
-}
-
 ContactTrace ContactTrace::with_max_duration(double max_duration) const {
   PHOTODTN_CHECK(max_duration >= 0.0);
   std::vector<Contact> out = contacts_;

@@ -45,13 +45,6 @@ class ContactTrace {
 
   TraceStats stats() const;
 
-  /// All contacts of one node, in time order.
-  std::vector<Contact> contacts_of(NodeId n) const;
-
-  /// A copy containing only contacts starting in [t0, t1), with times
-  /// rebased so the first retained instant t0 maps to 0.
-  ContactTrace window(double t0, double t1) const;
-
   /// Caps every contact's duration at `max_duration` seconds (used by the
   /// Fig. 6 contact-duration sweep).
   ContactTrace with_max_duration(double max_duration) const;

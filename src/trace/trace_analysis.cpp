@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <set>
 
 namespace photodtn {
 
@@ -20,20 +19,6 @@ std::map<std::pair<NodeId, NodeId>, std::vector<double>> starts_by_pair(
 }
 
 }  // namespace
-
-std::vector<PairRate> pairwise_rates(const ContactTrace& trace) {
-  std::vector<PairRate> out;
-  const double horizon = std::max(trace.horizon(), 1.0);
-  for (const auto& [pair, starts] : starts_by_pair(trace)) {
-    PairRate pr;
-    pr.a = pair.first;
-    pr.b = pair.second;
-    pr.contacts = starts.size();
-    pr.rate = static_cast<double>(starts.size()) / horizon;
-    out.push_back(pr);
-  }
-  return out;
-}
 
 InterContactDiagnostics inter_contact_diagnostics(const ContactTrace& trace) {
   InterContactDiagnostics d;
@@ -79,17 +64,6 @@ InterContactDiagnostics inter_contact_diagnostics(const ContactTrace& trace) {
   }
   d.ks_distance = ks;
   return d;
-}
-
-std::vector<std::size_t> node_degrees(const ContactTrace& trace) {
-  std::vector<std::set<NodeId>> peers(static_cast<std::size_t>(trace.num_nodes()));
-  for (const Contact& c : trace.contacts()) {
-    peers[static_cast<std::size_t>(c.a)].insert(c.b);
-    peers[static_cast<std::size_t>(c.b)].insert(c.a);
-  }
-  std::vector<std::size_t> out(peers.size());
-  for (std::size_t i = 0; i < peers.size(); ++i) out[i] = peers[i].size();
-  return out;
 }
 
 }  // namespace photodtn

@@ -1,26 +1,11 @@
 // Diagnostics over contact traces. Section III-B's metadata-validity rule
-// rests on inter-contact times being (approximately) exponential; these
-// helpers quantify how well a trace — synthetic or imported — satisfies
-// that, and expose the pairwise rate estimates the rule consumes.
+// rests on inter-contact times being (approximately) exponential; this
+// quantifies how well a trace — synthetic or imported — satisfies that.
 #pragma once
-
-#include <vector>
 
 #include "trace/contact_trace.h"
 
 namespace photodtn {
-
-struct PairRate {
-  NodeId a = -1;
-  NodeId b = -1;
-  std::size_t contacts = 0;
-  /// Maximum-likelihood contact rate over the trace horizon (contacts/s).
-  double rate = 0.0;
-};
-
-/// Per-pair contact counts and MLE rates, for every pair with at least one
-/// contact, ordered by (a, b).
-std::vector<PairRate> pairwise_rates(const ContactTrace& trace);
 
 struct InterContactDiagnostics {
   std::size_t samples = 0;          // pooled inter-contact gaps
@@ -37,8 +22,5 @@ struct InterContactDiagnostics {
 /// Pools inter-contact gaps across pairs (normalizing out pairwise rate
 /// heterogeneity) and tests them against the exponential law.
 InterContactDiagnostics inter_contact_diagnostics(const ContactTrace& trace);
-
-/// Number of distinct peers each node ever contacts (index = node id).
-std::vector<std::size_t> node_degrees(const ContactTrace& trace);
 
 }  // namespace photodtn

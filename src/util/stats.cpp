@@ -69,18 +69,4 @@ std::vector<double> SeriesStats::ci95() const {
   return out;
 }
 
-double pearson_correlation(const std::vector<double>& x, const std::vector<double>& y) {
-  PHOTODTN_CHECK(x.size() == y.size());
-  const std::size_t n = x.size();
-  if (n < 2) return 0.0;
-  RunningStats sx, sy;
-  for (double v : x) sx.add(v);
-  for (double v : y) sy.add(v);
-  if (sx.stddev() == 0.0 || sy.stddev() == 0.0) return 0.0;
-  double cov = 0.0;
-  for (std::size_t i = 0; i < n; ++i) cov += (x[i] - sx.mean()) * (y[i] - sy.mean());
-  cov /= static_cast<double>(n - 1);
-  return cov / (sx.stddev() * sy.stddev());
-}
-
 }  // namespace photodtn

@@ -55,7 +55,4 @@ class SeriesStats {
   std::size_t runs_ = 0;
 };
 
-/// Pearson correlation of two equal-length samples; 0 if degenerate.
-double pearson_correlation(const std::vector<double>& x, const std::vector<double>& y);
-
 }  // namespace photodtn

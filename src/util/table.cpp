@@ -23,7 +23,7 @@ std::string Table::format_cell(const Cell& c) const {
   if (const auto* s = std::get_if<std::string>(&c)) return *s;
   if (const auto* i = std::get_if<std::int64_t>(&c)) return std::to_string(*i);
   std::ostringstream os;
-  os << std::fixed << std::setprecision(precision_) << std::get<double>(c);
+  os << std::fixed << std::setprecision(kPrecision) << std::get<double>(c);
   return os.str();
 }
 

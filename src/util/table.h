@@ -33,15 +33,12 @@ class Table {
   /// file guarantee) if the file cannot be opened.
   bool write_csv_file(const std::string& path) const;
 
-  /// Controls floating point precision in both renderings (default 4).
-  void set_precision(int digits) noexcept { precision_ = digits; }
-
  private:
   std::string format_cell(const Cell& c) const;
 
   std::vector<std::string> headers_;
   std::vector<std::vector<Cell>> rows_;
-  int precision_ = 4;
+  static constexpr int kPrecision = 4;  // digits after the point for doubles
 };
 
 }  // namespace photodtn

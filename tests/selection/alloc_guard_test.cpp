@@ -1,9 +1,10 @@
 // Heap-allocation guard for the selection engine's steady state: the PoI
-// rebuild sweep, arc insertion, gossip merges, greedy phases and reloading
-// a shared digest. This
+// rebuild sweep, arc insertion, gossip merges, greedy phases, a greedy
+// selection and reloading a shared digest. This
 // executable replaces the global operator new with a counting one, which is
 // why it is built apart from photodtn_tests: each case warms an operation
-// up, then asserts that running it again makes no heap allocation.
+// up, then asserts that running it again makes no heap allocation (a
+// selection makes only those of the id list it returns).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +17,7 @@
 #include "coverage/coverage_model.h"
 #include "geometry/angle.h"
 #include "geometry/arc_set.h"
+#include "selection/greedy_selector.h"
 #include "selection/metadata_cache.h"
 #include "selection/poi_cover.h"
 #include "selection/selection_env.h"
@@ -224,14 +226,13 @@ TEST(AllocGuard, WarmedGreedyPhaseDoesNotAllocate) {
                        rig.digests[static_cast<std::size_t>(node)]);
   std::vector<const PhotoFootprint*> candidates;
   for (const auto& fp : rig.footprints) candidates.push_back(fp.get());
-  ASSERT_GT(candidates.size(), 32u);  // the batched sweep's counting-sort path
   std::vector<CoverageValue> gains(candidates.size());
   GreedyPhase::Buffers buffers;
   auto run_phase = [&] {
     GreedyPhase phase(env, 0.7, buffers);
-    phase.gains_batch(candidates, gains);
+    for (std::size_t i = 0; i < candidates.size(); ++i) gains[i] = phase.gain(*candidates[i]);
     for (std::size_t i = 0; i < candidates.size(); i += 3) phase.commit(*candidates[i]);
-    phase.gains_batch(candidates, gains);
+    for (std::size_t i = 0; i < candidates.size(); ++i) gains[i] = phase.gain(*candidates[i]);
   };
   run_phase();  // warm-up: the buffers and the environment's PoIs grow once
   EXPECT_EQ(allocations_during(run_phase), 0u);
@@ -240,6 +241,39 @@ TEST(AllocGuard, WarmedGreedyPhaseDoesNotAllocate) {
     EXPECT_TRUE(buffers.own_arcs[poi].empty()) << poi;
     EXPECT_EQ(buffers.own_covered[poi], 0) << poi;
   }
+}
+
+TEST(AllocGuard, WarmedSelectAllocatesOnlyItsResult) {
+  Rng rng(20);
+  DigestRig rig(rng, 8);
+  SelectionEnvironment env(*rig.model);
+  for (NodeId node = 0; node < 8; ++node)
+    env.add_collection(node, rig.probs[static_cast<std::size_t>(node)],
+                       rig.digests[static_cast<std::size_t>(node)]);
+  std::vector<PhotoMeta> pool;
+  for (PhotoId id = 1000; id < 1060; ++id) {
+    const PointOfInterest& poi = rig.pois[static_cast<std::size_t>(rng.uniform_int(0, 23))];
+    pool.push_back(photo_of(poi, rng.uniform(0.0, kTwoPi), id));
+    pool.back().size_bytes = 1'000'000;
+  }
+  const GreedySelector selector;
+  GreedyPhase::Buffers buffers;
+  std::vector<PhotoId> chosen;
+  auto run_select = [&] {
+    GreedyPhase phase(env, 0.7, buffers);
+    chosen = selector.select(*rig.model, pool, 40'000'000, phase);
+  };
+  run_select();  // warm-up: footprints, heap, buffers and PoIs grow once
+  const std::vector<PhotoId> warm = chosen;
+  ASSERT_GT(warm.size(), 8u);  // the result grows through several capacities
+  std::vector<PhotoId> ids;
+  const std::size_t result_allocations = allocations_during([&] {
+    for (const PhotoId id : warm) ids.push_back(id);
+  });
+  EXPECT_EQ(allocations_during(run_select), result_allocations);
+  EXPECT_EQ(chosen, warm);
+  EXPECT_GT(selector.last_stats().reevals, 0u);  // the heap re-evaluated stale gains
+  EXPECT_FALSE(buffers.in_use);
 }
 
 TEST(AllocGuard, ReloadingASharedDigestDoesNotAllocate) {

@@ -1,7 +1,6 @@
-// CELF / batched-kernel equivalence suite. The optimization contract of the
-// selection layer is *bitwise*: lazy (CELF) selection and the plain-greedy
-// oracle (reference_selection.h) pick identical photos in identical order,
-// and gains_batch returns exactly the values the per-candidate gain() would.
+// CELF equivalence suite. The optimization contract of the selection layer
+// is *bitwise*: lazy (CELF) selection and the plain-greedy oracle
+// (reference_selection.h) pick identical photos in identical order.
 // These tests pin that contract across 1000 random scenarios plus
 // adversarial tie and eps-boundary constructions.
 #include <gtest/gtest.h>
@@ -94,24 +93,6 @@ TEST(CelfEquivalence, ThousandSeedsLazyEqualsPlainIdenticalSetsAndOrder) {
     const auto plain = run_select(sc, /*lazy=*/false, cap);
     ASSERT_EQ(lazy, plain) << "seed " << seed;  // ids AND order
   }
-}
-
-TEST(CelfEquivalence, GainsBatchMatchesPerCandidateGainBitwise) {
-  Rng rng(77);
-  test::reset_photo_ids();
-  const Scenario sc(rng, 6, 96, 3);  // above the per-candidate cutover
-  SelectionEnvironment env(sc.model, sc.collections);
-  GreedyPhase phase(env, 0.7);
-  std::vector<const PhotoFootprint*> fps;
-  sc.model.footprints_cached(sc.pool, fps);
-  // Commit a few photos so gains are true marginals over a non-empty set.
-  phase.commit(*fps[0]);
-  phase.commit(*fps[1]);
-
-  std::vector<CoverageValue> batched(fps.size());
-  phase.gains_batch(fps, batched);
-  for (std::size_t i = 0; i < fps.size(); ++i)
-    ASSERT_EQ(batched[i], phase.gain(*fps[i])) << "candidate " << i;
 }
 
 TEST(CelfEquivalence, AdversarialClonePoolTiesBreakByLowestIdOnBothPaths) {

@@ -105,8 +105,9 @@ TEST(ExactSolver, GreedyReallocationNearOptimal) {
     const std::uint64_t cap = 3 * kPhoto;
 
     const GreedySelector sel;
+    SelectionEnvironment env(model);
     const ReallocationPlan plan =
-        sel.reallocate(model, pool, 1, pa, cap, 2, pb, cap, {});
+        sel.reallocate(model, pool, 1, pa, cap, 2, pb, cap, env);
     const std::vector<PhotoId>& at_a = plan.first == 1 ? plan.first_target
                                                        : plan.second_target;
     const std::vector<PhotoId>& at_b = plan.first == 1 ? plan.second_target

@@ -136,9 +136,10 @@ TEST(GreedySelector, ReallocateHigherProbabilityNodeSelectsFirst) {
   std::vector<PhotoMeta> pool{photo_viewing(model.pois()[0], 0.0),
                               photo_viewing(model.pois()[0], 180.0)};
   const GreedySelector sel;
+  SelectionEnvironment env(model);
   const ReallocationPlan plan =
       sel.reallocate(model, pool, /*a=*/1, 0.2, kBigCap, /*b=*/2, 0.9,
-                     kBigCap, {});
+                     kBigCap, env);
   EXPECT_EQ(plan.first, 2);
   EXPECT_EQ(plan.second, 1);
   EXPECT_EQ(plan.first_target.size(), 2u);
@@ -153,8 +154,9 @@ TEST(GreedySelector, SecondNodeAvoidsDuplicatingWhenFirstIsReliable) {
   GreedyParams params;
   params.eps = 1e-3;  // treat the tiny residual gain as "no benefit"
   const GreedySelector sel(params);
+  SelectionEnvironment env(model);
   const ReallocationPlan plan = sel.reallocate(model, pool, 1, 0.999, kBigCap,
-                                               2, 0.5, kBigCap, {});
+                                               2, 0.5, kBigCap, env);
   EXPECT_EQ(plan.first_target.size(), 2u);
   EXPECT_TRUE(plan.second_target.empty());
 }
@@ -166,8 +168,9 @@ TEST(GreedySelector, SecondNodeDuplicatesWhenFirstIsUnreliable) {
   std::vector<PhotoMeta> pool{photo_viewing(model.pois()[0], 0.0),
                               photo_viewing(model.pois()[0], 180.0)};
   const GreedySelector sel;
+  SelectionEnvironment env(model);
   const ReallocationPlan plan = sel.reallocate(model, pool, 1, 0.05, kBigCap,
-                                               2, 0.04, kBigCap, {});
+                                               2, 0.04, kBigCap, env);
   EXPECT_EQ(plan.first_target.size(), 2u);
   EXPECT_EQ(plan.second_target.size(), 2u);
 }
@@ -194,8 +197,9 @@ TEST(GreedySelector, PfloorKeepsSelectionAliveAtZeroDeliveryProbability) {
   std::vector<PhotoMeta> pool{photo_viewing(model.pois()[0], 0.0),
                               photo_viewing(model.pois()[0], 180.0)};
   const GreedySelector sel;
+  SelectionEnvironment env(model);
   const ReallocationPlan plan =
-      sel.reallocate(model, pool, 1, 0.0, kBigCap, 2, 0.0, kBigCap, {});
+      sel.reallocate(model, pool, 1, 0.0, kBigCap, 2, 0.0, kBigCap, env);
   EXPECT_EQ(plan.first_target.size(), 2u);
   // With p truly 0 on both sides, the second node duplicates everything —
   // the first node's copies are worthless as an environment.

@@ -1,7 +1,7 @@
 // Differential battery locking the incremental per-PoI engine to the two
 // reference evaluators: on seeded random instances,
-//   expected_coverage_incremental == expected_coverage_exact
-//                                 == expected_coverage_enumerate
+//   SelectionEnvironment::total == expected_coverage_exact
+//                               == expected_coverage_enumerate
 // to 1e-12 (relative), including after engine churn (collections added,
 // extended and removed in arbitrary order), and the lazy greedy path picks
 // exactly the same photo sequence as the plain-greedy oracle.
@@ -104,8 +104,7 @@ TEST(IncrementalDiff, EngineMatchesExactAndEnumerateOnRandomInstances) {
     const Instance inst = random_instance(rng, /*max_pois=*/16, /*max_nodes=*/10);
     const CoverageValue exact = expected_coverage_exact(inst.model, inst.nodes);
     const CoverageValue enumerated = expected_coverage_enumerate(inst.model, inst.nodes);
-    const CoverageValue incremental =
-        expected_coverage_incremental(inst.model, inst.nodes);
+    const CoverageValue incremental = SelectionEnvironment(inst.model, inst.nodes).total();
     expect_close(exact, enumerated, "exact vs enumerate", seed);
     expect_close(incremental, enumerated, "incremental vs enumerate", seed);
     expect_close(incremental, exact, "incremental vs exact", seed);
@@ -208,8 +207,8 @@ TEST(IncrementalDiff, LazyAndPlainGreedySelectIdenticalSequences) {
 }
 
 TEST(IncrementalDiff, ReallocatePersistentEngineMatchesThrowawayPath) {
-  // The span overload builds a fresh engine; a persistent engine reused
-  // across calls (with phase-2 churn in between) must produce the same plans.
+  // A persistent engine reused across calls (with phase-2 churn in between)
+  // must produce the plans a freshly built engine does.
   for (int seed = 0; seed < 100; ++seed) {
     Rng rng(static_cast<std::uint64_t>(seed) + 200'000);
     Instance inst = random_instance(rng, /*max_pois=*/12, /*max_nodes=*/5);
@@ -231,8 +230,9 @@ TEST(IncrementalDiff, ReallocatePersistentEngineMatchesThrowawayPath) {
     const std::uint64_t cap_b = static_cast<std::uint64_t>(rng.uniform_int(1, 8)) * 1'000'000;
 
     GreedySelector selector;
+    SelectionEnvironment fresh(inst.model, inst.nodes);
     const ReallocationPlan via_span = selector.reallocate(
-        inst.model, pool, a, pa, cap_a, b, pb, cap_b, inst.nodes);
+        inst.model, pool, a, pa, cap_a, b, pb, cap_b, fresh);
 
     SelectionEnvironment env(inst.model, inst.nodes);
     const ReallocationPlan first_pass = selector.reallocate(

@@ -208,28 +208,24 @@ std::vector<PhotoId> plain_greedy_select(const CoverageModel& model,
   std::vector<char> taken(pool.size(), 0);
   std::uint64_t used = 0;
   for (;;) {
-    std::vector<std::size_t> active;
-    std::vector<const PhotoFootprint*> afps;
+    const std::size_t none = pool.size();
+    std::size_t best = none;
+    CoverageValue best_gain;
     for (std::size_t i = 0; i < pool.size(); ++i) {
       if (taken[i] || used + pool[i].size_bytes > capacity_bytes) continue;
-      active.push_back(i);
-      afps.push_back(fps[i]);
+      const CoverageValue g = phase.gain(*fps[i]);
+      if (best == none || g > best_gain ||
+          (g == best_gain && pool[i].id < pool[best].id)) {
+        best = i;
+        best_gain = g;
+      }
     }
-    if (active.empty()) break;
-    std::vector<CoverageValue> gains(active.size());
-    phase.gains_batch(afps, gains);
-    std::size_t best = 0;
-    for (std::size_t k = 1; k < active.size(); ++k) {
-      if (gains[k] > gains[best] ||
-          (gains[k] == gains[best] && pool[active[k]].id < pool[active[best]].id))
-        best = k;
-    }
-    if (gains[best].point <= eps && gains[best].aspect <= eps) break;
-    const std::size_t idx = active[best];
-    taken[idx] = 1;
-    used += pool[idx].size_bytes;
-    phase.commit(*fps[idx]);
-    chosen.push_back(pool[idx].id);
+    if (best == none) break;
+    if (best_gain.point <= eps && best_gain.aspect <= eps) break;
+    taken[best] = 1;
+    used += pool[best].size_bytes;
+    phase.commit(*fps[best]);
+    chosen.push_back(pool[best].id);
   }
   return chosen;
 }

@@ -60,8 +60,8 @@ class ReferencePiecewiseMiss {
 };
 
 /// GreedySelector::select as plain greedy: each round evaluates every
-/// candidate that still fits through one gains_batch sweep, and takes the
-/// best, the lower PhotoId on an exact tie, while its gain exceeds `eps` on
+/// candidate that still fits with GreedyPhase::gain, and takes the best,
+/// the lower PhotoId on an exact tie, while its gain exceeds `eps` on
 /// some component (the boundary is exclusive). Advances `phase` by the
 /// commits and returns the chosen ids in order.
 std::vector<PhotoId> plain_greedy_select(const CoverageModel& model,

@@ -41,20 +41,6 @@ TEST(ContactTrace, StatsCountCommandCenterContacts) {
   EXPECT_DOUBLE_EQ(s.mean_inter_contact, 200.0);
 }
 
-TEST(ContactTrace, ContactsOfFiltersAndOrders) {
-  const auto cs = simple_trace().contacts_of(1);
-  ASSERT_EQ(cs.size(), 3u);
-  for (const Contact& c : cs) EXPECT_TRUE(c.involves(1));
-}
-
-TEST(ContactTrace, WindowRebasesTimes) {
-  const ContactTrace w = simple_trace().window(100.0, 250.0);
-  ASSERT_EQ(w.size(), 2u);
-  EXPECT_DOUBLE_EQ(w.contacts()[0].start, 0.0);    // was 100
-  EXPECT_DOUBLE_EQ(w.contacts()[1].start, 100.0);  // was 200
-  EXPECT_DOUBLE_EQ(w.horizon(), 150.0);
-}
-
 TEST(ContactTrace, WithMaxDurationCaps) {
   const ContactTrace capped = simple_trace().with_max_duration(20.0);
   for (const Contact& c : capped.contacts()) EXPECT_LE(c.duration, 20.0);

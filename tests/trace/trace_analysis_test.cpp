@@ -8,31 +8,6 @@
 namespace photodtn {
 namespace {
 
-TEST(TraceAnalysis, PairwiseRatesCountAndScale) {
-  const ContactTrace t{{{100.0, 10.0, 1, 2},
-                        {200.0, 10.0, 2, 1},   // same pair, either order
-                        {300.0, 10.0, 1, 3}},
-                       4,
-                       1000.0};
-  const auto rates = pairwise_rates(t);
-  ASSERT_EQ(rates.size(), 2u);
-  EXPECT_EQ(rates[0].a, 1);
-  EXPECT_EQ(rates[0].b, 2);
-  EXPECT_EQ(rates[0].contacts, 2u);
-  EXPECT_DOUBLE_EQ(rates[0].rate, 2.0 / 1000.0);
-  EXPECT_EQ(rates[1].contacts, 1u);
-}
-
-TEST(TraceAnalysis, NodeDegrees) {
-  const ContactTrace t{{{1.0, 1.0, 0, 1}, {2.0, 1.0, 1, 2}, {3.0, 1.0, 1, 2}}, 4, 10.0};
-  const auto deg = node_degrees(t);
-  ASSERT_EQ(deg.size(), 4u);
-  EXPECT_EQ(deg[0], 1u);
-  EXPECT_EQ(deg[1], 2u);
-  EXPECT_EQ(deg[2], 1u);
-  EXPECT_EQ(deg[3], 0u);
-}
-
 TEST(TraceAnalysis, ExponentialGapsPassTheDiagnostics) {
   // Build a trace with genuinely exponential pairwise gaps; the KS distance
   // against Exp(1) must be small and CV near 1.

@@ -87,19 +87,5 @@ TEST(SeriesStats, Ci95ShrinksWithRuns) {
   EXPECT_GT(few.ci95()[0], many.ci95()[0]);
 }
 
-TEST(Pearson, PerfectCorrelation) {
-  const std::vector<double> x{1, 2, 3, 4, 5};
-  const std::vector<double> y{2, 4, 6, 8, 10};
-  EXPECT_NEAR(pearson_correlation(x, y), 1.0, 1e-12);
-  std::vector<double> neg;
-  for (const double v : y) neg.push_back(-v);
-  EXPECT_NEAR(pearson_correlation(x, neg), -1.0, 1e-12);
-}
-
-TEST(Pearson, DegenerateInputsReturnZero) {
-  EXPECT_EQ(pearson_correlation({1.0}, {2.0}), 0.0);
-  EXPECT_EQ(pearson_correlation({1, 1, 1}, {1, 2, 3}), 0.0);
-}
-
 }  // namespace
 }  // namespace photodtn

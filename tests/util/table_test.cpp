@@ -36,16 +36,6 @@ TEST(Table, CsvEscapesSpecialCells) {
   EXPECT_NE(s.find("\"has\"\"quote\""), std::string::npos);
 }
 
-TEST(Table, PrecisionControlsDoubles) {
-  Table t({"x"});
-  t.set_precision(1);
-  t.add_row({3.14159});
-  std::ostringstream os;
-  t.write_csv(os);
-  EXPECT_NE(os.str().find("3.1"), std::string::npos);
-  EXPECT_EQ(os.str().find("3.14"), std::string::npos);
-}
-
 TEST(Table, IntsRenderWithoutDecimals) {
   Table t({"n"});
   t.add_row({std::int64_t{42}});
