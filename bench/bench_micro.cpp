@@ -1,15 +1,22 @@
 // Micro-benchmarks (google-benchmark) for the algorithmic kernels: arc-set
 // operations, footprint computation, expected-coverage evaluation (exact
 // breakpoint integration vs literal 2^m enumeration vs Monte Carlo), the
-// CELF greedy selector and its engine, and PROPHET updates. An ad-hoc tool:
-// end-to-end performance is measured by perfbench/ (BENCHMARK.json).
+// CELF greedy selector and its engine, PROPHET updates, and the provenance
+// and Chrome-trace serializers. An ad-hoc tool: end-to-end performance is
+// measured by perfbench/ (BENCHMARK.json).
 #include <benchmark/benchmark.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "geometry/arc_set.h"
+#include "obs/chrome_trace.h"
 #include "routing/prophet.h"
 #include "selection/expected_coverage.h"
 #include "selection/greedy_selector.h"
 #include "selection/selection_env.h"
+#include "sim/result_io.h"
 #include "util/rng.h"
 #include "workload/photo_gen.h"
 #include "workload/poi_gen.h"
@@ -214,6 +221,36 @@ void BM_GreedyGain(benchmark::State& state) {
 }
 BENCHMARK(BM_GreedyGain)->Args({64, 256})->Args({250, 256});
 
+/// A fresh environment and greedy phase per selection, built (and the old
+/// ones destroyed) with the clock paused, so a selection bench times the
+/// selection alone: building the dense environment costs more than the
+/// CELF run over it (BM_SelectionEnvBuild).
+class SelectionRun {
+ public:
+  explicit SelectionRun(const DenseBench& db) : db_(db) {}
+
+  GreedyPhase& fresh_phase(benchmark::State& state) {
+    state.PauseTiming();
+    phase_.reset();
+    env_.emplace(db_.model, db_.collections);
+    benchmark::DoNotOptimize(env_->total());  // every PoI's first rebuild
+    GreedyPhase& phase = phase_.emplace(*env_, 0.7);
+    state.ResumeTiming();
+    return phase;
+  }
+
+ private:
+  const DenseBench& db_;
+  std::optional<SelectionEnvironment> env_;
+  std::optional<GreedyPhase> phase_;
+};
+
+/// Selections per selection bench. Each one waits for a paused build of
+/// several milliseconds, so the count is fixed: left to google-benchmark,
+/// it would add selections until their own time reached its minimum, and
+/// the two benches took 51 s of wall time instead of 4.
+constexpr benchmark::IterationCount kSelectionRuns = 50;
+
 /// Full CELF selection against the dense environment, reporting the lazy
 /// re-evaluation rate (reevals / gain_evals) — the fraction of heap pops
 /// that had to be refreshed. Low is the whole point of CELF.
@@ -223,9 +260,9 @@ void BM_GreedyGainCelf(benchmark::State& state) {
   std::vector<PhotoMeta> pool(db.pool.end() - static_cast<std::ptrdiff_t>(db.cands.size()),
                               db.pool.end());
   const GreedySelector sel;
+  SelectionRun run(db);
   for (auto _ : state) {
-    SelectionEnvironment env(db.model, db.collections);
-    GreedyPhase phase(env, 0.7);
+    GreedyPhase& phase = run.fresh_phase(state);
     benchmark::DoNotOptimize(sel.select(db.model, pool, 40ULL * 4'000'000, phase));
   }
   const SelectionStats& st = sel.last_stats();
@@ -235,7 +272,10 @@ void BM_GreedyGainCelf(benchmark::State& state) {
           : static_cast<double>(st.reevals) / static_cast<double>(st.gain_evals);
   state.counters["commits"] = static_cast<double>(st.commits);
 }
-BENCHMARK(BM_GreedyGainCelf)->Args({64, 256})->Args({250, 256});
+BENCHMARK(BM_GreedyGainCelf)
+    ->Args({64, 256})
+    ->Args({250, 256})
+    ->Iterations(kSelectionRuns);
 
 /// Cold build of the engine from a full collection list (what a throwaway
 /// per-contact environment costs).
@@ -272,13 +312,13 @@ void BM_GreedySelectEnv(benchmark::State& state) {
   std::vector<PhotoMeta> pool(db.pool.end() - static_cast<std::ptrdiff_t>(db.cands.size()),
                               db.pool.end());
   const GreedySelector sel;
+  SelectionRun run(db);
   for (auto _ : state) {
-    SelectionEnvironment env(db.model, db.collections);
-    GreedyPhase phase(env, 0.7);
+    GreedyPhase& phase = run.fresh_phase(state);
     benchmark::DoNotOptimize(sel.select(db.model, pool, 40ULL * 4'000'000, phase));
   }
 }
-BENCHMARK(BM_GreedySelectEnv)->Arg(64)->Arg(256);
+BENCHMARK(BM_GreedySelectEnv)->Arg(64)->Arg(256)->Iterations(kSelectionRuns);
 
 // ----------------------------------------------------------------- routing
 
@@ -305,6 +345,123 @@ void BM_ProphetEncounter(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ProphetEncounter);
+
+// --------------------------------------------------------------- obs sinks
+
+/// A seeded event log with the event mix of one `cam-ourscheme-durable` job.
+/// The weights are the per-kind counts of a faulted Cambridge-like run at
+/// that workload's scale (`photodtn_cli simulate --trace cambridge --scale
+/// 0.35 --runs 1 --seed 1 --scheme OurScheme --fault-interrupt 0.2
+/// --fault-crash-rate 0.02 --fault-gossip-loss 0.1`). As there, events sit
+/// at whole-second contact times except captures, and about 64% of the
+/// provenance doubles are 0 or whole numbers.
+std::vector<obs::Event> durable_event_log(std::size_t n) {
+  using Kind = obs::Event::Kind;
+  struct Share {
+    Kind kind;
+    std::int64_t count;
+  };
+  constexpr Share kMix[] = {
+      {Kind::kSelectCommit, 93081}, {Kind::kDrop, 14190},   {Kind::kTransfer, 10969},
+      {Kind::kCapture, 5844},       {Kind::kGossip, 3623},  {Kind::kContact, 2011},
+      {Kind::kReallocate, 1974},    {Kind::kDelivery, 411}, {Kind::kSelect, 29},
+      {Kind::kCrashWipe, 25},       {Kind::kReboot, 23},    {Kind::kLinkCut, 22},
+      {Kind::kSample, 21}};
+  std::int64_t total = 0;
+  for (const Share& s : kMix) total += s.count;
+  Rng rng(2016);
+  std::vector<obs::Event> log;
+  log.reserve(n);
+  double contact_ts = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::int64_t pick = rng.uniform_int(0, total - 1);
+    const Share* share = kMix;
+    while (pick >= share->count) pick -= (share++)->count;
+    obs::Event ev;
+    ev.kind = share->kind;
+    if (rng.bernoulli(0.05)) contact_ts += 240.0;
+    ev.ts_s = contact_ts;
+    ev.photo = static_cast<std::uint64_t>(rng.uniform_int(1, 6000));
+    ev.node = static_cast<std::int32_t>(rng.uniform_int(1, 19));
+    ev.peer = static_cast<std::int32_t>(rng.uniform_int(1, 19));
+    switch (ev.kind) {
+      case Kind::kCapture:
+        ev.ts_s = contact_ts + rng.uniform(0.0, 240.0);
+        ev.peer = -1;
+        ev.bytes = 4'000'000;
+        break;
+      case Kind::kSelectCommit:
+        ev.value = rng.bernoulli(0.59) ? 0.0 : rng.uniform(0.0, 0.01);
+        ev.aux = rng.uniform(0.0, 0.01);
+        break;
+      case Kind::kTransfer:
+        if (rng.bernoulli(0.02)) ev.outcome = obs::Event::Outcome::kMissing;
+        ev.bytes = ev.outcome == obs::Event::Outcome::kOk ? 4'000'000 : 0;
+        break;
+      case Kind::kDelivery:
+        ev.bytes = 4'000'000;
+        break;
+      case Kind::kGossip:
+      case Kind::kCrashWipe:
+        ev.value = static_cast<double>(rng.uniform_int(0, 40));
+        break;
+      case Kind::kContact:
+        ev.value = static_cast<double>(rng.uniform_int(0, 1'500'000'000));
+        ev.aux = rng.uniform(0.0, 1200.0);
+        ev.bytes = static_cast<std::uint64_t>(rng.uniform_int(0, 40)) * 4'000'000;
+        break;
+      case Kind::kSample:
+        ev.value = rng.uniform();
+        ev.aux = rng.uniform();
+        ev.bytes = static_cast<std::uint64_t>(rng.uniform_int(0, 1'000'000'000));
+        break;
+      case Kind::kSelect:
+      case Kind::kReallocate:
+        ev.value = static_cast<double>(rng.uniform_int(0, 60));
+        ev.aux = static_cast<double>(rng.uniform_int(0, 60));
+        break;
+      default:
+        ev.peer = -1;
+        break;
+    }
+    log.push_back(ev);
+  }
+  return log;
+}
+
+/// Events per serialized document: about one durable job's provenance view.
+constexpr std::size_t kSinkBenchEvents = 100'000;
+
+void BM_ProvenanceJsonl(benchmark::State& state) {
+  ExperimentResult result;
+  result.scheme = "OurScheme";
+  for (const obs::Event& ev : durable_event_log(kSinkBenchEvents))
+    if (obs::shows(obs::View::kProvenance, ev)) result.prov_events.push_back(ev);
+  std::int64_t bytes = 0;
+  for (auto _ : state) {
+    const std::string doc = provenance_to_jsonl(result);
+    bytes += static_cast<std::int64_t>(doc.size());
+    benchmark::DoNotOptimize(doc.data());
+  }
+  state.SetBytesProcessed(bytes);
+  state.counters["events"] = static_cast<double>(result.prov_events.size());
+}
+BENCHMARK(BM_ProvenanceJsonl)->Unit(benchmark::kMillisecond);
+
+void BM_ChromeTraceJson(benchmark::State& state) {
+  std::vector<obs::Event> events;
+  for (const obs::Event& ev : durable_event_log(kSinkBenchEvents))
+    if (obs::shows(obs::View::kTrace, ev)) events.push_back(ev);
+  std::int64_t bytes = 0;
+  for (auto _ : state) {
+    const std::string doc = obs::chrome_trace_json(events);
+    bytes += static_cast<std::int64_t>(doc.size());
+    benchmark::DoNotOptimize(doc.data());
+  }
+  state.SetBytesProcessed(bytes);
+  state.counters["events"] = static_cast<double>(events.size());
+}
+BENCHMARK(BM_ChromeTraceJson)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace photodtn

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iomanip>
+#include <locale>
 #include <ostream>
 #include <sstream>
 
@@ -23,6 +24,7 @@ std::string Table::format_cell(const Cell& c) const {
   if (const auto* s = std::get_if<std::string>(&c)) return *s;
   if (const auto* i = std::get_if<std::int64_t>(&c)) return std::to_string(*i);
   std::ostringstream os;
+  os.imbue(std::locale::classic());  // "1234.5000" under any global locale
   os << std::fixed << std::setprecision(kPrecision) << std::get<double>(c);
   return os.str();
 }

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <iomanip>
+#include <locale>
 
 #include "geometry/angle.h"
 #include "persist/file_io.h"
@@ -13,6 +14,7 @@ namespace {
 
 std::string style_attrs(const SvgStyle& s) {
   std::ostringstream os;
+  os.imbue(std::locale::classic());
   os << "fill=\"" << s.fill << "\" stroke=\"" << s.stroke << "\" stroke-width=\""
      << s.stroke_width << "\"";
   if (s.opacity < 1.0) os << " opacity=\"" << s.opacity << "\"";
@@ -29,6 +31,9 @@ SvgCanvas::SvgCanvas(Vec2 world_min, Vec2 world_max, double width_px, double mar
   PHOTODTN_CHECK_MSG(width_px > 2 * margin_px, "canvas too small for its margin");
   scale_ = (width_px - 2 * margin_px) / (world_max.x - world_min.x);
   height_px_ = (world_max.y - world_min.y) * scale_ + 2 * margin_px;
+  // Numbers are SVG syntax, not prose: no grouping, '.' as the point,
+  // whatever the global locale.
+  body_.imbue(std::locale::classic());
   body_ << std::fixed << std::setprecision(2);
 }
 
@@ -110,6 +115,7 @@ void SvgCanvas::text(Vec2 pos, const std::string& label, double size_px,
 
 std::string SvgCanvas::str() const {
   std::ostringstream os;
+  os.imbue(std::locale::classic());
   os << "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n"
      << "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" << width_px_
      << "\" height=\"" << height_px_ << "\" viewBox=\"0 0 " << width_px_ << ' '

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <limits>
 #include <random>
+#include <stdexcept>
 #include <string>
 
 #include "test_util.h"
@@ -102,6 +103,7 @@ std::string written(double d) {
 }
 
 TEST(Json, DoublesMatchPrintf17gOnEdgeValues) {
+  const double two53 = std::ldexp(1.0, 53);
   const double edges[] = {0.0,
                           -0.0,
                           5e-324,
@@ -116,7 +118,22 @@ TEST(Json, DoublesMatchPrintf17gOnEdgeValues) {
                           0.1 + 0.2,
                           1.0,
                           123456789.0,
-                          -1234.5};
+                          -1234.5,
+                          // Around the integer path's bound (1e15) and 2^53.
+                          -1.0,
+                          1e15 - 1,
+                          -(1e15 - 1),
+                          1e15 - 0.5,
+                          1e15,
+                          -1e15,
+                          two53 - 1,
+                          -(two53 - 1),
+                          two53,
+                          two53 + 1,
+                          -(two53 + 1),
+                          two53 + 2,
+                          -1e16,
+                          -1e17};
   for (const double d : edges) EXPECT_EQ(written(d), printf_17g(d)) << printf_17g(d);
 }
 
@@ -135,6 +152,114 @@ TEST(Json, DoublesMatchPrintf17gOnRandomBitPatterns) {
     ++compared;
   }
   EXPECT_GT(compared, 99'000);
+}
+
+TEST(Json, IntegerValuedDoublesMatchPrintf17gInEveryDecade) {
+  std::mt19937_64 gen(20261019);
+  std::uint64_t low = 1;
+  for (int decade = 0; decade <= 18; ++decade, low *= 10) {
+    std::uniform_int_distribution<std::uint64_t> in_decade(low, low * 10 - 1);
+    for (int i = 0; i < 2'000; ++i) {
+      const double magnitude = static_cast<double>(in_decade(gen));
+      const double d = (gen() & 1) != 0 ? -magnitude : magnitude;
+      ASSERT_EQ(written(d), printf_17g(d)) << "decade " << decade;
+    }
+  }
+}
+
+/// What the writer must produce for `s` as a JSON string: the escapes of
+/// the byte contract, one character at a time.
+std::string json_quoted(const std::string& s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    const auto u = static_cast<unsigned char>(c);
+    if (c == '"') {
+      out += "\\\"";
+    } else if (c == '\\') {
+      out += "\\\\";
+    } else if (c == '\n') {
+      out += "\\n";
+    } else if (c == '\r') {
+      out += "\\r";
+    } else if (c == '\t') {
+      out += "\\t";
+    } else if (u < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x", u);
+      out += buf;
+    } else {
+      out += c;
+    }
+  }
+  return out + '"';
+}
+
+TEST(Json, EscapeStraddlingABufferFlushIsWrittenWhole) {
+  // The padding moves the escapes across the staging buffer's end: at some
+  // padding each escape is the token that does not fit.
+  const std::string escaped = "a\x01\"\\\n\x1f";
+  constexpr std::size_t kBuffer = JsonWriter::kBufferBytes;
+  for (std::size_t pad = kBuffer - 24; pad <= kBuffer + 8; ++pad) {
+    JsonWriter w;
+    w.begin_array().value(std::string(pad, 'x'));
+    for (int i = 0; i < 3; ++i) w.value(escaped).value(std::uint64_t{7});
+    w.end_array();
+    std::string want = "[" + json_quoted(std::string(pad, 'x'));
+    for (int i = 0; i < 3; ++i) want += "," + json_quoted(escaped) + ",7";
+    ASSERT_EQ(w.str(), want + "]") << "pad " << pad;
+  }
+}
+
+TEST(Json, KeysAndStringsLongerThanTheBuffer) {
+  std::string plain(3 * JsonWriter::kBufferBytes + 5, 'p');
+  std::string escaped = plain;
+  for (std::size_t i = 0; i < escaped.size(); i += 301) escaped[i] = i % 2 ? '"' : '\x02';
+  // Around the one-memcpy path's limit: with its separator, quotes and
+  // colon, the longer key would overflow an empty buffer.
+  const std::string fits(JsonWriter::kBufferBytes - 4, 'f');
+  const std::string overflows(JsonWriter::kBufferBytes - 3, 'o');
+  JsonWriter w;
+  w.begin_object()
+      .kv(plain, escaped)
+      .kv(escaped, plain)
+      .kv(fits, overflows)
+      .kv(overflows, fits)
+      .kv("k", std::uint64_t{1})
+      .end_object();
+  EXPECT_EQ(w.str(), "{" + json_quoted(plain) + ":" + json_quoted(escaped) + "," +
+                         json_quoted(escaped) + ":" + json_quoted(plain) + "," +
+                         json_quoted(fits) + ":" + json_quoted(overflows) + "," +
+                         json_quoted(overflows) + ":" + json_quoted(fits) + ",\"k\":1}");
+}
+
+TEST(Json, NestingUpToTheDeepestLevelAndNoDeeper) {
+  // Elements before and after the nested container at every level:
+  // [0,{"d":1,"k":[2,...],"z":1}].
+  JsonWriter w;
+  std::string want;
+  for (int depth = 0; depth < JsonWriter::kMaxDepth; ++depth) {
+    if (depth % 2 == 0) {
+      w.begin_array().value(std::int64_t{depth});
+      want += "[" + std::to_string(depth) + ",";
+    } else {
+      w.begin_object().kv("d", std::int64_t{depth}).key("k");
+      want += "{\"d\":" + std::to_string(depth) + ",\"k\":";
+    }
+  }
+  EXPECT_THROW(w.begin_array(), std::logic_error);
+  EXPECT_THROW(w.begin_object(), std::logic_error);
+  w.value(true);
+  want += "true";
+  for (int depth = JsonWriter::kMaxDepth - 1; depth >= 0; --depth) {
+    if (depth % 2 == 0) {
+      w.end_array();
+      want += "]";
+    } else {
+      w.kv("z", std::int64_t{depth}).end_object();
+      want += ",\"z\":" + std::to_string(depth) + "}";
+    }
+  }
+  EXPECT_EQ(w.str(), want);
 }
 
 TEST(Json, IntegerExtremesMatchToString) {

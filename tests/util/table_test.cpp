@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "test_util.h"
+
 namespace photodtn {
 namespace {
 
@@ -42,6 +44,28 @@ TEST(Table, IntsRenderWithoutDecimals) {
   std::ostringstream os;
   t.write_csv(os);
   EXPECT_NE(os.str().find("\n42\n"), std::string::npos);
+}
+
+TEST(Table, CellsIgnoreTheGlobalLocale) {
+  Table t({"scheme", "coverage", "photos"});
+  t.add_row({std::string("ours"), 1234.5, std::int64_t{1'234'567}});
+  const auto csv = [&] {
+    std::ostringstream os;
+    t.write_csv(os);
+    return os.str();
+  };
+  const auto printed = [&] {
+    std::ostringstream os;
+    t.print(os);
+    return os.str();
+  };
+  const std::string expected_csv = "scheme,coverage,photos\nours,1234.5000,1234567\n";
+  ASSERT_EQ(csv(), expected_csv);
+  const std::string expected_table = printed();
+  ASSERT_NE(expected_table.find("| 1234.5000 |"), std::string::npos);
+  const test::GroupingLocaleScope grouping;
+  EXPECT_EQ(csv(), expected_csv);
+  EXPECT_EQ(printed(), expected_table);
 }
 
 }  // namespace

@@ -22,6 +22,26 @@ TEST(SvgCanvas, CoordinateTransformFlipsY) {
   EXPECT_DOUBLE_EQ(top_right.y, 10.0);
 }
 
+TEST(SvgCanvas, NumbersIgnoreTheGlobalLocale) {
+  const auto document = [] {
+    // One world meter per pixel: the circle's centre lands at x = 1200.
+    SvgCanvas c({0.0, 0.0}, {1200.0, 1200.0}, /*width=*/1240.0, /*margin=*/20.0);
+    SvgStyle style;
+    style.stroke_width = 1500.5;
+    style.opacity = 0.5;
+    c.circle({1180.0, 600.0}, 1000.25, style);
+    c.sector({600.0, 600.0}, 1100.0, 2.0, 0.5, style);
+    return c.str();
+  };
+  const std::string expected = document();
+  EXPECT_NE(expected.find("width=\"1240\""), std::string::npos);
+  EXPECT_NE(expected.find("cx=\"1200.00\""), std::string::npos);
+  EXPECT_NE(expected.find("r=\"1000.25\""), std::string::npos);
+  EXPECT_NE(expected.find("stroke-width=\"1500.5\""), std::string::npos);
+  const test::GroupingLocaleScope grouping;
+  EXPECT_EQ(document(), expected);
+}
+
 TEST(SvgCanvas, EmitsWellFormedDocument) {
   SvgCanvas c({0.0, 0.0}, {100.0, 100.0});
   c.circle({50.0, 50.0}, 10.0, SvgStyle{});
