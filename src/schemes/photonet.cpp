@@ -4,8 +4,10 @@
 #include <cmath>
 #include <limits>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace photodtn {
@@ -130,6 +132,78 @@ class DiverseStore {
   bool nn_ready_ = false;
 };
 
+/// The completed steps of one directed call, each a pick and the victims
+/// evicted for it, plus an order-free hash of the receiver's set: the sum of
+/// its ids' mixes, offset by the starting set's (the offset cancels in every
+/// comparison). A step's pick and victims depend only on the receiver's set,
+/// so once the set repeats, the steps since its last visit repeat in a cycle.
+class StepLog {
+ public:
+  static constexpr std::size_t kNoCycle = ~std::size_t{0};
+
+  struct Step {
+    std::size_t cand;         // the sender candidate sent
+    PhotoId id;               // its photo
+    std::size_t victims_end;  // one past its victims in victims_
+  };
+
+  void drop(PhotoId id) {
+    victims_.push_back(id);
+    hash_ -= mix(id);
+  }
+
+  /// Logs a completed step that sent candidate `cand`. Returns the first
+  /// step of the cycle it closes, or kNoCycle when the receiver's set is new.
+  /// The hash only proposes a repeat: it is taken only when the window since
+  /// has no net change of ids.
+  std::size_t send(std::size_t cand, PhotoId id) {
+    steps_.push_back({cand, id, victims_.size()});
+    hash_ += mix(id);
+    const auto [seen, fresh] = seen_.try_emplace(hash_, steps_.size());
+    if (fresh) return kNoCycle;
+    if (net_zero_since(seen->second)) return seen->second;
+    seen->second = steps_.size();  // a collision: keep the newer set
+    return kNoCycle;
+  }
+
+  std::size_t size() const { return steps_.size(); }
+  const Step& step(std::size_t s) const { return steps_[s]; }
+  std::span<const PhotoId> victims(std::size_t s) const {
+    return std::span(victims_).subspan(victims_begin(s),
+                                       steps_[s].victims_end - victims_begin(s));
+  }
+
+ private:
+  static std::uint64_t mix(PhotoId id) {
+    std::uint64_t s = id;
+    return splitmix64(s);
+  }
+
+  std::size_t victims_begin(std::size_t s) const {
+    return s == 0 ? 0 : steps_[s - 1].victims_end;
+  }
+
+  /// Whether steps [start, size()) sent exactly the ids they evicted.
+  bool net_zero_since(std::size_t start) const {
+    const std::size_t first_victim = victims_begin(start);
+    if (steps_.size() - start != victims_.size() - first_victim) return false;
+    std::vector<PhotoId> sent;
+    sent.reserve(steps_.size() - start);
+    for (std::size_t s = start; s < steps_.size(); ++s) sent.push_back(steps_[s].id);
+    std::vector<PhotoId> evicted(
+        victims_.begin() + static_cast<std::ptrdiff_t>(first_victim), victims_.end());
+    std::sort(sent.begin(), sent.end());
+    std::sort(evicted.begin(), evicted.end());
+    return sent == evicted;
+  }
+
+  std::vector<Step> steps_;
+  std::vector<PhotoId> victims_;
+  std::uint64_t hash_ = 0;
+  // The hash of each set seen -> the number of steps logged when it was seen.
+  std::unordered_map<std::uint64_t, std::size_t> seen_{{0, 0}};
+};
+
 /// Drops least-diverse photos from `node` until `bytes` fit, mirroring each
 /// drop in `store`; `on_drop` sees each victim after it left the store.
 /// False when the store empties first.
@@ -160,7 +234,9 @@ void PhotoNetScheme::send_diverse(SimContext& ctx, ContactSession& session, Node
   // Repeatedly send the photo that is farthest from the receiver's current
   // collection (remote-first max-min diversity): a farthest-first traversal,
   // so each candidate keeps its distance to the receiver's set and a
-  // transfer folds in only the one new photo.
+  // transfer folds in only the one new photo. Once evictions bring the
+  // receiver's set back to an earlier one, the steps since then are replayed
+  // without recomputing any distance (docs/ALGORITHMS.md §8).
   const PhotoStore& dst_store = ctx.node(dst).store();
   DiverseStore receiver(*this, dst_store);
   // Only the receiver's store changes, so the sender's live order is read.
@@ -178,7 +254,9 @@ void PhotoNetScheme::send_diverse(SimContext& ctx, ContactSession& session, Node
   // An eviction can only raise a candidate's distance, and only if the
   // victim was its nearest; a victim the sender holds becomes a candidate
   // again.
+  StepLog log;
   const auto on_drop = [&](const Item& victim) {
+    log.drop(victim.id);
     for (std::size_t i = 0; i < cands.size(); ++i) {
       if (cands[i].id == victim.id) {
         held[i] = 0;
@@ -188,7 +266,11 @@ void PhotoNetScheme::send_diverse(SimContext& ctx, ContactSession& session, Node
       }
     }
   };
-  for (;;) {
+  // Scan until the receiver's set repeats. A step's pick and victims depend
+  // only on that set: the sender keeps every copy it sends, the running
+  // minimums equal a rescan's, and both tie rules are total orders.
+  std::size_t cycle = StepLog::kNoCycle;
+  while (cycle == StepLog::kNoCycle) {
     // Strict > from -1 in sorted order: the earliest of equal distances
     // wins, and an empty receiver (every distance +inf) takes the first.
     std::size_t best = cands.size();
@@ -212,6 +294,21 @@ void PhotoNetScheme::send_diverse(SimContext& ctx, ContactSession& session, Node
       if (held[i] == 0)
         cands[i].min_d = std::min(cands[i].min_d, distance(cands[i].f, pick.f));
     }
+    cycle = log.send(best, pick.id);
+  }
+  // The receiver's set is what it was before step `cycle`, so the logged
+  // steps from there repeat in order. Each still asks the session, so the
+  // budget, a link cut or a failed transfer ends the call where the scan
+  // would have.
+  for (std::size_t s = cycle;; s = s + 1 == log.size() ? cycle : s + 1) {
+    const Item& pick = cands[log.step(s).cand];
+    if (!session.can_transfer(pick.size_bytes)) return;
+    if (!dst_store.can_fit(pick.size_bytes)) {
+      for (const PhotoId victim : log.victims(s)) ctx.drop_photo(dst, victim);
+      PHOTODTN_CHECK_MSG(dst_store.can_fit(pick.size_bytes),
+                         "a replayed step's victims must make room for its pick");
+    }
+    if (!session.transfer(pick.id, src, dst, /*keep_source=*/true)) return;
   }
 }
 

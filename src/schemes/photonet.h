@@ -8,8 +8,11 @@
 // (remote-first) criterion: transmit the photo farthest from the receiver's
 // current set; evict the photo closest to its nearest neighbor. Each call
 // computes every photo's features once and keeps those distances as exact
-// running minimums, so the choices equal a full rescan's (docs/ALGORITHMS.md).
-// The scheme has no state between calls, hence no checkpoint state.
+// running minimums, so the choices equal a full rescan's. The sender keeps
+// what it sends, so a full receiver's set soon cycles; once it repeats
+// within a call, the logged steps are replayed instead of rescanned
+// (docs/ALGORITHMS.md §8). The scheme has no state between calls, hence no
+// checkpoint state.
 #pragma once
 
 #include <array>
@@ -42,7 +45,8 @@ class PhotoNetScheme : public Scheme {
  private:
   /// Sends photos from `src` to `dst`, farthest from `dst`'s set first,
   /// evicting `dst`'s least-diverse photos for room, until the contact's
-  /// budget or the candidates run out.
+  /// budget or the candidates run out. Scans until `dst`'s set repeats, then
+  /// replays the steps since its last visit in a cycle.
   void send_diverse(SimContext& ctx, ContactSession& session, NodeId src, NodeId dst);
 
   PhotoNetConfig cfg_;

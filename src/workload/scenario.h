@@ -41,13 +41,18 @@ struct ScenarioConfig {
   /// finite (the rate non-negative, the others positive), and
   /// trace.team_size at least 1. The horizon (<= 30,000 h),
   /// the implied photo count (rate x horizon, <= 1e7), the implied
-  /// coverage sample count (horizon / sample interval, <= 1e5) and
-  /// num_pois (<= 100,000) are bounded, each at >= 100x a paper-scale run,
-  /// so a value such as --hours 1e12 fails at once instead of letting
-  /// trace or workload generation take all memory. `horizon_s` is the
-  /// run's horizon: trace.duration_s for a synthetic trace, the file's
-  /// horizon for a replayed one. Throws std::invalid_argument naming the
-  /// offending field.
+  /// coverage sample count (horizon / sample interval, <= 1e5),
+  /// num_pois (<= 100,000), trace.num_participants (in [2, 10,000]) and
+  /// the implied contact count (<= 2.5e7: participant pairs x
+  /// trace.base_pair_rate_per_hour x max(1, trace.intra_team_boost) x
+  /// hours, plus gateways x horizon / (gateway interval + duration)) are
+  /// bounded, each at >= 100x a paper-scale run, so a value such as
+  /// --hours 1e12 fails at once instead of letting trace or workload
+  /// generation take all memory or time. trace.gateway_fraction must be in
+  /// [0, 1], and the gateway interval and contact duration finite,
+  /// non-negative and not both 0. `horizon_s` is the run's horizon:
+  /// trace.duration_s for a synthetic trace, the file's horizon for a
+  /// replayed one. Throws std::invalid_argument naming the offending field.
   void validate(double horizon_s) const;
 
   /// Presets reproducing the two Table I columns. `seed` controls trace,

@@ -2,7 +2,8 @@
 // (reference_photonet.h): both views of the event log, every SimCounters
 // field and the delivery order must match. Sampled small scenarios crossed with
 // sampled fault plans cover the broad surface; hand-built contacts pin each
-// tie rule, the re-entry of evicted photos, and the command center.
+// tie rule, the re-entry of evicted photos, the command center, and the
+// replay of a receiver's cycling set up to a budget or a link cut.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -45,12 +46,51 @@ std::size_t count_reentries(const SimResult& run) {
   return reentries;
 }
 
+/// Directed calls in which the receiver's set returns, after a completed
+/// transfer, to a set it held earlier in the same call: the calls whose steps
+/// PhotoNet replays. The log does not hold the set, so each call keeps the
+/// ids that its transfers and drops changed an odd number of times; the set
+/// repeats exactly when those ids repeat. Contacts are told apart as in
+/// count_reentries, and the receiver tells a contact's two calls apart.
+std::size_t count_repeating_calls(const SimResult& run) {
+  struct Call {
+    std::set<PhotoId> flipped;
+    std::set<std::set<PhotoId>> seen{std::set<PhotoId>{}};
+    bool repeated = false;
+  };
+  std::map<NodeId, Call> calls;  // by receiver, within the current contact
+  std::size_t repeating = 0;
+  const auto close_contact = [&] {
+    for (const auto& [receiver, call] : calls) repeating += call.repeated ? 1 : 0;
+    calls.clear();
+  };
+  const auto flip = [&](NodeId receiver, PhotoId photo) -> Call& {
+    Call& call = calls[receiver];
+    if (call.flipped.erase(photo) == 0) call.flipped.insert(photo);
+    return call;
+  };
+  double now = -1.0;
+  for (const obs::Event& e : run.obs.trace_events) {
+    if (e.ts_s != now) close_contact();
+    now = e.ts_s;
+    if (e.kind == Kind::kDrop) flip(e.node, e.photo);
+    if (e.kind == Kind::kTransfer) {
+      Call& call = flip(e.peer, e.photo);
+      if (!call.seen.insert(call.flipped).second) call.repeated = true;
+    }
+    if (e.kind == Kind::kContact) close_contact();
+  }
+  close_contact();
+  return repeating;
+}
+
 TEST(PhotoNetOracle, SampledScenariosUnderFaultPlansMatchReference) {
   // Small buffers and fast links, so most peer contacts fill the receiver
   // and ping-pong until the budget runs out. Every fourth plan runs clean.
   constexpr std::uint64_t kPlans = 40;
   std::uint64_t drops = 0;
   std::size_t reentries = 0;
+  std::size_t faulted_repeating_calls = 0;
   for (std::uint64_t plan = 1; plan <= kPlans; ++plan) {
     const test::ChaosScenario sc = test::build_chaos_scenario(plan);
     const CoverageModel model(sc.pois, deg_to_rad(30.0));
@@ -69,10 +109,13 @@ TEST(PhotoNetOracle, SampledScenariosUnderFaultPlansMatchReference) {
     expect_same_run(want, got, "plan " + std::to_string(plan));
     drops += got.counters.drops;
     reentries += count_reentries(got);
+    if (plan % 4 != 0) faulted_repeating_calls += count_repeating_calls(got);
   }
-  // The matrix must actually reach eviction and re-entry.
+  // The matrix must actually reach eviction and re-entry, and the replay of a
+  // repeated receiver set under faults.
   EXPECT_GT(drops, 1000u);
   EXPECT_GT(reentries, 100u);
+  EXPECT_GT(faulted_repeating_calls, 1000u);
 }
 
 // ------------------------------------------------------- hand-built cases
@@ -103,10 +146,12 @@ struct Case {
   double bandwidth_bytes_per_s = kPhoto;  // one photo per contact-second
   /// (photo, the nodes holding it); captured at photo.taken_at.
   std::vector<std::pair<PhotoMeta, std::vector<NodeId>>> photos;
+  FaultConfig faults;
 };
 
-PhotoMeta photo_at(PhotoId id, double x, double y, double taken_at) {
-  return test::make_photo(x, y, 0.0, 200.0, 60.0, id, 1, kPhoto, taken_at);
+PhotoMeta photo_at(PhotoId id, double x, double y, double taken_at,
+                   std::uint64_t size = kPhoto) {
+  return test::make_photo(x, y, 0.0, 200.0, 60.0, id, 1, size, taken_at);
 }
 
 /// Runs `c` under the oracle and the production scheme, requires identical
@@ -118,6 +163,7 @@ SimResult run_both(const Case& c, const std::string& label) {
   cfg.node_storage_bytes = c.storage_photos * kPhoto;
   cfg.bandwidth_bytes_per_s = c.bandwidth_bytes_per_s;
   cfg.sample_interval_s = 1e9;
+  cfg.faults = c.faults;
   std::vector<PhotoEvent> events;
   std::map<PhotoId, std::vector<NodeId>> holders;
   for (const auto& [p, nodes] : c.photos) {
@@ -183,6 +229,78 @@ TEST(PhotoNetOracle, EvictedPhotoReentersAndPingPongsUntilBudgetRunsOut) {
   EXPECT_EQ(photos_of(r, Kind::kDrop),
             (std::vector<PhotoId>{1, 2, 1, 2, 1, 2}));
   EXPECT_EQ(count_reentries(r), 5u);
+}
+
+/// Node 1 holds 1, 2 and 3; node 2 holds 4 with room for two more. Sending
+/// 2 and 1 fills node 2; from then on each transfer evicts another of 1, 2
+/// and 3, so node 2's set cycles through {4, 2, 3}, {4, 3, 1} and
+/// {4, 1, 2}: three steps a cycle. `budget_photos` sets the contact's
+/// length, so its budget, in photos.
+Case three_step_cycle(double budget_photos) {
+  Case c;
+  c.contacts = {{100.0, budget_photos, 1, 2}};
+  c.photos = {{photo_at(1, 0.0, 3000.0, 1.0), {1}},
+              {photo_at(2, 4500.0, 2000.0, 2.0), {1}},
+              {photo_at(3, 3500.0, 3000.0, 3.0), {1}},
+              {photo_at(4, 3000.0, 6000.0, 4.0), {2}}};
+  return c;
+}
+
+TEST(PhotoNetOracle, ThreeStepCycleIsReplayedWholeUntilTheBudgetRunsOut) {
+  // Eleven photos: two to fill node 2, then three whole cycles, the first
+  // scanned and the other two replayed.
+  const SimResult r = run_both(three_step_cycle(11.0), "three-step cycle");
+  EXPECT_EQ(photos_of(r, Kind::kTransfer),
+            (std::vector<PhotoId>{2, 1, 3, 1, 2, 3, 1, 2, 3, 1, 2}));
+  EXPECT_EQ(photos_of(r, Kind::kDrop), (std::vector<PhotoId>{1, 2, 3, 1, 2, 3, 1, 2, 3}));
+  EXPECT_EQ(count_repeating_calls(r), 1u);
+}
+
+TEST(PhotoNetOracle, BudgetRunsOutInTheMiddleOfAReplayedCycle) {
+  // Nine and a half photos: the replay sends one whole cycle and the first
+  // step of the next, and the next photo does not fit the half left.
+  const SimResult r = run_both(three_step_cycle(9.5), "budget mid-cycle");
+  EXPECT_EQ(photos_of(r, Kind::kTransfer),
+            (std::vector<PhotoId>{2, 1, 3, 1, 2, 3, 1, 2, 3}));
+  EXPECT_EQ(photos_of(r, Kind::kDrop), (std::vector<PhotoId>{1, 2, 3, 1, 2, 3, 1}));
+  EXPECT_EQ(r.counters.bytes_transferred, 9 * kPhoto);
+  EXPECT_EQ(r.counters.failed_transfers, 0u);
+}
+
+TEST(PhotoNetOracle, LinkCutInsideAReplayedCycleEndsTheCall) {
+  // A ten-photo contact whose link dies three quarters of the way through:
+  // seven photos arrive, then the replayed step that sends 2 drops its
+  // victim 3 and is cut with half of 2 on the wire.
+  Case c = three_step_cycle(10.0);
+  c.faults.contact_interrupt_prob = 1.0;
+  c.faults.interrupt_fraction_min = 0.75;
+  c.faults.interrupt_fraction_max = 0.75;
+  const SimResult r = run_both(c, "link cut mid-cycle");
+  EXPECT_EQ(photos_of(r, Kind::kTransfer), (std::vector<PhotoId>{2, 1, 3, 1, 2, 3, 1}));
+  EXPECT_EQ(photos_of(r, Kind::kDrop), (std::vector<PhotoId>{1, 2, 3, 1, 2, 3}));
+  EXPECT_EQ(photos_of(r, Kind::kLinkCut), (std::vector<PhotoId>{2}));
+  EXPECT_EQ(r.counters.interrupted_transfers, 1u);
+  EXPECT_EQ(r.counters.partial_bytes, kPhoto / 2);
+}
+
+TEST(PhotoNetOracle, ReplayedStepEvictsTwoPhotosForADoubleSizePhoto) {
+  // Photo 3 is twice the size. Node 2 holds 1, 4 and 5 with room for four;
+  // node 1 holds 2, 3 and 4. Sending 2 fills node 2. Then a three-step
+  // cycle: 3 evicts 4 and 2, 2 evicts 3, and 4 fits without an eviction.
+  // The twelve-photo budget runs that cycle two and two-thirds times.
+  Case c;
+  c.contacts = {{100.0, 12.0, 1, 2}};
+  c.storage_photos = 4;
+  c.photos = {{photo_at(1, 5500.0, 4000.0, 1.0), {2}},
+              {photo_at(2, 3500.0, 3000.0, 2.0), {1}},
+              {photo_at(3, 1500.0, 3500.0, 3.0, 2 * kPhoto), {1}},
+              {photo_at(4, 2000.0, 3500.0, 4.0), {1, 2}},
+              {photo_at(5, 1500.0, 2000.0, 5.0), {2}}};
+  const SimResult r = run_both(c, "double-size photo");
+  EXPECT_EQ(photos_of(r, Kind::kTransfer),
+            (std::vector<PhotoId>{2, 3, 2, 4, 3, 2, 4, 3, 2}));
+  EXPECT_EQ(photos_of(r, Kind::kDrop),
+            (std::vector<PhotoId>{4, 2, 3, 4, 2, 3, 4, 2, 3}));
 }
 
 TEST(PhotoNetOracle, CandidatesTheReceiverHoldsAreSkipped) {

@@ -219,6 +219,32 @@ TEST(Experiment, RejectsRunSizesBeyondBoundsBeforeAllocating) {
   region.scenario.region_m = std::numeric_limits<double>::infinity();
   expect_rejected_naming(region, "region_m");
 
+  // The synthetic trace: one participant died in a check failure inside the
+  // generator, a million started 5e11 pair iterations, a gateway fraction
+  // above 1 made the command center its own gateway (a self-contact check
+  // failure), a dense pair rate or a near-continuous gateway implies far
+  // more contacts than any paper-scale run, and a gateway with neither an
+  // interval nor a duration never left its loop.
+  for (const NodeId participants : {1, 1'000'000}) {
+    ExperimentSpec nodes = tiny_spec("Epidemic", 1);
+    nodes.scenario.trace.num_participants = participants;
+    expect_rejected_naming(nodes, "trace.num_participants");
+  }
+  ExperimentSpec gateways = tiny_spec("Epidemic", 1);
+  gateways.scenario.trace.gateway_fraction = 1.5;
+  expect_rejected_naming(gateways, "trace.gateway_fraction");
+  ExperimentSpec dense = tiny_spec("Epidemic", 1);
+  dense.scenario.trace.base_pair_rate_per_hour = 1e5;  // 1.6e9 contacts over 20 h
+  expect_rejected_naming(dense, "trace.base_pair_rate_per_hour");
+  ExperimentSpec visits = tiny_spec("Epidemic", 1);
+  visits.scenario.trace.gateway_mean_interval_s = 1e-3;
+  visits.scenario.trace.gateway_contact_duration_s = 0.0;  // 1.4e8 gateway contacts
+  expect_rejected_naming(visits, "trace.gateway_mean_interval_s");
+  ExperimentSpec stuck = tiny_spec("Epidemic", 1);
+  stuck.scenario.trace.gateway_mean_interval_s = 0.0;
+  stuck.scenario.trace.gateway_contact_duration_s = 0.0;
+  expect_rejected_naming(stuck, "trace.gateway_contact_duration_s");
+
   // A replayed trace is checked against its own horizon, not the config's.
   const std::string path = ::testing::TempDir() + "/photodtn_long_horizon.csv";
   {
