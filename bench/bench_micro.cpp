@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the algorithmic kernels: arc-set
 // operations, footprint computation, expected-coverage evaluation (exact
 // breakpoint integration vs literal 2^m enumeration vs Monte Carlo), the
-// CELF greedy selector and its engine, PROPHET updates, and the provenance
-// and Chrome-trace serializers. An ad-hoc tool: end-to-end performance is
+// CELF greedy selector and its engine, photo store churn, PROPHET updates,
+// and the provenance and Chrome-trace serializers. An ad-hoc tool: end-to-end performance is
 // measured by perfbench/ (BENCHMARK.json).
 #include <benchmark/benchmark.h>
 
@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "dtn/photo_store.h"
 #include "geometry/arc_set.h"
 #include "obs/chrome_trace.h"
 #include "routing/prophet.h"
@@ -319,6 +320,39 @@ void BM_GreedySelectEnv(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GreedySelectEnv)->Arg(64)->Arg(256)->Iterations(kSelectionRuns);
+
+// --------------------------------------------------------------------- dtn
+
+/// A full buffer's steady state: each iteration drops the oldest photo,
+/// takes a new one, and probes for a photo the store holds and one it does
+/// not. The arguments are the photos a full buffer holds in `mit-photonet`
+/// (18), in `cam-flood` (67) and at full scale (150); 0 is an unlimited
+/// store of 5,000 photos, as BestPossible's grow to.
+void BM_PhotoStoreChurn(benchmark::State& state) {
+  const bool unlimited = state.range(0) == 0;
+  const auto held = static_cast<PhotoId>(unlimited ? 5000 : state.range(0));
+  constexpr std::uint64_t kPhotoBytes = 4'000'000;
+  PhotoStore store(unlimited ? PhotoStore::kUnlimited : held * kPhotoBytes);
+  Rng rng(5);
+  PhotoMeta p;
+  p.size_bytes = kPhotoBytes;
+  PhotoId next = 1;
+  for (; next <= held; ++next) {
+    p.id = next;
+    p.taken_at = rng.uniform(0.0, 3600.0);
+    store.add(p);
+  }
+  for (auto _ : state) {
+    store.remove(next - held);
+    p.id = next;
+    p.taken_at = rng.uniform(0.0, 3600.0);
+    benchmark::DoNotOptimize(store.add(p));
+    benchmark::DoNotOptimize(store.contains(next - held / 2));
+    benchmark::DoNotOptimize(store.contains(next + 1));
+    ++next;
+  }
+}
+BENCHMARK(BM_PhotoStoreChurn)->Arg(18)->Arg(67)->Arg(150)->Arg(0);
 
 // ----------------------------------------------------------------- routing
 

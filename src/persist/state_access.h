@@ -147,24 +147,37 @@ struct StateAccess {
   }
 
   // Config and self id are reconstruction state; the aging clock and the
-  // predictability table are the run state.
+  // predictability table are the run state, written as (peer, value) pairs
+  // in peer order.
   static void save(StateWriter& w, const ProphetTable& p) {
     w.f64(p.last_aged_);
-    const auto peers = sorted_keys(p.table_);
-    w.u64(peers.size());
-    for (const NodeId peer : peers) {
-      w.i32(peer);
-      w.f64(p.table_.at(peer));
+    const auto entries = static_cast<std::size_t>(
+        std::count(p.known_.begin(), p.known_.end(), std::uint8_t{1}));
+    w.u64(entries);
+    for (std::size_t peer = 0; peer < p.known_.size(); ++peer) {
+      if (p.known_[peer] == 0) continue;
+      w.i32(static_cast<NodeId>(peer));
+      w.f64(p.p_[peer]);
     }
   }
-  static void load(StateReader& r, ProphetTable& p) {
+  // A peer is a node id, checked against the node count before the table
+  // grows to it.
+  static void load(StateReader& r, ProphetTable& p, std::size_t node_count) {
     p.last_aged_ = r.f64();
     const std::size_t n = r.count(12);
-    p.table_.clear();
+    p.p_.clear();
+    p.known_.clear();
     for (std::size_t i = 0; i < n; ++i) {
       const NodeId peer = r.i32();
-      if (p.table_.count(peer) != 0) r.fail("duplicate PROPHET peer entry");
-      p.table_[peer] = r.f64();
+      if (peer < 0 || static_cast<std::size_t>(peer) >= node_count) {
+        r.fail("PROPHET peer " + std::to_string(peer) + " outside [0, " +
+               std::to_string(node_count) + ")");
+      }
+      const auto at = static_cast<std::size_t>(peer);
+      p.grow(at + 1);
+      if (p.known_[at] != 0) r.fail("duplicate PROPHET peer entry");
+      p.known_[at] = 1;
+      p.p_[at] = r.f64();
     }
     p.audit();
   }
@@ -562,7 +575,7 @@ struct StateAccess {
     if (n != sim.nodes_.size()) r.fail("node count mismatch");
     for (Node& node : sim.nodes_) {
       load(r, node.store());
-      load(r, node.prophet());
+      load(r, node.prophet(), sim.nodes_.size());
       load(r, node.rates());
     }
   }

@@ -7,7 +7,8 @@
 // The paper uses P(n_i, command center) as the delivery probability p_i.
 #pragma once
 
-#include <unordered_map>
+#include <cstdint>
+#include <vector>
 
 #include "coverage/photo.h"  // NodeId
 #include "persist/fwd.h"
@@ -24,6 +25,10 @@ struct ProphetConfig {
   double aging_time_unit_s = 600.0;
 };
 
+/// Node ids are dense, so the table is an array indexed by peer id that
+/// grows only to the largest peer it holds. A peer is an entry once the
+/// table has learned it, even at predictability 0: the checkpoint writes
+/// exactly the entries.
 class ProphetTable {
  public:
   ProphetTable() = default;
@@ -36,34 +41,43 @@ class ProphetTable {
 
   /// Delivery predictability from self to dest (aged to the last update
   /// time). Unknown destinations have probability 0; self has 1.
-  double delivery_prob(NodeId dest) const;
+  double delivery_prob(NodeId dest) const noexcept {
+    if (dest == self_) return 1.0;
+    const auto i = static_cast<std::size_t>(static_cast<std::uint32_t>(dest));
+    return i < p_.size() ? p_[i] : 0.0;
+  }
 
   /// Symmetric encounter update of both tables at time `now`: aging, the
   /// direct-encounter rule on each side, then the transitive rule each way
-  /// using a pre-update snapshot of the peer (the standard formulation).
+  /// from the peer's predictabilities as they stood before the direct
+  /// updates (the standard formulation). One pass over node ids computes
+  /// both transitive updates; no table is copied.
   static void encounter(ProphetTable& a, ProphetTable& b, double now);
 
-  const std::unordered_map<NodeId, double>& entries() const noexcept { return table_; }
   const ProphetConfig& config() const noexcept { return cfg_; }
 
   /// Deep invariant check (audit builds / tests): every predictability is a
-  /// finite value in [0, 1], the table holds no entry for self (self is
-  /// implicitly 1), the config parameters are valid probabilities with
-  /// gamma in (0, 1] (so aging decays monotonically), and the aging clock is
-  /// finite. Throws std::logic_error on violation.
+  /// finite value in [0, 1] and every non-entry reads 0, the table holds no
+  /// entry for self (self is implicitly 1) and ends at its largest entry,
+  /// the config parameters are valid probabilities with gamma in (0, 1] (so
+  /// aging decays monotonically), and the aging clock is finite. Throws
+  /// std::logic_error on violation.
   void audit() const;
 
  private:
   friend struct persist::StateAccess;  // checkpoint/restore of aging clock + table
 
+  /// One past the largest entry this table holds after meeting `peer`: it
+  /// learns the peer and every entry of the peer's other than itself.
+  std::size_t bound_after_meeting(const ProphetTable& peer) const noexcept;
+  void grow(std::size_t bound);
   void direct_update(NodeId peer);
-  void transitive_update(const std::unordered_map<NodeId, double>& peer_snapshot,
-                         NodeId peer);
 
   ProphetConfig cfg_;
   NodeId self_ = -1;
   double last_aged_ = 0.0;
-  std::unordered_map<NodeId, double> table_;
+  std::vector<double> p_;             // by peer id; 0 where not an entry
+  std::vector<std::uint8_t> known_;   // 1 where the table holds an entry
 };
 
 }  // namespace photodtn

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "trace/synthetic_trace.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -36,17 +37,8 @@ RwpMobility::RwpMobility(const RwpConfig& cfg) : cfg_(cfg) {
     }
   }
 
-  // Gateway selection mirrors the synthetic generator's approach.
   Rng gw_rng = root.split("gateways");
-  auto count = static_cast<NodeId>(std::max(
-      1.0, std::round(cfg.gateway_fraction * static_cast<double>(cfg.num_participants))));
-  std::vector<NodeId> ids(static_cast<std::size_t>(cfg.num_participants));
-  for (NodeId i = 0; i < cfg.num_participants; ++i)
-    ids[static_cast<std::size_t>(i)] = i + 1;
-  gw_rng.shuffle(ids);
-  ids.resize(static_cast<std::size_t>(count));
-  std::sort(ids.begin(), ids.end());
-  gateways_ = std::move(ids);
+  gateways_ = pick_gateways(cfg.num_participants, cfg.gateway_fraction, gw_rng);
 }
 
 Vec2 RwpMobility::position(NodeId participant, double t) const {

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "util/check.h"
 #include "util/rng.h"
+#include "util/to_chars.h"
 
 namespace photodtn {
 
@@ -81,18 +84,27 @@ class Availability {
 
 }  // namespace
 
-std::vector<NodeId> synthetic_gateways(const SyntheticTraceConfig& cfg) {
-  Rng rng(cfg.seed);
-  Rng gw_rng = rng.split("gateways");
-  const auto n = cfg.num_participants;
+std::vector<NodeId> pick_gateways(NodeId num_participants, double gateway_fraction, Rng& rng) {
+  if (!(gateway_fraction >= 0.0 && gateway_fraction <= 1.0)) {
+    std::string msg = "gateway_fraction = ";
+    append_chars(msg, gateway_fraction);
+    throw std::invalid_argument(msg + " must be in [0, 1]");
+  }
+  const auto n = num_participants;
   auto count = static_cast<NodeId>(
-      std::max(1.0, std::round(cfg.gateway_fraction * static_cast<double>(n))));
+      std::max(1.0, std::round(gateway_fraction * static_cast<double>(n))));
   std::vector<NodeId> ids(static_cast<std::size_t>(n));
   for (NodeId i = 0; i < n; ++i) ids[static_cast<std::size_t>(i)] = i + 1;
-  gw_rng.shuffle(ids);
+  rng.shuffle(ids);
   ids.resize(static_cast<std::size_t>(count));
   std::sort(ids.begin(), ids.end());
   return ids;
+}
+
+std::vector<NodeId> synthetic_gateways(const SyntheticTraceConfig& cfg) {
+  Rng rng(cfg.seed);
+  Rng gw_rng = rng.split("gateways");
+  return pick_gateways(cfg.num_participants, cfg.gateway_fraction, gw_rng);
 }
 
 ContactTrace generate_synthetic_trace(const SyntheticTraceConfig& cfg) {

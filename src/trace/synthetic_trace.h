@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "trace/contact_trace.h"
 
@@ -70,5 +71,14 @@ ContactTrace generate_synthetic_trace(const SyntheticTraceConfig& cfg);
 /// only on the seed and participant count). Exposed so experiments can
 /// report or vary the gateway set.
 std::vector<NodeId> synthetic_gateways(const SyntheticTraceConfig& cfg);
+
+class Rng;
+
+/// The gateway pick both trace generators share: max(1, round(fraction *
+/// n)) of the participants 1..n, drawn by shuffling them with `rng` (the
+/// generator's "gateways" stream), in id order. Throws
+/// std::invalid_argument naming gateway_fraction unless it is a finite
+/// value in [0, 1].
+std::vector<NodeId> pick_gateways(NodeId num_participants, double gateway_fraction, Rng& rng);
 
 }  // namespace photodtn

@@ -92,39 +92,73 @@ TEST(PhotoStore, SnapshotIsIdSortedRegardlessOfInsertionOrder) {
     EXPECT_LT(snap[i - 1].id, snap[i].id) << "photos() not id-sorted at " << i;
 }
 
+/// Requires `s` to hold exactly `model`'s photos: find() and contains() for
+/// every id in [0, id_bound), size() and used_bytes().
+void expect_matches_id_model(const PhotoStore& s, const std::map<PhotoId, PhotoMeta>& model,
+                             PhotoId id_bound, int step) {
+  std::uint64_t bytes = 0;
+  for (const auto& [id, want] : model) bytes += want.size_bytes;
+  ASSERT_EQ(s.size(), model.size()) << "step " << step;
+  ASSERT_EQ(s.used_bytes(), bytes) << "step " << step;
+  for (PhotoId id = 0; id < id_bound; ++id) {
+    const auto it = model.find(id);
+    const PhotoMeta* got = s.find(id);
+    ASSERT_EQ(s.contains(id), it != model.end()) << "id " << id << " step " << step;
+    if (it == model.end()) {
+      ASSERT_EQ(got, nullptr) << "id " << id << " step " << step;
+      continue;
+    }
+    ASSERT_NE(got, nullptr) << "id " << id << " step " << step;
+    ASSERT_EQ(got->id, id) << "step " << step;
+    ASSERT_EQ(got->taken_at, it->second.taken_at) << "step " << step;
+    ASSERT_EQ(got->size_bytes, it->second.size_bytes) << "step " << step;
+  }
+}
+
 TEST(PhotoStore, OrderedMatchesATakenAtIdModelUnderRandomChurn) {
   // Property: after any add / remove / re-add / clear sequence, ordered()
   // lists exactly the stored photos in (taken_at, id) order, each pointer
-  // is the one find() returns, and audit() passes. Few distinct taken_at
-  // values make ties on taken_at common, so the id tie-break is exercised.
+  // is the one find() returns, find() and contains() agree with an id model
+  // for every id, and audit() passes. Few distinct taken_at values make
+  // ties on taken_at common, so the id tie-break is exercised.
   Rng rng(0x0DE5);
   PhotoStore s(40 * 100);
   std::map<std::pair<double, PhotoId>, PhotoMeta> model;
+  std::map<PhotoId, PhotoMeta> by_id;
   std::vector<PhotoMeta> removed;  // candidates for a re-add
   for (int step = 0; step < 3000; ++step) {
     const double roll = rng.uniform();
     if (roll < 0.005) {
       s.clear();
       model.clear();
+      by_id.clear();
     } else if (roll < 0.15 && !removed.empty()) {
       const auto pick = rng.uniform_int(0, static_cast<std::int64_t>(removed.size()) - 1);
       const PhotoMeta back = removed[static_cast<std::size_t>(pick)];
-      if (s.add(back)) model[{back.taken_at, back.id}] = back;
+      if (s.add(back)) {
+        model[{back.taken_at, back.id}] = back;
+        by_id[back.id] = back;
+      }
     } else if (roll < 0.6) {
       PhotoMeta p = photo(static_cast<PhotoId>(rng.uniform_int(1, 80)),
                           static_cast<std::uint64_t>(rng.uniform_int(50, 150)));
       p.taken_at = static_cast<double>(rng.uniform_int(0, 6));
       const bool fits = !s.contains(p.id) && s.can_fit(p.size_bytes);
       ASSERT_EQ(s.add(p), fits) << "step " << step;
-      if (fits) model[{p.taken_at, p.id}] = p;
+      if (fits) {
+        model[{p.taken_at, p.id}] = p;
+        by_id[p.id] = p;
+      }
     } else if (!model.empty()) {
       auto it = model.begin();
       std::advance(it, rng.uniform_int(0, static_cast<std::int64_t>(model.size()) - 1));
       ASSERT_TRUE(s.remove(it->second.id)) << "step " << step;
       removed.push_back(it->second);
+      by_id.erase(it->second.id);
       model.erase(it);
     }
     ASSERT_NO_THROW(s.audit()) << "step " << step;
+    expect_matches_id_model(s, by_id, 82, step);
     const std::span<const PhotoMeta* const> ordered = s.ordered();
     ASSERT_EQ(ordered.size(), model.size()) << "step " << step;
     std::size_t i = 0;
@@ -136,6 +170,84 @@ TEST(PhotoStore, OrderedMatchesATakenAtIdModelUnderRandomChurn) {
       ASSERT_EQ(got->size_bytes, want.size_bytes) << "step " << step;
     }
   }
+}
+
+TEST(PhotoStore, IndexMatchesAnIdModelThroughGrowthShiftsAndReuse) {
+  // The id index under the loads the schemes put on it: an unlimited store
+  // grows to 700 photos (the index doubles six times), then random churn at
+  // that size removes photos out of the middle of probe chains and reuses
+  // their slots, then clear() and a refill. Ids come from a range ten
+  // times the live count, so chains form wherever they hash.
+  Rng rng(0x1DE7);
+  PhotoStore s;
+  std::map<PhotoId, PhotoMeta> model;
+  constexpr PhotoId kIdBound = 7000;
+  const auto add_random = [&](int step) {
+    PhotoMeta p = photo(static_cast<PhotoId>(rng.uniform_int(0, kIdBound - 1)),
+                        static_cast<std::uint64_t>(rng.uniform_int(1, 9)));
+    p.taken_at = static_cast<double>(rng.uniform_int(0, 50));
+    const bool fresh = model.count(p.id) == 0;
+    ASSERT_EQ(s.add(p), fresh) << "step " << step;
+    if (fresh) model[p.id] = p;
+  };
+  const auto remove_random = [&](int step) {
+    auto it = model.begin();
+    std::advance(it, rng.uniform_int(0, static_cast<std::int64_t>(model.size()) - 1));
+    ASSERT_TRUE(s.remove(it->first)) << "step " << step;
+    ASSERT_FALSE(s.remove(it->first)) << "step " << step;
+    model.erase(it);
+  };
+  int step = 0;
+  for (; model.size() < 700; ++step) {
+    add_random(step);
+    if (step % 50 == 0) expect_matches_id_model(s, model, kIdBound, step);
+  }
+  expect_matches_id_model(s, model, kIdBound, step);
+  for (int churn = 0; churn < 3000; ++churn, ++step) {
+    if (rng.bernoulli(0.5)) {
+      add_random(step);
+    } else {
+      remove_random(step);
+    }
+    if (churn % 100 == 0) {
+      expect_matches_id_model(s, model, kIdBound, step);
+      ASSERT_NO_THROW(s.audit()) << "step " << step;
+    }
+  }
+  expect_matches_id_model(s, model, kIdBound, step);
+  s.clear();
+  model.clear();
+  expect_matches_id_model(s, model, kIdBound, step);
+  for (int refill = 0; refill < 300; ++refill, ++step) add_random(step);
+  expect_matches_id_model(s, model, kIdBound, step);
+  ASSERT_NO_THROW(s.audit());
+}
+
+TEST(PhotoStore, FoundPointerStaysPutUntilItsPhotoIsRemoved) {
+  // Schemes hold find() and ordered() pointers across other adds and
+  // removes: the photo stays at one address, with the same contents, while
+  // the index grows and other photos come and go, and when the store moves.
+  PhotoStore s;
+  PhotoMeta kept = photo(5000, 77);
+  kept.taken_at = 3.5;
+  ASSERT_TRUE(s.add(kept));
+  const PhotoMeta* p = s.find(5000);
+  ASSERT_NE(p, nullptr);
+  for (PhotoId id = 1; id <= 400; ++id) ASSERT_TRUE(s.add(photo(id, id)));
+  for (PhotoId id = 1; id <= 400; id += 2) ASSERT_TRUE(s.remove(id));
+  for (PhotoId id = 1001; id <= 1200; ++id) ASSERT_TRUE(s.add(photo(id, 3)));
+  EXPECT_EQ(s.find(5000), p);
+  EXPECT_EQ(p->id, 5000u);
+  EXPECT_EQ(p->size_bytes, 77u);
+  EXPECT_EQ(p->taken_at, 3.5);
+  PhotoStore moved(std::move(s));
+  EXPECT_EQ(moved.find(5000), p);
+  PhotoStore assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.find(5000), p);
+  EXPECT_EQ(p->size_bytes, 77u);
+  EXPECT_NO_THROW(assigned.audit());
+  EXPECT_EQ(assigned.size(), 401u);
 }
 
 TEST(PhotoStore, CheckpointBytesDoNotDependOnInsertionOrder) {

@@ -219,6 +219,43 @@ TEST(PersistCorruption, CrcFixedSemanticCorruption) {
   }
 }
 
+// The NODE section: per node, its photo store (a count, then 76 bytes per
+// photo), its PROPHET table (aging clock f64, a count, then (peer i32,
+// value f64) pairs) and its rate estimator (start f64, total u64, a count,
+// then (peer i32, count u64) pairs). A PROPHET peer outside [0, node count)
+// must be refused, naming the peer, before the table sizes itself from it.
+TEST(PersistCorruption, CrcFixedProphetPeerOutsideTheNodeRange) {
+  const std::string& good = snapshot();
+  const std::size_t hdr = section_offsets(good)[2];
+  std::size_t at = hdr + kSectionHeaderBytes;
+  const std::uint64_t nodes = read_u64(good, at);
+  at += 8;
+  std::size_t peer_at = 0;
+  for (std::uint64_t n = 0; n < nodes && peer_at == 0; ++n) {
+    at += 8 + 76 * static_cast<std::size_t>(read_u64(good, at));
+    const auto entries = static_cast<std::size_t>(read_u64(good, at + 8));
+    if (entries > 0) peer_at = at + 16;
+    at += 16 + 12 * entries;
+    at += 24 + 12 * static_cast<std::size_t>(read_u64(good, at + 16));
+  }
+  ASSERT_NE(peer_at, 0u) << "no node of the snapshot has a PROPHET entry";
+  for (const std::int32_t peer : {std::int32_t{-1}, std::numeric_limits<std::int32_t>::max()}) {
+    std::string bad = good;
+    std::memcpy(bad.data() + peer_at, &peer, sizeof peer);
+    fix_crc(bad, hdr);
+    auto sim = rig().make_sim();
+    auto scheme = rig().make_scheme();
+    try {
+      persist::restore(*sim, *scheme, bad);
+      ADD_FAILURE() << "PROPHET peer " << peer << " accepted";
+    } catch (const persist::SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find("PROPHET peer " + std::to_string(peer) + " outside"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // The EVNT section: a count, then one 50-byte record per event (kind u8,
 // outcome u8, ts f64, photo u64, node i32, peer i32, bytes u64, value f64,
 // aux f64). Each case edits one record, fixes the CRC, and must be rejected

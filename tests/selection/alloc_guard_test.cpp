@@ -1,6 +1,7 @@
 // Heap-allocation guard for the selection engine's steady state: the PoI
 // rebuild sweep, arc insertion, gossip merges, greedy phases, a greedy
-// selection and reloading a shared digest. This
+// selection and reloading a shared digest; and for the per-node state every
+// contact touches: photo store churn and PROPHET encounters. This
 // executable replaces the global operator new with a counting one, which is
 // why it is built apart from photodtn_tests: each case warms an operation
 // up, then asserts that running it again makes no heap allocation (a
@@ -15,8 +16,10 @@
 #include <vector>
 
 #include "coverage/coverage_model.h"
+#include "dtn/photo_store.h"
 #include "geometry/angle.h"
 #include "geometry/arc_set.h"
+#include "routing/prophet.h"
 #include "selection/greedy_selector.h"
 #include "selection/metadata_cache.h"
 #include "selection/poi_cover.h"
@@ -293,6 +296,55 @@ TEST(AllocGuard, ReloadingASharedDigestDoesNotAllocate) {
   EXPECT_EQ(allocations_during(reload), 0u);
   EXPECT_EQ(env.collection_count(), 12u);
   EXPECT_EQ(rig.digests[5].use_count(), 2);  // the caller's and the engine's
+}
+
+TEST(AllocGuard, WarmedPhotoStoreChurnsWithoutAllocating) {
+  // A full bounded store (cam-flood's 67 photos) that evicts one photo for
+  // every one it takes: each add reuses the slot a removal freed, and the
+  // index and the order keep their size.
+  constexpr PhotoId kHeld = 67;
+  PhotoStore store(kHeld * 100);
+  PhotoMeta p;
+  p.size_bytes = 100;
+  for (PhotoId id = 1; id <= kHeld; ++id) {
+    p.id = id;
+    p.taken_at = static_cast<double>(id % 7);
+    ASSERT_TRUE(store.add(p));
+  }
+  PhotoId next = kHeld + 1;
+  auto churn = [&] {
+    for (int i = 0; i < 500; ++i) {
+      ASSERT_TRUE(store.remove(next - kHeld));
+      p.id = next++;
+      p.taken_at = static_cast<double>(p.id % 7);
+      ASSERT_TRUE(store.add(p));
+      ASSERT_TRUE(store.contains(p.id));
+    }
+  };
+  churn();  // warm-up
+  EXPECT_EQ(allocations_during(churn), 0u);
+  EXPECT_EQ(store.size(), kHeld);
+}
+
+TEST(AllocGuard, WarmedProphetEncounterDoesNotAllocate) {
+  // Once each table spans every peer it will learn, an encounter updates
+  // both tables in place: no copy of either.
+  ProphetConfig cfg;
+  std::vector<ProphetTable> tables;
+  for (NodeId id = 0; id < 20; ++id) tables.emplace_back(cfg, id);
+  double now = 0.0;
+  auto meet_all = [&] {
+    for (NodeId a = 0; a < 20; ++a) {
+      for (NodeId b = a + 1; b < 20; ++b) {
+        now += 30.0;
+        ProphetTable::encounter(tables[static_cast<std::size_t>(a)],
+                                tables[static_cast<std::size_t>(b)], now);
+      }
+    }
+  };
+  meet_all();  // warm-up: every table learns every peer
+  EXPECT_EQ(allocations_during(meet_all), 0u);
+  EXPECT_GT(tables[3].delivery_prob(17), 0.0);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 namespace photodtn {
 namespace {
 
@@ -75,6 +79,22 @@ TEST(RwpMobility, GatewaysSelectedAndContactCenter) {
   for (const Contact& c : t.contacts())
     if (c.involves(kCommandCenter)) has_cc_contact = true;
   EXPECT_TRUE(has_cc_contact);
+}
+
+TEST(RwpMobility, GatewayFractionOutsideUnitIntervalIsRejected) {
+  for (const double fraction : {1.5, -0.1, std::numeric_limits<double>::quiet_NaN()}) {
+    RwpConfig cfg = small_config();
+    cfg.gateway_fraction = fraction;
+    try {
+      const RwpMobility m(cfg);
+      ADD_FAILURE() << "gateway_fraction " << fraction << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("gateway_fraction"), std::string::npos) << e.what();
+    }
+  }
+  RwpConfig all = small_config();
+  all.gateway_fraction = 1.0;
+  EXPECT_EQ(RwpMobility(all).gateways().size(), 10u);
 }
 
 TEST(RwpMobility, PositionClampedOutsideHorizon) {

@@ -4,8 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 namespace photodtn {
 namespace {
@@ -73,6 +76,25 @@ TEST(SyntheticTrace, GatewayFractionRoundsUp) {
   EXPECT_GE(synthetic_gateways(cfg).size(), 1u);
   cfg.gateway_fraction = 0.25;
   EXPECT_EQ(synthetic_gateways(cfg).size(), 5u);
+}
+
+TEST(SyntheticTrace, GatewayFractionOutsideUnitIntervalIsRejected) {
+  // 1.5 used to pad the gateway list with node 0 and die in validate() on a
+  // command-center self-contact; -0.1 and NaN silently picked one gateway.
+  for (const double fraction : {1.5, -0.1, std::numeric_limits<double>::quiet_NaN()}) {
+    SyntheticTraceConfig cfg = small_config();
+    cfg.gateway_fraction = fraction;
+    try {
+      generate_synthetic_trace(cfg);
+      ADD_FAILURE() << "gateway_fraction " << fraction << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("gateway_fraction"), std::string::npos) << e.what();
+    }
+    EXPECT_THROW(synthetic_gateways(cfg), std::invalid_argument) << fraction;
+  }
+  SyntheticTraceConfig all = small_config();
+  all.gateway_fraction = 1.0;
+  EXPECT_EQ(synthetic_gateways(all).size(), 20u);
 }
 
 TEST(SyntheticTrace, IntraTeamPairsContactMoreOften) {

@@ -45,7 +45,7 @@ suppression REQUIRES a justification, see below):
                       loop body order-invariant in an allow justification.
                       Tracks local declarations, members of the paired
                       module header, and accessors returning unordered refs
-                      (e.g. cache.entries(), prophet().entries()).
+                      (e.g. cache.entries()).
   pointer-key         std::map/set keyed by a pointer — iteration order is
                       address order, different every run under ASLR.
   atomic-float        std::atomic<float/double> — concurrent FP accumulation
